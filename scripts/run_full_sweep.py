@@ -2,7 +2,7 @@
 """Run the full-scale hourly sweep over the packaged reference grid.
 
 Builds the four attack variants of the reference fleet (4 nuclear,
-5 hydro, 6 gas; 610 MW) and solves all 96 (variant, hour) cells with the
+5 hydro, 6 gas; 320 MW) and solves all 96 (variant, hour) cells with the
 transient solver at a 60 minute horizon.  Attack-variant models reach
 8 000 to 21 000 states and 1 s trip times push the uniformisation rate
 high, so a full run takes several minutes; --workers cuts it down and

@@ -103,7 +103,8 @@ def _cmd_check(args) -> int:
         Path(args.gnuplot).write_text(format_gnuplot(rows))
     if failures:
         for f in failures:
-            print(f"error: {f.variant} hour {f.hour}: {f.error}", file=sys.stderr)
+            kind = "" if isinstance(f.error, GridlockError) else f"{type(f.error).__name__}: "
+            print(f"error: {f.variant} hour {f.hour}: {kind}{f.error}", file=sys.stderr)
         return max(_exit_code(f.error) for f in failures)
     return 0
 
@@ -137,7 +138,7 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _exit_code(exc: GridlockError) -> int:
+def _exit_code(exc: Exception) -> int:
     cause = exc.__cause__ if isinstance(exc.__cause__, GridlockError) else exc
     if isinstance(cause, StateSpaceLimitExceeded) or isinstance(exc, StateSpaceLimitExceeded):
         return 3

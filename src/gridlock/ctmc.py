@@ -109,9 +109,7 @@ class Ctmc:
 
     def generator_matrix(self) -> sp.csr_matrix:
         """Infinitesimal generator Q: off-diagonal R, diagonal -E(s)."""
-        q = self.rate_matrix.tolil(copy=True)
-        q.setdiag(-self.exit_rates)
-        return q.tocsr()
+        return (self.rate_matrix - sp.diags(self.exit_rates)).tocsr()
 
     def embedded_dtmc(self) -> sp.csr_matrix:
         """Jump chain: rows of R divided by E(s); absorbing states self-loop."""

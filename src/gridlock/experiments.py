@@ -111,15 +111,18 @@ class ResultRow:
 
 
 class CellFailure(NamedTuple):
+    """A cell that raised; any error other than a GridlockError is a fault
+    in the program, kept with its traceback and mapped to exit code 1."""
+
     variant: str
     hour: int
-    error: GridlockError
+    error: Exception
 
 
 class SweepError(GridlockError):
     """A sweep cell failed and no failure collector was supplied."""
 
-    def __init__(self, variant: str, hour: int, error: GridlockError):
+    def __init__(self, variant: str, hour: int, error: Exception):
         super().__init__(f"{variant} hour {hour}: {error}")
         self.variant = variant
         self.hour = hour
@@ -210,8 +213,9 @@ def run_hourly_sweep(
 ) -> list[ResultRow]:
     """Solve every (variant, hour) cell; rows come back sorted.
 
-    A failing cell is appended to `failures` when a collector is given,
-    otherwise it aborts the sweep with a SweepError naming the cell.
+    A failing cell, whatever it raised, is appended to `failures` when a
+    collector is given; otherwise the first failure, in (variant, hour)
+    order, is raised as a SweepError naming the cell once every cell ran.
     """
     cells = [
         (idx, name, scen, hour)
@@ -239,7 +243,7 @@ def run_hourly_sweep(
             for name, hour, fut in futures:
                 try:
                     rows.append(fut.result())
-                except GridlockError as e:
+                except Exception as e:  # one bad cell must not abort the sweep
                     problems.append(CellFailure(name, hour, e))
     else:
         for idx, name, scen, hour in cells:
@@ -247,7 +251,7 @@ def run_hourly_sweep(
                 rows.append(
                     _solve_cell(name, scen, hour, profile.mw_by_hour[hour], plan, idx)
                 )
-            except GridlockError as e:
+            except Exception as e:  # one bad cell must not abort the sweep
                 problems.append(CellFailure(name, hour, e))
 
     problems.sort(key=lambda f: (f.variant, f.hour))

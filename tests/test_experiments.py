@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from gridlock import experiments
 from gridlock.errors import (
     InputFileError,
     NonConvergence,
@@ -25,6 +28,7 @@ from gridlock.grid import (
     DemandProcess,
     DemandProfile,
     GeneratorClass,
+    OVER_SUPPLY,
     Scenario,
     build_grid_ctmc,
 )
@@ -52,6 +56,18 @@ def tiny_scenario(enabled=True):
 
 def tiny_profile():
     return DemandProfile(tuple(30.0 + 2.0 * h for h in range(24)))
+
+
+def break_hour_12_attack_rows(monkeypatch):
+    """Make ResultRow raise ValueError on the 6-state attack chains of the
+    tiny sweep (hour 12).  Forked pool workers inherit the patch."""
+    real = experiments.label_probability
+
+    def skewed(dist, chain, label):
+        p = real(dist, chain, label)
+        return p + 0.5 if chain.n_states == 6 and label == OVER_SUPPLY else p
+
+    monkeypatch.setattr(experiments, "label_probability", skewed)
 
 
 class TestMakeAttackVariants:
@@ -313,6 +329,52 @@ class TestSweep:
         pooled = run_hourly_sweep(plan, tiny_profile(), max_workers=2)
         assert write_results_csv(serial) == write_results_csv(pooled)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_program_fault_names_its_cell(self, monkeypatch, workers):
+        break_hour_12_attack_rows(monkeypatch)
+        plan = ExperimentPlan(
+            variants=tuple(make_attack_variants(tiny_scenario())), hours=(4, 12)
+        )
+        failures: list[CellFailure] = []
+        rows = run_hourly_sweep(
+            plan, tiny_profile(), failures=failures, max_workers=workers
+        )
+        assert [(f.variant, f.hour) for f in failures] == [
+            ("ATTACK-C", 12),
+            ("ATTACK-W", 12),
+        ]
+        assert all(isinstance(f.error, ValueError) for f in failures)
+        assert [(r.scenario, r.hour) for r in rows] == [
+            ("ATTACK-C", 4),
+            ("ATTACK-W", 4),
+            ("NO-ATTACK", 4),
+            ("NO-ATTACK", 12),
+        ]
+
+    def test_program_fault_without_collector(self, monkeypatch):
+        break_hour_12_attack_rows(monkeypatch)
+        plan = ExperimentPlan(
+            variants=tuple(make_attack_variants(tiny_scenario())), hours=(12,)
+        )
+        with pytest.raises(SweepError) as exc:
+            run_hourly_sweep(plan, tiny_profile())
+        assert (exc.value.variant, exc.value.hour) == ("ATTACK-C", 12)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
+# Desk transient sweep (desk_scenario, hours 0-23, 10 min) as written by the
+# full-window uniformization solver; solver speed-ups must keep these bytes.
+GOLDEN_DESK_CSV = Path(__file__).parent / "data" / "desk_transient_sweep.csv"
+
+
+def test_desk_transient_sweep_matches_golden_bytes():
+    plan = ExperimentPlan(
+        variants=tuple(make_attack_variants(desk_scenario())),
+        horizon_minutes=DESK_HORIZON_MINUTES,
+    )
+    rows = run_hourly_sweep(plan, desk_demand_profile())
+    assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
+
 
 class TestGnuplot:
     def test_blocked_output(self):
@@ -491,6 +553,18 @@ class TestCli:
         assert "hour 4" in capsys.readouterr().err
         # partial output still written, here just the header
         assert out.read_text().startswith("hour,scenario,mode,")
+
+    def test_program_fault_exits_1_and_names_cell(self, cli_files, monkeypatch, capsys):
+        break_hour_12_attack_rows(monkeypatch)
+        scen, dem = cli_files
+        code = self.run(
+            "check", "--scenario", str(scen), "--demand", str(dem), "--hours", "4,12"
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: ATTACK-C hour 12: ValueError: " in captured.err
+        assert "error: ATTACK-W hour 12: ValueError: " in captured.err
+        assert len(captured.out.splitlines()) == 1 + 4
 
     def test_state_space_limit_exits_3(self, cli_files, capsys):
         scen, dem = cli_files

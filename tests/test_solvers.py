@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
+from gridlock import solvers
 from gridlock.ctmc import Distribution
 from gridlock.solvers import (
     SolverConfig,
@@ -14,7 +17,7 @@ from gridlock.solvers import (
     transient,
 )
 
-from oracles import transient_oracle
+from oracles import dense_generator, transient_oracle
 
 ALL_METHODS = ["power", "jacobi", "gauss-seidel"]
 
@@ -221,6 +224,97 @@ class TestTransient:
         for t in (0.1, 1.0, 7.5):
             got = transient(c, t).probs
             np.testing.assert_allclose(got, transient_oracle(c, t), atol=1e-7)
+
+
+def full_window_transient(c, t, epsilon=1e-10):
+    """Uniformization over the whole two-sided Poisson window (Lambda*t >
+    25) with dense P: the solver as it was before the stationarity stop,
+    kept as a reference."""
+    lam = 1.02 * c.exit_rates.max()
+    mu = lam * t
+    lo = int(poisson.ppf(epsilon / 2, mu))
+    hi = int(poisson.ppf(1 - epsilon / 2, mu))
+    p = np.eye(c.n_states) + dense_generator(c) / lam
+    x = np.zeros(c.n_states)
+    x[c.initial] = 1.0
+    out = np.zeros(c.n_states)
+    for k in range(hi + 1):
+        if k >= lo:
+            out += poisson.pmf(k, mu) * x
+        x = x @ p
+    return out / out.sum()
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Records (steps taken, right window edge) of each uniformization."""
+    calls = []
+    inner = solvers._uniformize
+
+    def spy(pt, x, weights, lo, epsilon):
+        out, k = inner(pt, x, weights, lo, epsilon)
+        calls.append((k, lo + len(weights) - 1))
+        return out, k
+
+    monkeypatch.setattr(solvers, "_uniformize", spy)
+    return calls
+
+
+def tv(a, b):
+    return 0.5 * np.abs(a - b).sum()
+
+
+class TestStationarityStop:
+    EPS = 1e-10
+
+    def test_stiff_single_bscc_stops_early(self, steps):
+        # trip-like 1200/min exit next to 2-5/min repairs: one BSCC that
+        # settles within a fifth of the Poisson window
+        c = new_ctmc(3, [(0, 1, 5.0), (1, 0, 5.0), (1, 2, 1200.0), (2, 0, 2.0)], 0)
+        got = transient(c, 20.0, self.EPS).probs
+        (k, hi), = steps
+        assert k < hi / 2
+        assert tv(got, transient_oracle(c, 20.0)) <= self.EPS
+
+    def test_two_bsccs_stop_early(self, steps):
+        # state 0 splits its mass between the BSCCs {1, 3} and {2, 4}
+        c = new_ctmc(
+            5,
+            [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 500.0), (3, 1, 300.0),
+             (2, 4, 800.0), (4, 2, 100.0)],
+            0,
+        )
+        got = transient(c, 30.0, self.EPS).probs
+        (k, hi), = steps
+        assert k < hi / 2
+        assert tv(got, transient_oracle(c, 30.0)) <= self.EPS
+        assert got[[1, 3]].sum() == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_slow_mixing_chain_runs_full_window(self, steps):
+        # the 0 <-> 1 exchange at 0.01/min is far from settled after 10 min
+        c = new_ctmc(3, [(0, 1, 0.01), (1, 0, 0.01), (1, 2, 100.0), (2, 1, 100.0)], 0)
+        got = transient(c, 10.0, self.EPS).probs
+        (k, hi), = steps
+        assert k == hi
+        assert tv(got, full_window_transient(c, 10.0, self.EPS)) <= self.EPS
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [
+            [(0, 1, 2.0), (1, 0, 1.0)],
+            [(0, 1, 0.50), (1, 0, 0.50), (2, 0, 0.25)],
+            [(0, 1, 0.50), (1, 0, 0.50), (1, 2, 1200.0), (2, 0, 0.25)],
+            [(0, 1, 3.0), (0, 2, 1.0 / 3.0)],
+        ],
+    )
+    def test_uniformized_matrix_is_bitwise_i_plus_q_over_lambda(self, transitions):
+        n = 1 + max(max(s, d) for s, d, _ in transitions)
+        c = new_ctmc(n, transitions, 0)
+        lam = 1.02 * c.exit_rates.max()
+        want = (sp.eye(n) + c.generator_matrix() / lam).T.tocsr()
+        got = solvers._uniformized_transpose(c, lam)
+        assert got.shape == want.shape
+        assert np.array_equal(got.toarray(), want.toarray())
 
 
 class TestLabelProbability:
