@@ -113,13 +113,14 @@ def _cmd_simulate(args) -> int:
     scenario, profile = _load_inputs(args)
     chain = build_grid_ctmc(scenario, profile.mw_by_hour[args.hour],
                             max_states=args.max_states)
+    ests = [estimate_label_metrics(chain, label, args.horizon, args.trials, args.seed)
+            for label in ("overSupply", "equilibrium", "overDemand", "blackout")]
     print(f"hour {args.hour}: {chain.n_states} states, "
           f"{args.trials} trials, horizon {args.horizon:g} min")
     print("label point_probability point_se occupancy occupancy_se")
-    for label in ("overSupply", "equilibrium", "overDemand", "blackout"):
-        est = estimate_label_metrics(chain, label, args.horizon, args.trials, args.seed)
+    for est in ests:
         print(
-            f"{label} {est.point_probability:.9f} {est.point_standard_error:.9f} "
+            f"{est.label} {est.point_probability:.9f} {est.point_standard_error:.9f} "
             f"{est.occupancy:.9f} {est.occupancy_standard_error:.9f}"
         )
     return 0
@@ -164,8 +165,12 @@ def _build_parser() -> _Parser:
     check.add_argument("--hours", default="0-23", help="hour list, e.g. 4,12,18 or 0-23")
     check.add_argument("--mode", choices=("steady", "transient"), default="transient")
     check.add_argument("--horizon", type=float, default=60.0, help="transient horizon, minutes")
-    check.add_argument("--tolerance", type=float, default=1e-10)
-    check.add_argument("--max-iterations", type=int, default=1_000_000)
+    check.add_argument("--tolerance", type=float, default=1e-10,
+                       help="steady mode: target for the absorption gap and for the "
+                            "balance residual max|pi Q|, in (0, 1)")
+    check.add_argument("--max-iterations", type=int, default=1_000_000,
+                       help="steady mode: cap on absorption sweeps and on power "
+                            "iterations per BSCC")
     check.add_argument("--out", help="results CSV path (default stdout)")
     check.add_argument("--gnuplot", help="also write a gnuplot data file")
     check.add_argument("--workers", type=int, default=1)

@@ -178,6 +178,8 @@ class Distribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1:
             raise ValueError("probability vector must be one-dimensional")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(p.sum() - 1.0) > 1e-9:

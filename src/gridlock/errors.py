@@ -28,7 +28,7 @@ class SelfLoop(GridlockError):
 
 
 class NegativeTime(GridlockError):
-    pass
+    """A time or horizon that is negative, infinite or NaN."""
 
 
 # --- solving -------------------------------------------------------------

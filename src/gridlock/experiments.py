@@ -77,8 +77,10 @@ class ExperimentPlan:
                 raise ValueError(f"hour {h} outside 0-23")
         if self.mode not in ("steady", "transient"):
             raise ValueError(f"mode must be steady or transient, got {self.mode!r}")
-        if not self.horizon_minutes > 0:
-            raise ValueError("horizon_minutes must be > 0")
+        if not 0 < self.horizon_minutes < math.inf:
+            raise ValueError(
+                f"horizon_minutes must be finite and > 0, got {self.horizon_minutes}"
+            )
         if self.sim_trials is not None:
             if self.sim_trials < 1:
                 raise ValueError("sim_trials must be >= 1")
@@ -104,9 +106,9 @@ class ResultRow:
 
     def __post_init__(self):
         total = self.p_over_supply + self.p_equilibrium + self.p_over_demand
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ValueError(f"classification probabilities sum to {total!r}")
-        if self.p_blackout > self.p_over_demand + 1e-12:
+        if not self.p_blackout <= self.p_over_demand + 1e-12:
             raise ValueError("p_blackout cannot exceed p_over_demand")
 
 

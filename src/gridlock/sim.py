@@ -115,8 +115,8 @@ class _Compiled:
 
 def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
     """Sample one trajectory; deterministic in (chain, horizon, seed)."""
-    if not horizon > 0:
-        raise NegativeTime(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
     comp = _Compiled(c)
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
@@ -150,8 +150,8 @@ def estimate_label_metrics(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not horizon > 0:
-        raise NegativeTime(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
     in_label = np.zeros(c.n_states, dtype=bool)
     if c.label_states(label):
         in_label[np.fromiter(sorted(c.label_states(label)), dtype=np.int64)] = True

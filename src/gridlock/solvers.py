@@ -2,30 +2,25 @@
 
 Steady state on a reducible chain is defined as the absorption-weighted
 mixture of the stationary distributions of its bottom strongly connected
-components; transient states carry probability 0.  Transient analysis
+components; transient states carry probability 0.  The weights come from
+sweeps of the embedded jump chain and each component is solved by power
+iteration on its uniformized matrix.  Transient analysis
 uses uniformization with two-sided Poisson truncation and stops early
 once the iterate is provably stationary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve_triangular
 from scipy.stats import poisson
 
 from .ctmc import Ctmc, Distribution
 from .errors import IndexOutOfRange, NegativeTime, NonConvergence
-
-_METHODS = ("power", "jacobi", "gauss-seidel")
-
-# Damping for the Jacobi sweep.  The undamped update cycles on chains
-# whose embedded matrix is periodic (a 2-state cycle already breaks it);
-# damping kills those modes without moving the fixed point.
-_JOR_WEIGHT = 0.9
 
 # Uniformization rate is strictly above the max exit rate so the
 # uniformized matrix has positive diagonal everywhere (aperiodicity).
@@ -38,17 +33,16 @@ _STATIONARITY_CHECK = 32
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Choice of iterative method plus its stopping parameters."""
+    """Stopping parameters of the steady-state iterations."""
 
-    method: str = "power"
     tolerance: float = 1e-10
     max_iterations: int = 1_000_000
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        # a tolerance of 1 or more ends the absorption sweeps before any
+        # sweep means anything
+        if not 0 < self.tolerance < 1:
+            raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -144,7 +138,10 @@ def steady_state(c: Ctmc, cfg: SolverConfig | None = None) -> Distribution:
 
 
 def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Stationary vector of the sub-chain on one BSCC, normalized to 1."""
+    """Stationary vector of the sub-chain on one BSCC, normalized to 1.
+
+    Power iteration on the uniformized matrix P = I + Q/lam of the BSCC.
+    """
     n_b = len(states)
     if n_b == 1:
         # a singleton BSCC is an absorbing state
@@ -152,19 +149,8 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
     local = c.rate_matrix[states][:, states].tocsr()
     exits = np.asarray(local.sum(axis=1)).ravel()
-    q_local = local - sp.diags(exits)
-
-    if cfg.method == "power":
-        return _power(q_local, exits, cfg)
-    if cfg.method == "jacobi":
-        return _jacobi(local, exits, cfg)
-    return _gauss_seidel(q_local, cfg)
-
-
-def _power(q_local: sp.spmatrix, exits: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     lam = _UNIF_SLACK * exits.max()
-    n_b = q_local.shape[0]
-    pt = (sp.eye(n_b) + q_local / lam).T.tocsr()
+    pt = (sp.eye(n_b) + (local - sp.diags(exits)) / lam).T.tocsr()
     x = np.full(n_b, 1.0 / n_b)
     for _ in range(cfg.max_iterations):
         x_new = pt @ x
@@ -176,38 +162,6 @@ def _power(q_local: sp.spmatrix, exits: np.ndarray, cfg: SolverConfig) -> np.nda
             return x
         x = x_new
     raise NonConvergence(f"power method hit the {cfg.max_iterations}-iteration cap")
-
-
-def _jacobi(local: sp.spmatrix, exits: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    rt = local.T.tocsr()
-    n_b = local.shape[0]
-    x = np.full(n_b, 1.0 / n_b)
-    for _ in range(cfg.max_iterations):
-        inflow = rt @ x
-        if np.abs(inflow - x * exits).max() < 0.5 * cfg.tolerance:
-            return x
-        x = (1.0 - _JOR_WEIGHT) * x + _JOR_WEIGHT * (inflow / exits)
-        x /= x.sum()
-    raise NonConvergence(f"jacobi method hit the {cfg.max_iterations}-iteration cap")
-
-
-def _gauss_seidel(q_local: sp.spmatrix, cfg: SolverConfig) -> np.ndarray:
-    a = q_local.T.tocsr()
-    lower = sp.tril(a, k=0).tocsr()
-    upper = sp.triu(a, k=1).tocsr()
-    n_b = a.shape[0]
-    x = np.full(n_b, 1.0 / n_b)
-    for _ in range(cfg.max_iterations):
-        if np.abs(a @ x).max() < 0.5 * cfg.tolerance:
-            return x
-        x = spsolve_triangular(lower, -(upper @ x), lower=True)
-        total = x.sum()
-        if not total > 0:
-            raise NonConvergence("gauss-seidel sweep collapsed to the zero vector")
-        x /= total
-    raise NonConvergence(
-        f"gauss-seidel method hit the {cfg.max_iterations}-iteration cap"
-    )
 
 
 def transient(c: Ctmc, t: float, epsilon: float = 1e-10) -> Distribution:
@@ -225,8 +179,8 @@ def transient(c: Ctmc, t: float, epsilon: float = 1e-10) -> Distribution:
     <= epsilon, on reducible chains too; a chain that never settles runs
     the full window.
     """
-    if t < 0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"t must be finite and >= 0, got {t}")
     if not 0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
 

@@ -47,6 +47,43 @@ def transient_oracle(c: Ctmc, t: float) -> np.ndarray:
     return pi0 @ dense_expm(dense_generator(c) * t)
 
 
+def steady_oracle(c: Ctmc) -> np.ndarray:
+    """Long-run distribution from c.initial, computed densely and independently.
+
+    BSCCs come from a dense reachability closure; each one's stationary
+    vector solves pi Q_BB = 0 with sum(pi) = 1, and the BSCCs are weighted
+    by a dense solve of the absorption equations -Q_TT h = Q_TB 1.
+    """
+    n = c.n_states
+    q = dense_generator(c)
+    reach = (q != 0) | np.eye(n, dtype=bool)
+    for _ in range(max(1, int(np.ceil(np.log2(n))))):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    bsccs = []
+    for i in range(n):
+        members = np.flatnonzero(reach[i])
+        if reach[members, i].all() and not any(i in b for b in bsccs):
+            bsccs.append(members)
+    trans = np.array([i for i in range(n) if not any(i in b for b in bsccs)], dtype=int)
+
+    pi = np.zeros(n)
+    for b in bsccs:
+        if c.initial in b:
+            weight = 1.0
+        elif c.initial in trans:
+            rhs = q[np.ix_(trans, b)].sum(axis=1)
+            h = np.linalg.solve(-q[np.ix_(trans, trans)], rhs)
+            weight = h[np.searchsorted(trans, c.initial)]
+        else:
+            weight = 0.0
+        a = np.vstack([q[np.ix_(b, b)].T, np.ones(len(b))])
+        rhs = np.zeros(len(b) + 1)
+        rhs[-1] = 1.0
+        local = np.linalg.lstsq(a, rhs, rcond=None)[0]
+        pi[b] = weight * local
+    return pi
+
+
 # -- explicit per-unit grid model ------------------------------------
 #
 # Brute-force counterpart of the counting abstraction: every unit is

@@ -22,13 +22,10 @@ from scipy.stats import spearmanr
 from gridlock.cli import main as cli_main
 from gridlock.ctmc import new_ctmc
 from gridlock.experiments import (
-    DESK_HORIZON_MINUTES,
-    ExperimentPlan,
     REPORT_LABELS,
     desk_demand_profile,
     desk_scenario,
     make_attack_variants,
-    run_hourly_sweep,
 )
 from gridlock.grid import (
     BLACKOUT,
@@ -196,13 +193,9 @@ def test_criterion_4_simulation_cross_validation():
 
 # -- 5: desk-scale sweep findings --------------------------------------
 
-def test_criterion_5_desk_sweep_findings():
-    started = time.perf_counter()
+def test_criterion_5_desk_sweep_findings(desk_transient_sweep):
     profile = desk_demand_profile()
-    plan = ExperimentPlan(variants=make_attack_variants(desk_scenario()),
-                          horizon_minutes=DESK_HORIZON_MINUTES)
-    rows = run_hourly_sweep(plan, profile)
-    elapsed = time.perf_counter() - started
+    rows, elapsed = desk_transient_sweep
     assert len(rows) == 96
 
     by_scenario = {}

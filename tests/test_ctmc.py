@@ -231,3 +231,8 @@ class TestDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             Distribution(np.array([0.3, 0.3]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(np.array(probs))

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from gridlock.experiments import (
     make_attack_variants,
     run_hourly_sweep,
 )
+from gridlock.ctmc import new_ctmc
 from gridlock.grid import (
     Botnet,
     Controller,
@@ -177,6 +179,11 @@ class TestPlanValidation:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             ExperimentPlan(variants=(("X", tiny_scenario()),), horizon_minutes=0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            ExperimentPlan(variants=(("X", tiny_scenario()),), horizon_minutes=horizon)
 
     def test_rejects_sim_check_in_steady_mode(self):
         with pytest.raises(ValueError):
@@ -366,14 +373,22 @@ class TestSweep:
 # full-window uniformization solver; solver speed-ups must keep these bytes.
 GOLDEN_DESK_CSV = Path(__file__).parent / "data" / "desk_transient_sweep.csv"
 
+# Desk steady sweep (desk_scenario, hours 0-23) as written when the steady
+# solver could still choose between power, Jacobi and Gauss-Seidel sweeps.
+GOLDEN_DESK_STEADY_CSV = Path(__file__).parent / "data" / "desk_steady_sweep.csv"
 
-def test_desk_transient_sweep_matches_golden_bytes():
+
+def test_desk_transient_sweep_matches_golden_bytes(desk_transient_sweep):
+    rows, _ = desk_transient_sweep
+    assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
+
+
+def test_desk_steady_sweep_matches_golden_bytes():
     plan = ExperimentPlan(
-        variants=tuple(make_attack_variants(desk_scenario())),
-        horizon_minutes=DESK_HORIZON_MINUTES,
+        variants=tuple(make_attack_variants(desk_scenario())), mode="steady"
     )
     rows = run_hourly_sweep(plan, desk_demand_profile())
-    assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
+    assert write_results_csv(rows).encode() == GOLDEN_DESK_STEADY_CSV.read_bytes()
 
 
 class TestGnuplot:
@@ -553,6 +568,46 @@ class TestCli:
         assert "hour 4" in capsys.readouterr().err
         # partial output still written, here just the header
         assert out.read_text().startswith("hour,scenario,mode,")
+
+    def test_infinite_tolerance_exits_1_without_nan(self, cli_files, capsys):
+        scen, dem = cli_files
+        code = self.run(
+            "check", "--scenario", str(scen), "--demand", str(dem),
+            "--hours", "4", "--mode", "steady", "--tolerance", "inf",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out + captured.err
+        assert captured.err.startswith("error: tolerance must be in (0, 1)")
+
+    def test_check_infinite_horizon_exits_1_with_one_error(self, cli_files, capsys):
+        scen, dem = cli_files
+        code = self.run(
+            "check", "--scenario", str(scen), "--demand", str(dem),
+            "--hours", "4", "--horizon", "inf",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: horizon_minutes must be finite and > 0, got inf"
+        ]
+
+    def test_simulate_infinite_horizon_exits_1_with_one_error(self, monkeypatch, capsys):
+        # an absorbing chain: without the horizon check the paths end and
+        # the run fails on NaN occupancy instead of sampling forever
+        chain = new_ctmc(
+            2, [(0, 1, 1.0)], 0,
+            {"overSupply": [0], "equilibrium": [1], "overDemand": [], "blackout": []},
+        )
+        monkeypatch.setattr("gridlock.cli.build_grid_ctmc", lambda *a, **k: chain)
+        code = self.run("simulate", "--hour", "4", "--trials", "10", "--horizon", "inf")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: horizon must be finite and > 0, got inf"
+        ]
 
     def test_program_fault_exits_1_and_names_cell(self, cli_files, monkeypatch, capsys):
         break_hour_12_attack_rows(monkeypatch)

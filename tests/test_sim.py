@@ -53,6 +53,15 @@ class TestPath:
         with pytest.raises(NegativeTime):
             simulate_path(decay, 0.0, seed=1)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon(self, decay, horizon):
+        # decay absorbs after one jump, so an unchecked infinite horizon
+        # returns instead of sampling forever
+        with pytest.raises(NegativeTime):
+            simulate_path(decay, horizon, seed=1)
+        with pytest.raises(NegativeTime):
+            estimate_label_metrics(decay, "done", horizon, 10, seed=1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Path(((0, 0.0), (1, 0.0)), 1.0)
