@@ -167,7 +167,8 @@ def _build_parser() -> _Parser:
     check.add_argument("--horizon", type=float, default=60.0, help="transient horizon, minutes")
     check.add_argument("--tolerance", type=float, default=1e-10,
                        help="steady mode: target for the absorption gap and for the "
-                            "balance residual max|pi Q|, in (0, 1)")
+                            "balance residual max|pi Q|, in (0, 1); transient mode: "
+                            "total-variation error budget of uniformization, in (0, 1e-3]")
     check.add_argument("--max-iterations", type=int, default=1_000_000,
                        help="steady mode: cap on absorption sweeps and on power "
                             "iterations per BSCC")

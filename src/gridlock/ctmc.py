@@ -1,13 +1,13 @@
 """Finite labeled continuous-time Markov chains.
 
-A chain is a finite state set, a strictly positive transition-rate map
+A chain is a finite state set, strictly positive transition rates
 ``(source, target) -> rate`` (events per minute), an initial state and
 named label sets.  Absorbing states simply have no outgoing entries;
 self-loops are rejected because they have no effect on CTMC dynamics.
-
-Derived objects (exit rates, infinitesimal generator, embedded jump
-chain) are computed lazily and cached; ``Ctmc`` instances are immutable
-after construction and safe to share between threads.
+The rates are stored once, as CSR arrays with targets ascending within
+each row.  Everything else (rate and generator matrices, exit rates, the
+``transitions`` mapping, state descriptions) is derived lazily and
+cached; ``Ctmc`` instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,70 +33,45 @@ from .errors import (
 CLASSIFICATION_LABELS = ("overSupply", "equilibrium", "overDemand")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ctmc:
-    """Labeled CTMC with sparse rates, in events per minute."""
+    """Labeled CTMC with CSR rates, in events per minute; built by `new_ctmc`
+    or `ctmc_from_arrays`.  `describe` runs on the first read of `state_meta`."""
 
     n_states: int
-    transitions: Mapping[tuple[int, int], float]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     initial: int
     labels: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    state_meta: tuple[str, ...] | None = None
+    describe: Callable[[], Sequence[str]] | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.n_states < 0:
-            raise IndexOutOfRange(f"n_states must be >= 0, got {self.n_states}")
-        if not 0 <= self.initial < self.n_states:
-            raise IndexOutOfRange(
-                f"initial state {self.initial} not in [0, {self.n_states})"
-            )
-        for (src, dst), rate in self.transitions.items():
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
-                raise IndexOutOfRange(f"transition ({src}, {dst}) out of range")
-            if src == dst:
-                raise SelfLoop(f"self-loop at state {src}")
-            if not (math.isfinite(rate) and rate > 0):
-                raise NonPositiveRate(f"rate {rate!r} for ({src}, {dst})")
-        for name, states in self.labels.items():
-            for s in states:
-                if not 0 <= s < self.n_states:
-                    raise IndexOutOfRange(f"label {name!r} contains state {s}")
-        if all(name in self.labels for name in CLASSIFICATION_LABELS):
-            union: set[int] = set()
-            total = 0
-            for name in CLASSIFICATION_LABELS:
-                union.update(self.labels[name])
-                total += len(self.labels[name])
-            if total != self.n_states or len(union) != self.n_states:
-                raise IndexOutOfRange(
-                    "overSupply/equilibrium/overDemand must partition the states"
-                )
-        if self.state_meta is not None and len(self.state_meta) != self.n_states:
-            raise IndexOutOfRange("state_meta length must equal n_states")
+    def __eq__(self, other):
+        fields = ("n_states", "initial", "labels", "state_meta")
+        return isinstance(other, Ctmc) and all(
+            getattr(self, f) == getattr(other, f) for f in fields
+        ) and all(map(np.array_equal, (self.indptr, self.indices, self.data),
+                      (other.indptr, other.indices, other.data)))
 
-    # -- sparse views (cached; safe on a frozen dataclass because
+    # -- derived views (cached; safe on a frozen dataclass because
     #    cached_property writes straight to __dict__) ------------------
 
     @cached_property
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.transitions:
-            src, dst = zip(*self.transitions.keys())
-            rates = np.fromiter(self.transitions.values(), dtype=float)
-            return (
-                np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64),
-                rates,
-            )
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=float)
+    def state_meta(self) -> tuple[str, ...] | None:
+        """One description per state, or None."""
+        return None if self.describe is None else tuple(self.describe())
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, int], float]:
+        """Read-only ``(source, target) -> rate`` view of the CSR arrays."""
+        src = np.repeat(np.arange(self.n_states), np.diff(self.indptr)).tolist()
+        return MappingProxyType(dict(zip(zip(src, self.indices.tolist()), self.data.tolist())))
 
     @cached_property
     def rate_matrix(self) -> sp.csr_matrix:
         """R as a CSR matrix; R[s, s'] is the transition rate s -> s'."""
-        src, dst, rates = self._coo
-        return sp.csr_matrix(
-            (rates, (src, dst)), shape=(self.n_states, self.n_states)
-        )
+        shape = (self.n_states, self.n_states)
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=shape)
 
     @cached_property
     def exit_rates(self) -> np.ndarray:
@@ -114,14 +90,9 @@ class Ctmc:
     def embedded_dtmc(self) -> sp.csr_matrix:
         """Jump chain: rows of R divided by E(s); absorbing states self-loop."""
         exits = self.exit_rates
-        src, dst, rates = self._coo
-        absorbing = np.flatnonzero(exits == 0.0)
-        rows = np.concatenate([src, absorbing])
-        cols = np.concatenate([dst, absorbing])
-        vals = np.concatenate(
-            [rates / exits[src] if len(src) else rates, np.ones(len(absorbing))]
-        )
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_states, self.n_states))
+        jump = sp.csr_matrix((self.data / np.repeat(exits, np.diff(self.indptr)),
+                              self.indices, self.indptr), shape=self.rate_matrix.shape)
+        return (jump + sp.diags((exits == 0.0).astype(float))).tocsr()
 
     def sojourn_cdf(self, s: int, t: float) -> float:
         """P(leave state s within t minutes) = 1 - exp(-E(s) * t)."""
@@ -131,9 +102,8 @@ class Ctmc:
 
     def successors(self, s: int) -> list[tuple[int, float]]:
         """Outgoing (target, rate) pairs of state s, by target index."""
-        m = self.rate_matrix
-        lo, hi = m.indptr[s], m.indptr[s + 1]
-        return list(zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist()))
+        lo, hi = self.indptr[s], self.indptr[s + 1]
+        return list(zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()))
 
     def label_states(self, label: str) -> frozenset[int]:
         try:
@@ -143,28 +113,58 @@ class Ctmc:
 
 
 def new_ctmc(
-    n_states: int,
-    transitions: Iterable[tuple[int, int, float]],
-    initial: int,
-    labels: Mapping[str, Iterable[int]] | None = None,
-    state_meta: Iterable[str] | None = None,
+    n_states: int, transitions: Iterable[tuple[int, int, float]], initial: int,
+    labels: Mapping[str, Iterable[int]] | None = None, state_meta: Iterable[str] | None = None,
 ) -> Ctmc:
-    """Validated constructor from a transition list.
+    """Validated constructor from (source, target, rate) triples."""
+    t = np.array(list(transitions), dtype=float).reshape(-1, 3)
+    meta = None if state_meta is None else tuple(state_meta)
+    if meta is not None and len(meta) != n_states:
+        raise IndexOutOfRange("state_meta length must equal n_states")
+    describe = None if meta is None else (lambda: meta)
+    return ctmc_from_arrays(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels, describe)
+
+
+def ctmc_from_arrays(
+    n_states: int, src: np.ndarray, dst: np.ndarray, rates: np.ndarray, initial: int,
+    labels: Mapping[str, Iterable[int]] | None = None,
+    describe: Callable[[], Sequence[str]] | None = None,
+) -> Ctmc:
+    """Validated constructor from parallel source, target and rate arrays.
 
     Duplicate (source, target) pairs are rejected rather than summed, so
     that model-construction bugs surface instead of silently merging.
     """
-    tmap: dict[tuple[int, int], float] = {}
-    for src, dst, rate in transitions:
-        key = (src, dst)
-        if key in tmap:
-            raise DuplicateTransition(f"duplicate transition ({src}, {dst})")
-        tmap[key] = rate
-    frozen_labels = {
-        name: frozenset(states) for name, states in (labels or {}).items()
-    }
-    meta = tuple(state_meta) if state_meta is not None else None
-    return Ctmc(n_states, tmap, initial, frozen_labels, meta)
+    if not 0 <= initial < n_states:
+        raise IndexOutOfRange(f"initial state {initial} not in [0, {n_states})")
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    rates = np.asarray(rates, dtype=float)
+    key = src * n_states + dst
+    order = np.argsort(key, kind="stable")
+    duplicate = np.zeros(len(key), dtype=bool)
+    duplicate[order[1:]] = np.diff(key[order]) == 0
+    for error, what, bad in (
+        (IndexOutOfRange, "out of range", (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)),
+        (SelfLoop, "a self-loop", src == dst),
+        (NonPositiveRate, "not positive and finite", ~(np.isfinite(rates) & (rates > 0))),
+        (DuplicateTransition, "a duplicate", duplicate),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
+
+    frozen_labels = {name: frozenset(states) for name, states in (labels or {}).items()}
+    for name, states in frozen_labels.items():
+        if states and not 0 <= min(states) <= max(states) < n_states:
+            raise IndexOutOfRange(f"label {name!r} contains a state outside [0, {n_states})")
+    bands = [frozen_labels[name] for name in CLASSIFICATION_LABELS if name in frozen_labels]
+    if len(bands) == 3 and not sum(map(len, bands)) == len(frozenset().union(*bands)) == n_states:
+        raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")
+
+    index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
+    return Ctmc(n_states, indptr.astype(index_dtype), dst[order].astype(index_dtype),
+                rates[order], initial, frozen_labels, describe)
 
 
 @dataclass(frozen=True)

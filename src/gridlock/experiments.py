@@ -77,6 +77,8 @@ class ExperimentPlan:
                 raise ValueError(f"hour {h} outside 0-23")
         if self.mode not in ("steady", "transient"):
             raise ValueError(f"mode must be steady or transient, got {self.mode!r}")
+        if self.mode == "transient" and (tol := self.solver.tolerance) > 1e-3:
+            raise ValueError(f"transient mode needs tolerance <= 1e-3, got {tol!r}")
         if not 0 < self.horizon_minutes < math.inf:
             raise ValueError(
                 f"horizon_minutes must be finite and > 0, got {self.horizon_minutes}"
@@ -170,7 +172,7 @@ def _solve_cell(
     if plan.mode == "steady":
         dist = steady_state(chain, plan.solver)
     else:
-        dist = transient(chain, plan.horizon_minutes)
+        dist = transient(chain, plan.horizon_minutes, epsilon=plan.solver.tolerance)
     probs = {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
 

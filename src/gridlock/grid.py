@@ -11,11 +11,14 @@ space in the tens of thousands where a per-unit encoding explodes.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
-from .ctmc import Ctmc, new_ctmc
+import numpy as np
+
+from .ctmc import Ctmc, ctmc_from_arrays
 from .errors import InsufficientCapacity, StateSpaceLimitExceeded
 
 DEMAND_LEVELS = ("low", "normal", "high")
@@ -168,15 +171,6 @@ class GridState:
             if len(triple) != 3 or any(c < 0 for c in triple):
                 raise ValueError(f"bad count triple {triple!r}")
 
-    @property
-    def total_offline(self) -> int:
-        return sum(o for _, _, o in self.counts)
-
-    def _bump(self, k: int, d_avail: int, d_serv: int, d_off: int) -> "GridState":
-        a, s, o = self.counts[k]
-        new = self.counts[:k] + ((a + d_avail, s + d_serv, o + d_off),) + self.counts[k + 1 :]
-        return GridState(new, self.demand_level, self.botnet_on)
-
     def describe(self, scenario: Scenario) -> str:
         parts = [
             f"{g.name}={a}a/{s}s/{o}o"
@@ -203,11 +197,7 @@ def effective_demand(g: GridState, s: Scenario, base_mw: float) -> float:
 
 def classify(g: GridState, s: Scenario, base_mw: float) -> str:
     """Band test against the controller tolerance; exactly one outcome."""
-    sup = supply(g, s)
-    dem = effective_demand(g, s, base_mw)
-    if abs(sup - dem) <= s.controller.tolerance * dem:
-        return EQUILIBRIUM
-    return OVER_DEMAND if sup < dem else OVER_SUPPLY
+    return _rules(s, base_mw)(_key(g))[0]
 
 
 def initial_state(s: Scenario, base_mw: float) -> GridState:
@@ -232,65 +222,87 @@ def initial_state(s: Scenario, base_mw: float) -> GridState:
     return GridState(counts, "normal", False)
 
 
+def _key(g: GridState) -> tuple[int, ...]:
+    """The flat tuple the builder hashes: (a0, s0, o0, a1, ..., level, botnet),
+    counts in class order, the level's index in DEMAND_LEVELS, botnet 0/1."""
+    return sum(g.counts, ()) + (DEMAND_LEVELS.index(g.demand_level), int(g.botnet_on))
+
+
+def _state(key: tuple[int, ...]) -> GridState:
+    counts = tuple(zip(key[0:-2:3], key[1:-2:3], key[2:-2:3]))
+    return GridState(counts, DEMAND_LEVELS[key[-2]], bool(key[-1]))
+
+
+def _rules(s: Scenario, base_mw: float):
+    """The demand, botnet, controller, trip and recovery rules over keys.
+
+    Returns step(key) -> (band, [(successor key, rate), ...]) with moves in
+    the order demand, botnet, turn-on, turn-off, trips, recovery.  Rates,
+    priorities and the effective demand per (level, botnet) are set up once.
+    """
+    caps = [g.capacity_mw for g in s.classes]
+    priority = [s.class_index(name) for name in s.controller.priority]
+    on_order = [(3 * k, s.classes[k].t_start) for k in priority]
+    off_order = [(3 * k, s.classes[k]) for k in reversed(priority)]
+    trips = [(3 * k, g.t_trip) for k, g in enumerate(s.classes)]
+    recovers = [(3 * k, g.t_recover) for k, g in enumerate(s.classes) if g.t_recover is not None]
+    level_moves = (
+        ((1, 1.0 / s.demand.t_low_to_normal),),
+        ((0, 1.0 / s.demand.t_normal_to_low), (2, 1.0 / s.demand.t_normal_to_high)),
+        ((1, 1.0 / s.demand.t_high_to_normal),),
+    )
+    botnet = s.botnet
+    botnet_rates = (1.0 / botnet.t_off_to_on, 1.0 / botnet.t_on_to_off) if botnet.enabled else None
+    # indexed by 2 * level + botnet
+    demand = [effective_demand(GridState((), lvl, on), s, base_mw)
+              for lvl in DEMAND_LEVELS for on in (False, True)]
+    width = [s.controller.tolerance * dem for dem in demand]
+
+    def step(key):
+        counts, lvl, on = key[:-2], key[-2], key[-1]
+        moves = [(counts + (new, on), rate) for new, rate in level_moves[lvl]]
+        if botnet_rates:
+            moves.append((counts + (lvl, 1 - on), botnet_rates[on]))
+        sup = sum(map(mul, caps, key[1:-2:3]))
+        dem = demand[2 * lvl + on]
+        if abs(sup - dem) <= width[2 * lvl + on]:
+            band = EQUILIBRIUM
+        elif sup < dem:
+            band = OVER_DEMAND
+            # highest-priority class with anything available starts one
+            for b, t_start in on_order:
+                avail = key[b]
+                if avail > 0:
+                    moves.append((key[:b] + (avail - 1, key[b + 1] + 1) + key[b + 2 :], avail / t_start))
+                    break
+            # under attack pressure every serving class trips
+            for b, t_trip in trips if on else ():
+                serv = key[b + 1]
+                if serv > 0:
+                    moves.append((key[: b + 1] + (serv - 1, key[b + 2] + 1) + key[b + 3 :], serv / t_trip))
+        else:
+            band = OVER_SUPPLY
+            # lowest-priority serving class whose shutdown keeps supply
+            # at or above demand stops one
+            for b, cls in off_order:
+                serv = key[b + 1]
+                if serv > 0 and sup - cls.capacity_mw >= dem:
+                    moves.append((key[:b] + (key[b] + 1, serv - 1) + key[b + 2 :], serv / cls.t_stop))
+                    break
+        for b, t_recover in recovers:
+            off = key[b + 2]
+            if off > 0:
+                moves.append((key[:b] + (key[b] + 1, key[b + 1], off - 1) + key[b + 3 :], off / t_recover))
+        return band, moves
+
+    return step
+
+
 def enabled_transitions(
     g: GridState, s: Scenario, base_mw: float
 ) -> list[tuple[GridState, float]]:
     """Successor states with rates, per the demand/botnet/controller rules."""
-    out: list[tuple[GridState, float]] = []
-
-    # (a) demand-level moves
-    if g.demand_level == "normal":
-        out.append((GridState(g.counts, "low", g.botnet_on), 1.0 / s.demand.t_normal_to_low))
-        out.append((GridState(g.counts, "high", g.botnet_on), 1.0 / s.demand.t_normal_to_high))
-    elif g.demand_level == "low":
-        out.append((GridState(g.counts, "normal", g.botnet_on), 1.0 / s.demand.t_low_to_normal))
-    else:
-        out.append((GridState(g.counts, "normal", g.botnet_on), 1.0 / s.demand.t_high_to_normal))
-
-    # (b) botnet toggle
-    if s.botnet.enabled:
-        if g.botnet_on:
-            out.append((GridState(g.counts, g.demand_level, False), 1.0 / s.botnet.t_on_to_off))
-        else:
-            out.append((GridState(g.counts, g.demand_level, True), 1.0 / s.botnet.t_off_to_on))
-
-    band = classify(g, s, base_mw)
-
-    # (c) turn-on: highest-priority class with anything available
-    if band == OVER_DEMAND:
-        for name in s.controller.priority:
-            k = s.class_index(name)
-            avail = g.counts[k][0]
-            if avail > 0:
-                out.append((g._bump(k, -1, +1, 0), avail / s.classes[k].t_start))
-                break
-
-    # (d) turn-off: lowest-priority serving class whose shutdown keeps
-    #     supply at or above demand
-    if band == OVER_SUPPLY:
-        sup = supply(g, s)
-        dem = effective_demand(g, s, base_mw)
-        for name in reversed(s.controller.priority):
-            k = s.class_index(name)
-            serv = g.counts[k][1]
-            if serv > 0 and sup - s.classes[k].capacity_mw >= dem:
-                out.append((g._bump(k, +1, -1, 0), serv / s.classes[k].t_stop))
-                break
-
-    # (e) trips: every serving class, only under attack pressure
-    if band == OVER_DEMAND and g.botnet_on:
-        for k, cls in enumerate(s.classes):
-            serv = g.counts[k][1]
-            if serv > 0:
-                out.append((g._bump(k, 0, -1, +1), serv / cls.t_trip))
-
-    # (f) recovery, where the class supports it
-    for k, cls in enumerate(s.classes):
-        off = g.counts[k][2]
-        if off > 0 and cls.t_recover is not None:
-            out.append((g._bump(k, +1, 0, -1), off / cls.t_recover))
-
-    return out
+    return [(_state(k), rate) for k, rate in _rules(s, base_mw)(_key(g))[1]]
 
 
 def build_grid_ctmc(
@@ -301,47 +313,34 @@ def build_grid_ctmc(
     State indices follow discovery order, so two builds of the same
     inputs are identical.  Labels: the classification partition plus
     "blackout" for overDemand states with at least one unit offline.
+    State descriptions are built on the first read of `state_meta`.
     """
-    start = initial_state(s, base_mw)
-    index: dict[GridState, int] = {start: 0}
-    order: list[GridState] = [start]
-    transitions: list[tuple[int, int, float]] = []
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        i = index[g]
-        for succ, rate in enabled_transitions(g, s, base_mw):
+    step = _rules(s, base_mw)
+    keys = [_key(initial_state(s, base_mw))]
+    index = {keys[0]: 0}
+    src, dst, rates = array("q"), array("q"), array("d")
+    labels: dict[str, list[int]] = {OVER_SUPPLY: [], EQUILIBRIUM: [], OVER_DEMAND: [], BLACKOUT: []}
+    # keys grows while it is walked, so it is also the FIFO queue
+    for i, key in enumerate(keys):
+        band, moves = step(key)
+        labels[band].append(i)
+        if band == OVER_DEMAND and any(key[2:-2:3]):
+            labels[BLACKOUT].append(i)
+        for succ, rate in moves:
             j = index.get(succ)
             if j is None:
-                if len(index) >= max_states:
+                if len(keys) >= max_states:
                     raise StateSpaceLimitExceeded(
                         f"state space exceeds cap of {max_states} states"
                     )
-                j = len(index)
-                index[succ] = j
-                order.append(succ)
-                queue.append(succ)
-            transitions.append((i, j, rate))
-
-    labels: dict[str, set[int]] = {
-        OVER_SUPPLY: set(),
-        EQUILIBRIUM: set(),
-        OVER_DEMAND: set(),
-        BLACKOUT: set(),
-    }
-    for i, g in enumerate(order):
-        band = classify(g, s, base_mw)
-        labels[band].add(i)
-        if band == OVER_DEMAND and g.total_offline >= 1:
-            labels[BLACKOUT].add(i)
-
-    return new_ctmc(
-        n_states=len(order),
-        transitions=transitions,
-        initial=0,
-        labels=labels,
-        state_meta=tuple(g.describe(s) for g in order),
-    )
+                j = index[succ] = len(keys)
+                keys.append(succ)
+            src.append(i)
+            dst.append(j)
+            rates.append(rate)
+    del index  # freed before the assembly below
+    return ctmc_from_arrays(len(keys), *map(np.asarray, (src, dst, rates)), 0, labels,
+                            lambda: tuple(_state(k).describe(s) for k in keys))
 
 
 class StateSpaceStats(NamedTuple):
@@ -354,6 +353,6 @@ def state_space_stats(c: Ctmc) -> StateSpaceStats:
     """Exact size counts of a built chain."""
     return StateSpaceStats(
         n_states=c.n_states,
-        n_transitions=len(c.transitions),
+        n_transitions=c.rate_matrix.nnz,
         label_counts={name: len(states) for name, states in c.labels.items()},
     )

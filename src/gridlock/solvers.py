@@ -60,20 +60,18 @@ def bscc_decomposition(c: Ctmc) -> BsccPartition:
     n_comp, comp = connected_components(
         c.rate_matrix, directed=True, connection="strong"
     )
-    coo = c.rate_matrix.tocoo()
+    src_comp = comp[np.repeat(np.arange(c.n_states), np.diff(c.indptr))]
     is_bottom = np.ones(n_comp, dtype=bool)
-    leaving = comp[coo.row] != comp[coo.col]
-    is_bottom[comp[coo.row[leaving]]] = False
+    is_bottom[src_comp[src_comp != comp[c.indices]]] = False
 
-    members: list[list[int]] = [[] for _ in range(n_comp)]
-    for s in range(c.n_states):
-        members[comp[s]].append(s)
+    # states grouped by component, ascending within each group
+    members = np.split(
+        np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp, minlength=n_comp))[:-1]
+    )
     bsccs = sorted(
-        (frozenset(members[i]) for i in range(n_comp) if is_bottom[i]), key=min
+        (frozenset(members[i].tolist()) for i in np.flatnonzero(is_bottom)), key=min
     )
-    transient = frozenset(
-        s for i in range(n_comp) if not is_bottom[i] for s in members[i]
-    )
+    transient = frozenset(np.flatnonzero(~is_bottom[comp]).tolist())
     return BsccPartition(tuple(bsccs), transient)
 
 
@@ -97,12 +95,12 @@ def absorption_probabilities(
 
     trans = np.fromiter(sorted(p.transient_states), dtype=np.int64)
     row_of = int(np.searchsorted(trans, c.initial))
-    jump = c.embedded_dtmc().tocsr()
-    ptt = jump[trans][:, trans].tocsr()
+    jump_t = c.embedded_dtmc()[trans]
+    ptt = jump_t[:, trans].tocsr()
     first_hit = np.zeros((len(trans), k))
     for i, b in enumerate(p.bsccs):
         cols = np.fromiter(sorted(b), dtype=np.int64)
-        first_hit[:, i] = np.asarray(jump[trans][:, cols].sum(axis=1)).ravel()
+        first_hit[:, i] = np.asarray(jump_t[:, cols].sum(axis=1)).ravel()
 
     h = np.zeros_like(first_hit)
     for _ in range(cfg.max_iterations):

@@ -199,6 +199,83 @@ def per_unit_ctmc(s: Scenario, base_mw: float):
         g = _grid_view(units, level, botnet_on)
         band = classify(g, s, base_mw)
         labels[band].add(i)
-        if band == OVER_DEMAND and g.total_offline >= 1:
+        if band == OVER_DEMAND and any(o for _, _, o in g.counts):
             labels[BLACKOUT].add(i)
     return new_ctmc(len(order), transitions, 0, labels)
+
+
+# -- GridState-per-successor grid model ----------------------------------
+#
+# The counting abstraction written out over GridState objects, one new
+# validated state per move, with the band test taken from supply() and
+# effective_demand().  build_grid_ctmc must give the same chain bit for
+# bit: same discovery order, rates, labels and descriptions.
+
+
+def _bump(g: GridState, k: int, d_avail: int, d_serv: int, d_off: int) -> GridState:
+    a, sv, o = g.counts[k]
+    counts = g.counts[:k] + ((a + d_avail, sv + d_serv, o + d_off),) + g.counts[k + 1 :]
+    return GridState(counts, g.demand_level, g.botnet_on)
+
+
+def _grid_moves(g: GridState, s: Scenario, base_mw: float):
+    out = []
+    d = s.demand
+    if g.demand_level == "normal":
+        out.append((GridState(g.counts, "low", g.botnet_on), 1.0 / d.t_normal_to_low))
+        out.append((GridState(g.counts, "high", g.botnet_on), 1.0 / d.t_normal_to_high))
+    else:
+        t = d.t_low_to_normal if g.demand_level == "low" else d.t_high_to_normal
+        out.append((GridState(g.counts, "normal", g.botnet_on), 1.0 / t))
+    if s.botnet.enabled:
+        t = s.botnet.t_on_to_off if g.botnet_on else s.botnet.t_off_to_on
+        out.append((GridState(g.counts, g.demand_level, not g.botnet_on), 1.0 / t))
+    sup, dem = supply(g, s), effective_demand(g, s, base_mw)
+    if abs(sup - dem) <= s.controller.tolerance * dem:
+        band = EQUILIBRIUM
+    else:
+        band = OVER_DEMAND if sup < dem else OVER_SUPPLY
+    if band == OVER_DEMAND:
+        for name in s.controller.priority:
+            k = s.class_index(name)
+            if g.counts[k][0] > 0:
+                out.append((_bump(g, k, -1, 1, 0), g.counts[k][0] / s.classes[k].t_start))
+                break
+    if band == OVER_SUPPLY:
+        for name in reversed(s.controller.priority):
+            k = s.class_index(name)
+            serv = g.counts[k][1]
+            if serv > 0 and sup - s.classes[k].capacity_mw >= dem:
+                out.append((_bump(g, k, 1, -1, 0), serv / s.classes[k].t_stop))
+                break
+    if band == OVER_DEMAND and g.botnet_on:
+        for k, cls in enumerate(s.classes):
+            if g.counts[k][1] > 0:
+                out.append((_bump(g, k, 0, -1, 1), g.counts[k][1] / cls.t_trip))
+    for k, cls in enumerate(s.classes):
+        if g.counts[k][2] > 0 and cls.t_recover is not None:
+            out.append((_bump(g, k, 1, 0, -1), g.counts[k][2] / cls.t_recover))
+    return band, out
+
+
+def grid_state_ctmc(s: Scenario, base_mw: float):
+    start = initial_state(s, base_mw)
+    index = {start: 0}
+    order = [start]
+    transitions = []
+    labels = {OVER_SUPPLY: set(), EQUILIBRIUM: set(), OVER_DEMAND: set(), BLACKOUT: set()}
+    queue = deque([start])
+    while queue:
+        g = queue.popleft()
+        i = index[g]
+        band, moves = _grid_moves(g, s, base_mw)
+        labels[band].add(i)
+        if band == OVER_DEMAND and any(o for _, _, o in g.counts):
+            labels[BLACKOUT].add(i)
+        for succ, rate in moves:
+            if succ not in index:
+                index[succ] = len(order)
+                order.append(succ)
+                queue.append(succ)
+            transitions.append((i, index[succ], rate))
+    return new_ctmc(len(order), transitions, 0, labels, [g.describe(s) for g in order])

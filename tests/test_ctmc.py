@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +237,62 @@ class TestDistribution:
     def test_rejects_non_finite(self, probs):
         with pytest.raises(ValueError, match="finite"):
             Distribution(np.array(probs))
+
+
+@st.composite
+def transition_lists(draw, min_size=0):
+    """(n, triples): distinct off-diagonal pairs with positive finite rates."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_size))
+    rates = draw(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=len(chosen),
+            max_size=len(chosen),
+        )
+    )
+    return n, [(s, d, r) for (s, d), r in zip(chosen, rates)]
+
+
+def _csr_bytes(c):
+    m = c.rate_matrix
+    return [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+
+
+@settings(max_examples=80)
+@given(transition_lists())
+def test_transitions_round_trip(n_triples):
+    n, triples = n_triples
+    c = new_ctmc(n, triples, 0)
+    assert c.transitions == {(s, d): r for s, d, r in triples}
+    with pytest.raises(TypeError):
+        c.transitions[(0, 1)] = 1.0
+    again = new_ctmc(n, [(s, d, r) for (s, d), r in c.transitions.items()], 0)
+    assert _csr_bytes(again) == _csr_bytes(c)
+    # the same arrays as scipy's own COO -> CSR conversion
+    src, dst, rates = (list(col) for col in zip(*triples)) if triples else ([], [], [])
+    scipy_csr = sp.csr_matrix((rates, (src, dst)), shape=(n, n))
+    assert [(a.dtype, a.tobytes()) for a in (scipy_csr.indptr, scipy_csr.indices, scipy_csr.data)] \
+        == _csr_bytes(c)
+
+
+@settings(max_examples=80)
+@given(transition_lists(min_size=1), st.data())
+def test_injected_defect_raises(n_triples, data):
+    n, triples = n_triples
+    kind = data.draw(st.sampled_from(["duplicate", "self-loop", "rate"]))
+    pos = data.draw(st.integers(min_value=0, max_value=len(triples) - 1))
+    s, d, r = triples[pos]
+    bad = list(triples)
+    if kind == "duplicate":
+        bad.insert(data.draw(st.integers(0, len(bad))), (s, d, r))
+        expected = DuplicateTransition
+    elif kind == "self-loop":
+        bad.insert(data.draw(st.integers(0, len(bad))), (s, s, 1.0))
+        expected = SelfLoop
+    else:
+        bad[pos] = (s, d, data.draw(st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan])))
+        expected = NonPositiveRate
+    with pytest.raises(expected):
+        new_ctmc(n, bad, 0)

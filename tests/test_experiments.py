@@ -191,6 +191,14 @@ class TestPlanValidation:
                 variants=(("X", tiny_scenario()),), mode="steady", sim_trials=100
             )
 
+    def test_rejects_loose_transient_tolerance(self):
+        with pytest.raises(ValueError, match="1e-3"):
+            ExperimentPlan(variants=(("X", tiny_scenario()),), solver=SolverConfig(tolerance=0.5))
+        # the steady iterations take any tolerance in (0, 1)
+        ExperimentPlan(
+            variants=(("X", tiny_scenario()),), mode="steady", solver=SolverConfig(tolerance=0.5)
+        )
+
     def test_rejects_bad_trials_and_max_states(self):
         with pytest.raises(ValueError):
             ExperimentPlan(variants=(("X", tiny_scenario()),), sim_trials=0)
@@ -327,6 +335,21 @@ class TestSweep:
         rows = run_hourly_sweep(plan, tiny_profile(), failures=failures)
         assert failures == []
         assert len(rows) == 3
+
+    def test_transient_gets_the_plan_tolerance(self, monkeypatch):
+        seen = []
+        real = experiments.transient
+
+        def spy(chain, t, epsilon=1e-10):
+            seen.append(epsilon)
+            return real(chain, t, epsilon)
+
+        monkeypatch.setattr(experiments, "transient", spy)
+        plan = ExperimentPlan(
+            variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
+        )
+        run_hourly_sweep(plan, tiny_profile())
+        assert seen == [1e-6, 1e-6]
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
@@ -579,6 +602,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "nan" not in captured.out + captured.err
         assert captured.err.startswith("error: tolerance must be in (0, 1)")
+
+    def test_loose_transient_tolerance_exits_1_with_one_error(self, cli_files, capsys):
+        scen, dem = cli_files
+        code = self.run(
+            "check", "--scenario", str(scen), "--demand", str(dem),
+            "--hours", "4", "--tolerance", "0.5",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: transient mode needs tolerance <= 1e-3, got 0.5"
+        ]
 
     def test_check_infinite_horizon_exits_1_with_one_error(self, cli_files, capsys):
         scen, dem = cli_files

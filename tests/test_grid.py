@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +23,11 @@ from gridlock.grid import (
     supply,
 )
 from gridlock.ctmc import new_ctmc
+from gridlock.experiments import desk_demand_profile, desk_scenario, make_attack_variants
+from gridlock.scenario_io import default_demand_profile, default_scenario
 from gridlock.solvers import label_probability, steady_state, transient
 
-from oracles import per_unit_ctmc
+from oracles import grid_state_ctmc, per_unit_ctmc
 
 SEC = 1.0 / 60.0
 
@@ -443,3 +448,58 @@ def test_random_scenarios_build_clean(scen_base):
     assert c == build_grid_ctmc(scen, base)
     if not scen.botnet.enabled:
         assert stats.label_counts["blackout"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+def test_build_matches_grid_state_reference(scen_base):
+    # bit for bit: CSR arrays, labels and descriptions (Ctmc.__eq__)
+    scen, base = scen_base
+    c = build_grid_ctmc(scen, base)
+    ref = grid_state_ctmc(scen, base)
+    assert c == ref
+    assert c.rate_matrix.data.tobytes() == ref.rate_matrix.data.tobytes()
+
+
+def _chain_digest(c):
+    """sha256 over the CSR rate arrays, the sorted label sets and state_meta."""
+    h = hashlib.sha256()
+    m = c.rate_matrix
+    for a in (m.indptr, m.indices, m.data):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    for name in sorted(c.labels):
+        h.update(name.encode())
+        h.update(np.array(sorted(c.labels[name]), dtype=np.int64).tobytes())
+    h.update("\n".join(c.state_meta).encode())
+    return h.hexdigest()
+
+
+# Digests written by the GridState-per-successor builder; a build that
+# changes the discovery order, a rate bit, a label or a description fails.
+@pytest.mark.parametrize(
+    "fleet,variant,hour,n_states,n_trans,digest",
+    [
+        ("full", "ATTACK-N", 4, 17544, 88722,
+         "5adbe28601f2c052389d3651617362951ab225f63140e9e22e50027b33e26936"),
+        ("full", "ATTACK-N", 18, 8190, 41554,
+         "a057c40ba7a6f48f3b6d79d5871d68405d459b98a40455feb91abd00cbaf5e35"),
+        ("full", "NO-ATTACK", 18, 6, 11,
+         "02da23c7ea57754bea699aa321bc3c9dbf1e20e3e98992850ec047a18fb8a1dc"),
+        ("desk", "ATTACK-G", 16, 930, 4026,
+         "6fc531f433f3bc95485444ceb347ec7faa1569fc0c0e66d7326558625993e07b"),
+        ("desk", "ATTACK-H", 8, 1320, 5626,
+         "16b2762c0804478de18913dbfabfa4e44e66a02076ed5464bf9e90ac567d7b32"),
+        ("desk", "NO-ATTACK", 12, 3, 4,
+         "d2482e6c7112f739c2954d85ca7d08406eb48b6ebd39eddecfa4ecf768464c9e"),
+    ],
+)
+def test_build_matches_pinned_digest(fleet, variant, hour, n_states, n_trans, digest):
+    if fleet == "full":
+        scen, profile = default_scenario(), default_demand_profile()
+    else:
+        scen, profile = desk_scenario(), desk_demand_profile()
+    c = build_grid_ctmc(dict(make_attack_variants(scen))[variant], profile.mw_by_hour[hour])
+    stats = state_space_stats(c)
+    assert (stats.n_states, stats.n_transitions) == (n_states, n_trans)
+    assert _chain_digest(c) == digest

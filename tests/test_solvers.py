@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import poisson
 
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
@@ -425,6 +426,25 @@ def test_reducible_chains_mix_two_or_more_bsccs(chain):
     part = bscc_decomposition(chain)
     assert len(part.bsccs) >= 2
     assert np.count_nonzero(absorption_probabilities(chain, part)) >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(irreducible_chains(), reducible_chains()))
+def test_bscc_partition_matches_per_state_grouping(chain):
+    # reference: group states into components one by one, then keep the
+    # components no transition leaves
+    n_comp, comp = connected_components(chain.rate_matrix, directed=True, connection="strong")
+    members = [set() for _ in range(n_comp)]
+    for s in range(chain.n_states):
+        members[comp[s]].add(s)
+    leaves = {comp[s] for (s, d) in chain.transitions if comp[s] != comp[d]}
+    part = bscc_decomposition(chain)
+    assert part.bsccs == tuple(
+        sorted((frozenset(m) for i, m in enumerate(members) if i not in leaves), key=min)
+    )
+    assert part.transient_states == frozenset().union(
+        *(m for i, m in enumerate(members) if i in leaves)
+    )
 
 
 @settings(max_examples=25, deadline=None)
