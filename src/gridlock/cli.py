@@ -23,6 +23,7 @@ from .errors import (
     StateSpaceLimitExceeded,
 )
 from .experiments import (
+    REPORT_LABELS,
     ExperimentPlan,
     format_gnuplot,
     make_attack_variants,
@@ -114,7 +115,7 @@ def _cmd_simulate(args) -> int:
     chain = build_grid_ctmc(scenario, profile.mw_by_hour[args.hour],
                             max_states=args.max_states)
     ests = [estimate_label_metrics(chain, label, args.horizon, args.trials, args.seed)
-            for label in ("overSupply", "equilibrium", "overDemand", "blackout")]
+            for label in REPORT_LABELS]
     print(f"hour {args.hour}: {chain.n_states} states, "
           f"{args.trials} trials, horizon {args.horizon:g} min")
     print("label point_probability point_se occupancy occupancy_se")

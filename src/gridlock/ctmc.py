@@ -12,7 +12,6 @@ cached; ``Ctmc`` instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -24,7 +23,6 @@ import scipy.sparse as sp
 from .errors import (
     DuplicateTransition,
     IndexOutOfRange,
-    NegativeTime,
     NonPositiveRate,
     SelfLoop,
     UnknownLabel,
@@ -78,11 +76,6 @@ class Ctmc:
         """Vector of exit rates E(s) = sum of outgoing rates."""
         return np.asarray(self.rate_matrix.sum(axis=1)).ravel()
 
-    def exit_rate(self, s: int) -> float:
-        if not 0 <= s < self.n_states:
-            raise IndexOutOfRange(f"state {s} not in [0, {self.n_states})")
-        return float(self.exit_rates[s])
-
     def generator_matrix(self) -> sp.csr_matrix:
         """Infinitesimal generator Q: off-diagonal R, diagonal -E(s)."""
         return (self.rate_matrix - sp.diags(self.exit_rates)).tocsr()
@@ -93,17 +86,6 @@ class Ctmc:
         jump = sp.csr_matrix((self.data / np.repeat(exits, np.diff(self.indptr)),
                               self.indices, self.indptr), shape=self.rate_matrix.shape)
         return (jump + sp.diags((exits == 0.0).astype(float))).tocsr()
-
-    def sojourn_cdf(self, s: int, t: float) -> float:
-        """P(leave state s within t minutes) = 1 - exp(-E(s) * t)."""
-        if t < 0:
-            raise NegativeTime(f"t must be >= 0, got {t}")
-        return -math.expm1(-self.exit_rate(s) * t)
-
-    def successors(self, s: int) -> list[tuple[int, float]]:
-        """Outgoing (target, rate) pairs of state s, by target index."""
-        lo, hi = self.indptr[s], self.indptr[s + 1]
-        return list(zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()))
 
     def label_states(self, label: str) -> frozenset[int]:
         try:

@@ -105,3 +105,7 @@ class HourOutOfRange(InputFileError):
 
 class NonPositiveDemand(InputFileError):
     pass
+
+
+class NonFiniteValue(InputFileError):
+    """A number that is infinite or NaN, or overflows to infinity."""

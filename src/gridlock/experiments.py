@@ -10,9 +10,10 @@ cell's position in the plan, not from scheduling.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 from .errors import GridlockError
@@ -104,7 +105,6 @@ class ResultRow:
     p_over_demand: float
     p_blackout: float
     state_count: int
-    solve_time_ms: float
 
     def __post_init__(self):
         total = self.p_over_supply + self.p_equilibrium + self.p_over_demand
@@ -167,14 +167,12 @@ def make_attack_variants(base: Scenario) -> list[tuple[str, Scenario]]:
 def _solve_cell(
     name: str, scen: Scenario, hour: int, base_mw: float, plan: ExperimentPlan, cell_index: int
 ) -> ResultRow:
-    t0 = time.perf_counter()
     chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
     if plan.mode == "steady":
         dist = steady_state(chain, plan.solver)
     else:
         dist = transient(chain, plan.horizon_minutes, epsilon=plan.solver.tolerance)
     probs = {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
 
     if plan.sim_trials is not None:
         seed = derive_trial_seed(plan.sim_seed, cell_index)
@@ -205,7 +203,6 @@ def _solve_cell(
         p_over_demand=probs[OVER_DEMAND],
         p_blackout=probs[BLACKOUT],
         state_count=chain.n_states,
-        solve_time_ms=elapsed_ms,
     )
 
 
@@ -221,40 +218,18 @@ def run_hourly_sweep(
     collector is given; otherwise the first failure, in (variant, hour)
     order, is raised as a SweepError naming the cell once every cell ran.
     """
-    cells = [
-        (idx, name, scen, hour)
-        for idx, (name, scen, hour) in enumerate(
-            (name, scen, hour)
-            for name, scen in plan.variants
-            for hour in plan.hours
-        )
-    ]
+    cells = [(name, scen, hour) for name, scen in plan.variants for hour in plan.hours]
     rows: list[ResultRow] = []
     problems: list[CellFailure] = []
-
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                (
-                    name,
-                    hour,
-                    pool.submit(
-                        _solve_cell, name, scen, hour, profile.mw_by_hour[hour], plan, idx
-                    ),
-                )
-                for idx, name, scen, hour in cells
-            ]
-            for name, hour, fut in futures:
-                try:
-                    rows.append(fut.result())
-                except Exception as e:  # one bad cell must not abort the sweep
-                    problems.append(CellFailure(name, hour, e))
-    else:
-        for idx, name, scen, hour in cells:
+    with ProcessPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
+        # the serial path calls _solve_cell in this process, through this
+        # module's globals; a pool submits every cell before collecting any
+        solve = partial if pool is None else (lambda *a: pool.submit(*a).result)
+        calls = [solve(_solve_cell, name, scen, hour, profile.mw_by_hour[hour], plan, idx)
+                 for idx, (name, scen, hour) in enumerate(cells)]
+        for (name, _, hour), call in zip(cells, calls):
             try:
-                rows.append(
-                    _solve_cell(name, scen, hour, profile.mw_by_hour[hour], plan, idx)
-                )
+                rows.append(call())
             except Exception as e:  # one bad cell must not abort the sweep
                 problems.append(CellFailure(name, hour, e))
 

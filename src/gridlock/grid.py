@@ -181,25 +181,6 @@ class GridState:
         return " ".join(parts)
 
 
-def supply(g: GridState, s: Scenario) -> float:
-    """Generated power: serving units times their class capacity."""
-    return sum(cls.capacity_mw * serv for cls, (_, serv, _) in zip(s.classes, g.counts))
-
-
-def effective_demand(g: GridState, s: Scenario, base_mw: float) -> float:
-    """Hourly mean shifted by the demand level, plus the botnet spike if on."""
-    delta = {"low": -1.0, "normal": 0.0, "high": 1.0}[g.demand_level]
-    demand = base_mw * (1.0 + delta * s.demand.delta_fraction)
-    if g.botnet_on:
-        demand += s.botnet.spike_fraction * base_mw
-    return demand
-
-
-def classify(g: GridState, s: Scenario, base_mw: float) -> str:
-    """Band test against the controller tolerance; exactly one outcome."""
-    return _rules(s, base_mw)(_key(g))[0]
-
-
 def initial_state(s: Scenario, base_mw: float) -> GridState:
     """Whole units go serving in priority order until supply covers base_mw."""
     if base_mw > s.total_capacity_mw:
@@ -253,9 +234,12 @@ def _rules(s: Scenario, base_mw: float):
     )
     botnet = s.botnet
     botnet_rates = (1.0 / botnet.t_off_to_on, 1.0 / botnet.t_on_to_off) if botnet.enabled else None
-    # indexed by 2 * level + botnet
-    demand = [effective_demand(GridState((), lvl, on), s, base_mw)
-              for lvl in DEMAND_LEVELS for on in (False, True)]
+    # effective demand: the hourly mean shifted by the level, plus the
+    # botnet spike when on; indexed by 2 * level + botnet
+    demand = []
+    for delta in (-1.0, 0.0, 1.0):
+        level = base_mw * (1.0 + delta * s.demand.delta_fraction)
+        demand += [level, level + s.botnet.spike_fraction * base_mw]
     width = [s.controller.tolerance * dem for dem in demand]
 
     def step(key):
@@ -296,13 +280,6 @@ def _rules(s: Scenario, base_mw: float):
         return band, moves
 
     return step
-
-
-def enabled_transitions(
-    g: GridState, s: Scenario, base_mw: float
-) -> list[tuple[GridState, float]]:
-    """Successor states with rates, per the demand/botnet/controller rules."""
-    return [(_state(k), rate) for k, rate in _rules(s, base_mw)(_key(g))[1]]
 
 
 def build_grid_ctmc(

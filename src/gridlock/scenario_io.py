@@ -7,9 +7,11 @@ value has one spelling, every error points at a 1-based line number.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from importlib import resources
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     BadHeader,
@@ -20,6 +22,7 @@ from .errors import (
     MalformedDuration,
     MissingHour,
     MissingSection,
+    NonFiniteValue,
     NonPositiveDemand,
     PriorityMismatch,
     ScenarioSyntaxError,
@@ -45,7 +48,9 @@ RESULTS_HEADER = "hour,scenario,mode,p_over_supply,p_equilibrium,p_over_demand,p
 
 
 def parse_duration(token: str) -> float | None:
-    """'30s'/'40m'/'2h' to minutes; 'inf' means never (returns None)."""
+    """'30s'/'40m'/'2h' to minutes; 'inf' means never (returns None).
+
+    A number too large for a float is malformed, not 'inf'."""
     if token == "inf":
         return None
     m = _DURATION_RE.match(token)
@@ -54,8 +59,8 @@ def parse_duration(token: str) -> float | None:
             f"bad duration {token!r} (expected NUMBER followed by s, m or h, or 'inf')"
         )
     value = float(m.group(1)) * _UNIT_MINUTES[m.group(2)]
-    if not value > 0:
-        raise MalformedDuration(f"duration must be positive, got {token!r}")
+    if not 0 < value < math.inf:
+        raise MalformedDuration(f"duration must be positive and finite, got {token!r}")
     return value
 
 
@@ -72,9 +77,6 @@ class _Section:
             raise ScenarioSyntaxError(
                 f"[{self.name}] is missing key {key!r}", line=self.line
             ) from None
-
-    def take_optional(self, key: str, default: str) -> tuple[str, int]:
-        return self.keys.pop(key, (default, self.line))
 
 
 def _scan_sections(text: str) -> list[_Section]:
@@ -183,12 +185,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioSyntaxError(
                 f"capacity_mw must be a number, got {cap_token!r}", line=cap_line
             )
+        if not math.isfinite(capacity):
+            raise NonFiniteValue(f"capacity_mw must be finite, got {cap_token!r}", line=cap_line)
         try:
             count = int(count_token)
         except ValueError:
             raise ScenarioSyntaxError(
                 f"count must be an integer, got {count_token!r}", line=count_line
             )
+        if count > sys.float_info.max:
+            raise NonFiniteValue(f"count overflows a float, got {count_token!r}", line=count_line)
         try:
             classes.append(
                 GeneratorClass(
@@ -314,6 +320,8 @@ def load_demand_csv(text: str) -> DemandProfile:
             mw = float(parts[1])
         except ValueError:
             raise InputFileError(f"mw must be a number, got {parts[1]!r}", line=lineno)
+        if not math.isfinite(mw):
+            raise NonFiniteValue(f"mw must be finite, got {parts[1]!r}", line=lineno)
         if not mw > 0:
             raise NonPositiveDemand(f"demand must be > 0, got {parts[1]}", line=lineno)
         seen[hour] = mw
@@ -328,18 +336,6 @@ def format_demand_csv(profile: DemandProfile) -> str:
     return "hour,mw\n" + "\n".join(rows) + "\n"
 
 
-class ResultRecord(NamedTuple):
-    """One CSV row of sweep output (the file's exact column set)."""
-
-    hour: int
-    scenario: str
-    mode: str
-    p_over_supply: float
-    p_equilibrium: float
-    p_over_demand: float
-    p_blackout: float
-
-
 def write_results_csv(rows: Iterable) -> str:
     """Render result records sorted by (scenario, hour), 9-decimal probabilities."""
     ordered = sorted(rows, key=lambda r: (r.scenario, r.hour))
@@ -351,31 +347,6 @@ def write_results_csv(rows: Iterable) -> str:
             f"{r.p_over_demand:.9f},{r.p_blackout:.9f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def read_results_csv(text: str) -> list[ResultRecord]:
-    lines = text.splitlines()
-    if not lines or lines[0] != RESULTS_HEADER:
-        raise BadHeader(f"expected header {RESULTS_HEADER!r}")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise InputFileError(f"expected 7 fields, got {len(parts)}", line=lineno)
-        out.append(
-            ResultRecord(
-                hour=int(parts[0]),
-                scenario=parts[1],
-                mode=parts[2],
-                p_over_supply=float(parts[3]),
-                p_equilibrium=float(parts[4]),
-                p_over_demand=float(parts[5]),
-                p_blackout=float(parts[6]),
-            )
-        )
-    return out
 
 
 def default_scenario_text() -> str:

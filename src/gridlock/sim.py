@@ -5,8 +5,9 @@ splitmix64(key + (k+1) * golden), so any draw is addressable without
 per-path generator state.  Trial i of an experiment runs on the stream
 key derived from the master seed and i.  Aggregates are therefore
 independent of execution order, and the vectorized batch runner below
-reproduces the plain per-path loop bit for bit (both take their
-logarithms through numpy; libm's log differs in the last ulp).
+reproduces a plain per-path loop bit for bit (the scalar sampler in
+tests/oracles.py; both take their logarithms through numpy, since libm's
+log differs in the last ulp).
 """
 
 from __future__ import annotations
@@ -43,29 +44,10 @@ def _to_unit(bits: np.ndarray) -> np.ndarray:
 
 
 def derive_trial_seed(master: int, trial: int) -> int:
-    """Stream key for one trial; simulate_path on it replays that trial."""
+    """Stream key for one trial; a scalar path sampled on it replays that trial."""
     with np.errstate(over="ignore"):
         key = _mix64(np.uint64(master & 0xFFFFFFFFFFFFFFFF) + np.uint64(trial) * _TRIAL_STRIDE)
     return int(key)
-
-
-@dataclass(frozen=True)
-class Path:
-    """One sampled trajectory: (state, entry time) pairs up to a horizon."""
-
-    entries: tuple[tuple[int, float], ...]
-    horizon: float
-
-    def __post_init__(self):
-        if not self.entries or self.entries[0][1] != 0.0:
-            raise ValueError("path must start at time 0")
-        times = [t for _, t in self.entries]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("entry times must be strictly increasing")
-
-    @property
-    def final_state(self) -> int:
-        return self.entries[-1][0]
 
 
 @dataclass(frozen=True)
@@ -111,32 +93,6 @@ class _Compiled:
             if hi > lo:
                 self.cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
                 self.targets[s, : hi - lo] = m.indices[lo:hi]
-
-
-def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
-    """Sample one trajectory; deterministic in (chain, horizon, seed)."""
-    if not 0 < horizon < math.inf:
-        raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
-    comp = _Compiled(c)
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-
-    entries = [(c.initial, 0.0)]
-    s = c.initial
-    t = 0.0
-    for j in range(1 << 62):
-        e = comp.exits[s]
-        if e == 0.0:
-            break
-        u = float(_to_unit(_draw(key, 2 * j)))
-        end = t + float(-np.log(u)) / e
-        if end > horizon:
-            break
-        v = float(_to_unit(_draw(key, 2 * j + 1)))
-        row = comp.cum_rates[s]
-        s = int(comp.targets[s, int(np.argmax(row > v * e))])
-        t = end
-        entries.append((s, t))
-    return Path(tuple(entries), horizon)
 
 
 def estimate_label_metrics(
@@ -190,9 +146,9 @@ def _run_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All trials of one chunk, advanced one jump per round.
 
-    Per trial this performs exactly the operations of simulate_path in
-    the same order with the same draw counters, which is what makes the
-    batch bitwise-comparable to the loop.
+    Per trial this performs exactly the operations of a one-path loop
+    (draw 2j picks the sojourn, draw 2j+1 the successor) in the same order,
+    which is what makes the batch bitwise-comparable to that loop.
     """
     m = len(keys)
     state = np.full(m, comp.initial, dtype=np.int64)

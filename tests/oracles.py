@@ -2,14 +2,36 @@
 
 These deliberately avoid the library's own numerics: the matrix
 exponential below is a plain scaling-and-squaring Taylor evaluation on
-dense arrays, good enough for the tiny chains the tests feed it.
+dense arrays, good enough for the tiny chains the tests feed it; the grid
+models take their band test from the supply and demand rules written out
+here, not from the builder's.  The one exception is marked: `classify` and
+`enabled_transitions` wrap the builder's rule function so that rule-level
+tests can address it one GridState at a time.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from dataclasses import dataclass
+
 import numpy as np
 
-from gridlock.ctmc import Ctmc
+from gridlock.ctmc import Ctmc, new_ctmc
+from gridlock.errors import NegativeTime
+from gridlock.grid import (
+    BLACKOUT,
+    EQUILIBRIUM,
+    OVER_DEMAND,
+    OVER_SUPPLY,
+    GridState,
+    Scenario,
+    _key,
+    _rules,
+    _state,
+    initial_state,
+)
+from gridlock.sim import _Compiled, _draw, _to_unit
 
 
 def dense_expm(a: np.ndarray) -> np.ndarray:
@@ -84,27 +106,101 @@ def steady_oracle(c: Ctmc) -> np.ndarray:
     return pi
 
 
+# -- scalar path sampler ----------------------------------------------
+#
+# One trajectory at a time, on the same counter-based draws and compiled
+# tables as sim._run_chunk: draw 2j gives the j-th sojourn, draw 2j+1 the
+# j-th successor.  estimate_label_metrics must agree with it bit for bit.
+
+
+@dataclass(frozen=True)
+class Path:
+    """One sampled trajectory: (state, entry time) pairs up to a horizon."""
+
+    entries: tuple[tuple[int, float], ...]
+    horizon: float
+
+    def __post_init__(self):
+        if not self.entries or self.entries[0][1] != 0.0:
+            raise ValueError("path must start at time 0")
+        times = [t for _, t in self.entries]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("entry times must be strictly increasing")
+
+    @property
+    def final_state(self) -> int:
+        return self.entries[-1][0]
+
+
+def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
+    """Sample one trajectory; deterministic in (chain, horizon, seed)."""
+    if not 0 < horizon < math.inf:
+        raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
+    comp = _Compiled(c)
+    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+
+    entries = [(c.initial, 0.0)]
+    s = c.initial
+    t = 0.0
+    for j in range(1 << 62):
+        e = comp.exits[s]
+        if e == 0.0:
+            break
+        u = float(_to_unit(_draw(key, 2 * j)))
+        end = t + float(-np.log(u)) / e
+        if end > horizon:
+            break
+        v = float(_to_unit(_draw(key, 2 * j + 1)))
+        row = comp.cum_rates[s]
+        s = int(comp.targets[s, int(np.argmax(row > v * e))])
+        t = end
+        entries.append((s, t))
+    return Path(tuple(entries), horizon)
+
+
+# -- grid rules --------------------------------------------------------
+
+
+def supply(g: GridState, s: Scenario) -> float:
+    """Generated power: serving units times their class capacity."""
+    return sum(cls.capacity_mw * serv for cls, (_, serv, _) in zip(s.classes, g.counts))
+
+
+def effective_demand(g: GridState, s: Scenario, base_mw: float) -> float:
+    """Hourly mean shifted by the demand level, plus the botnet spike if on."""
+    delta = {"low": -1.0, "normal": 0.0, "high": 1.0}[g.demand_level]
+    demand = base_mw * (1.0 + delta * s.demand.delta_fraction)
+    if g.botnet_on:
+        demand += s.botnet.spike_fraction * base_mw
+    return demand
+
+
+def _band(g: GridState, s: Scenario, base_mw: float) -> str:
+    """Band test against the controller tolerance; exactly one outcome."""
+    sup, dem = supply(g, s), effective_demand(g, s, base_mw)
+    if abs(sup - dem) <= s.controller.tolerance * dem:
+        return EQUILIBRIUM
+    return OVER_DEMAND if sup < dem else OVER_SUPPLY
+
+
+# Not independent: the builder's own rule function, one GridState at a time.
+
+
+def classify(g: GridState, s: Scenario, base_mw: float) -> str:
+    """The band grid._rules gives g."""
+    return _rules(s, base_mw)(_key(g))[0]
+
+
+def enabled_transitions(g: GridState, s: Scenario, base_mw: float) -> list[tuple[GridState, float]]:
+    """The successors with rates that grid._rules gives g, in rule order."""
+    return [(_state(k), rate) for k, rate in _rules(s, base_mw)(_key(g))[1]]
+
+
 # -- explicit per-unit grid model ------------------------------------
 #
 # Brute-force counterpart of the counting abstraction: every unit is
 # tracked by identity, transitions carry rate 1/t per unit.  Only
 # viable for tiny fleets; exists to show the lumped chain is exact.
-
-from collections import deque
-
-from gridlock.grid import (
-    BLACKOUT,
-    EQUILIBRIUM,
-    OVER_DEMAND,
-    OVER_SUPPLY,
-    GridState,
-    Scenario,
-    classify,
-    effective_demand,
-    initial_state,
-    supply,
-)
-from gridlock.ctmc import new_ctmc
 
 
 def _counts_of(units):
@@ -138,7 +234,7 @@ def _unit_moves(units, level, botnet_on, s: Scenario, base_mw: float):
         cls[i] = to
         return units[:k] + (tuple(cls),) + units[k + 1 :]
 
-    band = classify(g, s, base_mw)
+    band = _band(g, s, base_mw)
     if band == OVER_DEMAND:
         for name in s.controller.priority:
             k = s.class_index(name)
@@ -197,7 +293,7 @@ def per_unit_ctmc(s: Scenario, base_mw: float):
     labels = {OVER_SUPPLY: set(), EQUILIBRIUM: set(), OVER_DEMAND: set(), BLACKOUT: set()}
     for i, (units, level, botnet_on) in enumerate(order):
         g = _grid_view(units, level, botnet_on)
-        band = classify(g, s, base_mw)
+        band = _band(g, s, base_mw)
         labels[band].add(i)
         if band == OVER_DEMAND and any(o for _, _, o in g.counts):
             labels[BLACKOUT].add(i)
@@ -207,9 +303,9 @@ def per_unit_ctmc(s: Scenario, base_mw: float):
 # -- GridState-per-successor grid model ----------------------------------
 #
 # The counting abstraction written out over GridState objects, one new
-# validated state per move, with the band test taken from supply() and
-# effective_demand().  build_grid_ctmc must give the same chain bit for
-# bit: same discovery order, rates, labels and descriptions.
+# validated state per move, with the band test taken from _band().
+# build_grid_ctmc must give the same chain bit for bit: same discovery
+# order, rates, labels and descriptions.
 
 
 def _bump(g: GridState, k: int, d_avail: int, d_serv: int, d_off: int) -> GridState:
@@ -231,10 +327,7 @@ def _grid_moves(g: GridState, s: Scenario, base_mw: float):
         t = s.botnet.t_on_to_off if g.botnet_on else s.botnet.t_off_to_on
         out.append((GridState(g.counts, g.demand_level, not g.botnet_on), 1.0 / t))
     sup, dem = supply(g, s), effective_demand(g, s, base_mw)
-    if abs(sup - dem) <= s.controller.tolerance * dem:
-        band = EQUILIBRIUM
-    else:
-        band = OVER_DEMAND if sup < dem else OVER_SUPPLY
+    band = _band(g, s, base_mw)
     if band == OVER_DEMAND:
         for name in s.controller.priority:
             k = s.class_index(name)

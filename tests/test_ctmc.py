@@ -10,7 +10,6 @@ from gridlock import (
     Ctmc,
     DuplicateTransition,
     IndexOutOfRange,
-    NegativeTime,
     NonPositiveRate,
     SelfLoop,
     UnknownLabel,
@@ -99,21 +98,22 @@ class TestConstruction:
 
 class TestExitRates:
     def test_exit_rate_sums_outgoing(self, slow_unit_attacked):
-        assert slow_unit_attacked.exit_rate(1) == 1200.5
+        assert slow_unit_attacked.exit_rates[1] == 1200.5
 
     def test_exit_rate_of_absorbing_is_zero(self):
         c = new_ctmc(2, [(0, 1, 3.0)], 0)
-        assert c.exit_rate(1) == 0.0
+        assert c.exit_rates[1] == 0.0
 
     def test_exit_rate_range_check(self, two_state):
-        with pytest.raises(IndexOutOfRange):
-            two_state.exit_rate(2)
+        # one exit rate per state, absorbing ones included
+        assert two_state.exit_rates.shape == (two_state.n_states,)
+        assert new_ctmc(3, [(0, 1, 3.0)], 0).exit_rates.tolist() == [3.0, 0.0, 0.0]
 
     def test_exit_rate_matches_generator_diagonal(self, slow_unit_attacked):
         q = slow_unit_attacked.generator_matrix()
         for s in range(slow_unit_attacked.n_states):
             # bitwise, not approximate: both read the same cached sums
-            assert slow_unit_attacked.exit_rate(s) == -q[s, s]
+            assert slow_unit_attacked.exit_rates[s] == -q[s, s]
 
 
 class TestGeneratorMatrix:
@@ -142,30 +142,19 @@ class TestEmbeddedDtmc:
         assert p[1, 1] == 1.0
 
 
-class TestSojourn:
-    def test_known_value(self):
-        c = new_ctmc(2, [(0, 1, 3.0)], 0)
-        assert c.sojourn_cdf(0, 1.0) == pytest.approx(0.950213, abs=1e-6)
-
-    def test_zero_time(self, two_state):
-        assert two_state.sojourn_cdf(0, 0.0) == 0.0
-
-    def test_negative_time_rejected(self, two_state):
-        with pytest.raises(NegativeTime):
-            two_state.sojourn_cdf(0, -0.1)
-
-    def test_absorbing_never_leaves(self):
-        c = new_ctmc(2, [(0, 1, 3.0)], 0)
-        assert c.sojourn_cdf(1, 1e9) == 0.0
+def _row(c, s):
+    """Outgoing (target, rate) pairs of state s, read off the CSR arrays."""
+    lo, hi = c.indptr[s], c.indptr[s + 1]
+    return list(zip(c.indices[lo:hi].tolist(), c.data[lo:hi].tolist()))
 
 
 class TestSuccessors:
     def test_lists_targets_and_rates(self, slow_unit_attacked):
-        assert slow_unit_attacked.successors(1) == [(0, 0.50), (2, 1200.0)]
+        assert _row(slow_unit_attacked, 1) == [(0, 0.50), (2, 1200.0)]
 
     def test_absorbing_has_none(self):
         c = new_ctmc(2, [(0, 1, 3.0)], 0)
-        assert c.successors(1) == []
+        assert _row(c, 1) == []
 
 
 # random small chains for the structural properties below
@@ -202,22 +191,6 @@ def test_generator_rows_sum_zero(chain):
 def test_embedded_rows_sum_one(chain):
     rows = np.asarray(chain.embedded_dtmc().sum(axis=1)).ravel()
     assert np.allclose(rows, 1.0, atol=1e-12)
-
-
-@settings(max_examples=60)
-@given(small_chains(), st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
-def test_sojourn_cdf_in_unit_interval(chain, t):
-    for s in range(chain.n_states):
-        v = chain.sojourn_cdf(s, t)
-        assert 0.0 <= v <= 1.0
-
-
-@settings(max_examples=40)
-@given(small_chains(), st.floats(min_value=0.0, max_value=10.0), st.floats(min_value=0.0, max_value=10.0))
-def test_sojourn_cdf_monotone(chain, t1, t2):
-    lo, hi = sorted((t1, t2))
-    for s in range(chain.n_states):
-        assert chain.sojourn_cdf(s, lo) <= chain.sojourn_cdf(s, hi)
 
 
 class TestDistribution:

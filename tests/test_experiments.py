@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -36,8 +37,9 @@ from gridlock.grid import (
 )
 from gridlock.scenario_io import (
     default_demand_profile,
+    default_demand_text,
     default_scenario,
-    read_results_csv,
+    default_scenario_text,
     write_results_csv,
 )
 from gridlock.solvers import SolverConfig
@@ -209,14 +211,14 @@ class TestPlanValidation:
 class TestResultRow:
     def test_rejects_bad_probability_sum(self):
         with pytest.raises(ValueError):
-            ResultRow(0, "X", "transient", 0.5, 0.5, 0.5, 0.0, 10, 1.0)
+            ResultRow(0, "X", "transient", 0.5, 0.5, 0.5, 0.0, 10)
 
     def test_rejects_blackout_above_over_demand(self):
         with pytest.raises(ValueError):
-            ResultRow(0, "X", "transient", 0.5, 0.4, 0.1, 0.2, 10, 1.0)
+            ResultRow(0, "X", "transient", 0.5, 0.4, 0.1, 0.2, 10)
 
     def test_accepts_consistent_row(self):
-        row = ResultRow(4, "X", "steady", 0.25, 0.5, 0.25, 0.1, 10, 1.0)
+        row = ResultRow(4, "X", "steady", 0.25, 0.5, 0.25, 0.1, 10)
         assert row.p_blackout == 0.1
 
 
@@ -417,9 +419,9 @@ def test_desk_steady_sweep_matches_golden_bytes():
 class TestGnuplot:
     def test_blocked_output(self):
         rows = [
-            ResultRow(1, "B", "transient", 0.25, 0.5, 0.25, 0.1, 5, 1.0),
-            ResultRow(0, "B", "transient", 0.5, 0.25, 0.25, 0.0, 5, 1.0),
-            ResultRow(0, "A", "transient", 0.0, 1.0, 0.0, 0.0, 5, 1.0),
+            ResultRow(1, "B", "transient", 0.25, 0.5, 0.25, 0.1, 5),
+            ResultRow(0, "B", "transient", 0.5, 0.25, 0.25, 0.0, 5),
+            ResultRow(0, "A", "transient", 0.0, 1.0, 0.0, 0.0, 5),
         ]
         text = format_gnuplot(rows)
         blocks = text.split("\n\n\n")
@@ -495,8 +497,8 @@ class TestCli:
             "--hours", "4,18", "--out", str(out),
         )
         assert code == 0
-        records = read_results_csv(out.read_text())
-        assert [(r.scenario, r.hour) for r in records] == [
+        records = csv.DictReader(out.read_text().splitlines())
+        assert [(r["scenario"], int(r["hour"])) for r in records] == [
             ("ATTACK-C", 4),
             ("ATTACK-C", 18),
             ("ATTACK-W", 4),
@@ -534,7 +536,7 @@ class TestCli:
             "--hours", "4,12-14", "--out", str(out),
         )
         assert code == 0
-        hours = {r.hour for r in read_results_csv(out.read_text())}
+        hours = {int(r["hour"]) for r in csv.DictReader(out.read_text().splitlines())}
         assert hours == {4, 12, 13, 14}
 
     def test_check_gnuplot_export(self, cli_files, tmp_path):
@@ -615,6 +617,29 @@ class TestCli:
         assert captured.err.splitlines() == [
             "error: transient mode needs tolerance <= 1e-3, got 0.5"
         ]
+
+    @pytest.mark.parametrize(
+        "kind,old,new,line",
+        [
+            ("scenario", "t_start = 1s", "t_start = " + "9" * 400 + "m", 29),
+            ("scenario", "capacity_mw = 40", "capacity_mw = inf", 19),
+            ("demand", "\n4,200\n", "\n4,inf\n", 6),
+        ],
+        ids=["duration-overflow", "capacity-inf", "demand-inf"],
+    )
+    def test_non_finite_input_exits_1_with_one_error(self, tmp_path, capsys, kind, old, new, line):
+        texts = {"scenario": default_scenario_text(), "demand": default_demand_text()}
+        assert old in texts[kind]
+        texts[kind] = texts[kind].replace(old, new, 1)
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        code = self.run("check", "--scenario", str(tmp_path / "scenario"),
+                        "--demand", str(tmp_path / "demand"), "--mode", "steady", "--hours", "4")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [err] = captured.err.splitlines()
+        assert err.startswith(f"error: line {line}: ")
 
     def test_check_infinite_horizon_exits_1_with_one_error(self, cli_files, capsys):
         scen, dem = cli_files

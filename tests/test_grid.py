@@ -15,19 +15,22 @@ from gridlock.grid import (
     GridState,
     Scenario,
     build_grid_ctmc,
-    classify,
-    effective_demand,
-    enabled_transitions,
     initial_state,
     state_space_stats,
-    supply,
 )
 from gridlock.ctmc import new_ctmc
 from gridlock.experiments import desk_demand_profile, desk_scenario, make_attack_variants
 from gridlock.scenario_io import default_demand_profile, default_scenario
 from gridlock.solvers import label_probability, steady_state, transient
 
-from oracles import grid_state_ctmc, per_unit_ctmc
+from oracles import (
+    classify,
+    effective_demand,
+    enabled_transitions,
+    grid_state_ctmc,
+    per_unit_ctmc,
+    supply,
+)
 
 SEC = 1.0 / 60.0
 

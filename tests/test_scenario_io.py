@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,20 +14,22 @@ from gridlock import (
     MalformedDuration,
     MissingHour,
     MissingSection,
+    NonFiniteValue,
     NonPositiveDemand,
     PriorityMismatch,
     ScenarioSyntaxError,
     UnknownKey,
 )
+from gridlock.experiments import ResultRow
 from gridlock.grid import (
     Botnet,
     Controller,
     DemandProcess,
+    DemandProfile,
     GeneratorClass,
     Scenario,
 )
 from gridlock.scenario_io import (
-    ResultRecord,
     default_demand_profile,
     default_demand_text,
     default_scenario,
@@ -34,7 +39,6 @@ from gridlock.scenario_io import (
     load_demand_csv,
     parse_duration,
     parse_scenario,
-    read_results_csv,
     write_results_csv,
 )
 
@@ -58,7 +62,8 @@ class TestParseDuration:
         assert parse_duration("inf") is None
 
     @pytest.mark.parametrize(
-        "token", ["-5m", "5", "m", "5 m", "5mm", "five-m", "0s", "1d", ""]
+        "token", ["-5m", "5", "m", "5 m", "5mm", "five-m", "0s", "1d", "",
+                  pytest.param("9" * 400 + "m", id="overflow")]
     )
     def test_rejects(self, token):
         with pytest.raises(MalformedDuration):
@@ -150,6 +155,21 @@ class TestParseScenario:
         )
         assert parse_scenario(text) == default_scenario()
 
+    @pytest.mark.parametrize(
+        "old,new,error,line",
+        [
+            ("t_start = 30s", "t_start = " + "9" * 400 + "m", MalformedDuration, 21),
+            ("capacity_mw = 40", "capacity_mw = inf", NonFiniteValue, 19),
+            ("capacity_mw = 40", "capacity_mw = nan", NonFiniteValue, 19),
+            ("count = 4", "count = " + "9" * 400, NonFiniteValue, 20),
+        ],
+        ids=["t_start-overflow", "capacity-inf", "capacity-nan", "count-overflow"],
+    )
+    def test_non_finite_value_names_its_line(self, old, new, error, line):
+        with pytest.raises(error) as e:
+            parse_scenario(default_scenario_text().replace(old, new))
+        assert e.value.line == line
+
     def test_botnet_enabled_strict(self):
         text = default_scenario_text().replace("enabled = true", "enabled = yes")
         with pytest.raises(ScenarioSyntaxError, match="enabled"):
@@ -238,6 +258,12 @@ class TestDemandCsv:
             load_demand_csv(text)
         assert e.value.line == 20
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "9" * 400], ids=["inf", "nan", "overflow"])
+    def test_non_finite_demand(self, value):
+        with pytest.raises(NonFiniteValue) as e:
+            load_demand_csv(default_demand_text().replace("18,317", f"18,{value}"))
+        assert e.value.line == 20
+
     def test_malformed_row(self):
         text = default_demand_text().replace("18,317", "18,317,9")
         with pytest.raises(InputFileError):
@@ -251,9 +277,9 @@ class TestDemandCsv:
 class TestResultsCsv:
     def rows(self):
         return [
-            ResultRecord(18, "ATTACK-N", "transient", 0.1, 0.2, 0.7, 0.65),
-            ResultRecord(4, "ATTACK-N", "transient", 0.5, 0.4, 0.1, 0.05),
-            ResultRecord(4, "ATTACK-G", "transient", 0.25, 0.5, 0.25, 0.2),
+            ResultRow(18, "ATTACK-N", "transient", 0.1, 0.2, 0.7, 0.65, 10),
+            ResultRow(4, "ATTACK-N", "transient", 0.5, 0.4, 0.1, 0.05, 10),
+            ResultRow(4, "ATTACK-G", "transient", 0.25, 0.5, 0.25, 0.2, 10),
         ]
 
     def test_empty(self):
@@ -274,11 +300,61 @@ class TestResultsCsv:
         keys = [(line.split(",")[1], int(line.split(",")[0])) for line in lines]
         assert keys == sorted(keys)
 
-    def test_write_read_write_fixpoint(self):
-        first = write_results_csv(self.rows())
-        second = write_results_csv(read_results_csv(first))
-        assert first == second
 
-    def test_read_rejects_bad_header(self):
-        with pytest.raises(BadHeader):
-            read_results_csv("nope\n")
+# -- fuzzing: formatted inputs with mutated values, dropped and repeated lines
+
+_BAD_VALUES = ["", "garbage", "inf", "-inf", "nan", "9" * 400, "9" * 400 + "m", "0.5", "-1"]
+
+
+@st.composite
+def mutated_lines(draw, text, is_value_line):
+    """text with some value tokens replaced and some lines dropped or repeated."""
+    lines = text.splitlines()
+    for i in draw(st.sets(st.sampled_from(range(len(lines))), max_size=3)):
+        if is_value_line(lines[i]):
+            sep = "=" if "=" in lines[i] else ","
+            lines[i] = lines[i].split(sep)[0] + sep + draw(st.sampled_from(_BAD_VALUES))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def _finite(x):
+    if x is None or isinstance(x, (bool, str)):
+        return True
+    if isinstance(x, int):
+        return x <= sys.float_info.max
+    if isinstance(x, float):
+        return math.isfinite(x)
+    if isinstance(x, tuple):
+        return all(map(_finite, x))
+    return all(_finite(v) for v in vars(x).values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_scenario_parses_finite_or_raises_input_error(data):
+    text = format_scenario(data.draw(scenarios()))
+    text = data.draw(mutated_lines(text, lambda line: "=" in line))
+    try:
+        s = parse_scenario(text)
+    except InputFileError:
+        return
+    assert _finite(s), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_demand_csv_parses_finite_or_raises_input_error(data):
+    mw = st.floats(min_value=0.001, max_value=1e6)
+    text = format_demand_csv(DemandProfile(data.draw(st.lists(mw, min_size=24, max_size=24))))
+    text = data.draw(mutated_lines(text, lambda line: line != "hour,mw"))
+    try:
+        p = load_demand_csv(text)
+    except InputFileError:
+        return
+    assert _finite(p), text

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlock import NegativeTime, UnknownLabel, new_ctmc
-from gridlock.sim import (
-    Path,
-    derive_trial_seed,
-    estimate_label_metrics,
-    simulate_path,
-)
+from gridlock.sim import derive_trial_seed, estimate_label_metrics
 from gridlock.solvers import label_probability, transient
+
+from oracles import Path, simulate_path
 
 
 @pytest.fixture
