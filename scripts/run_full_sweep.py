@@ -6,7 +6,9 @@ Builds the four attack variants of the reference fleet (4 nuclear,
 transient solver at a 60 minute horizon.  Attack-variant models reach
 8 000 to 21 000 states and 1 s trip times push the uniformisation rate
 high, so a full run takes several minutes; --workers cuts it down and
---hours restricts the sweep while iterating.
+--hours restricts the sweep while iterating.  All cells run as one sweep
+in one worker pool (cells that build the same chain share one solve),
+and a progress line with an ETA is printed after each finished cell.
 
 Writes full_sweep.csv and full_sweep.dat (gnuplot blocks) to --out-dir.
 """
@@ -16,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from gridlock.cli import _parse_hours
 from gridlock.experiments import (
     ExperimentPlan,
     format_gnuplot,
@@ -29,15 +32,11 @@ from gridlock.scenario_io import (
 )
 
 
-def parse_hours(spec):
-    hours = []
-    for part in spec.split(","):
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            hours.extend(range(int(lo), int(hi) + 1))
-        else:
-            hours.append(int(part))
-    return tuple(hours)
+def hour_list(spec):
+    try:
+        return _parse_hours(spec)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def main(argv=None):
@@ -46,27 +45,24 @@ def main(argv=None):
                         help="directory for full_sweep.csv and full_sweep.dat")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the sweep")
-    parser.add_argument("--hours", default="0-23",
+    parser.add_argument("--hours", type=hour_list, default="0-23",
                         help="hours to solve, e.g. '0-23' or '4,12,18'")
     parser.add_argument("--horizon", type=float, default=60.0,
                         help="transient horizon in minutes")
     args = parser.parse_args(argv)
 
-    variants = make_attack_variants(default_scenario())
-    profile = default_demand_profile()
-    hours = parse_hours(args.hours)
-
-    # one sweep per hour so progress is visible on long runs
-    rows = []
+    plan = ExperimentPlan(variants=make_attack_variants(default_scenario()),
+                          hours=args.hours, horizon_minutes=args.horizon)
     started = time.perf_counter()
-    for i, hour in enumerate(hours):
-        plan = ExperimentPlan(variants=variants, hours=(hour,),
-                              horizon_minutes=args.horizon)
-        rows.extend(run_hourly_sweep(plan, profile, max_workers=args.workers))
-        done = time.perf_counter() - started
-        eta = done / (i + 1) * (len(hours) - i - 1)
-        print(f"hour {hour:2d} done  ({i + 1}/{len(hours)}, "
-              f"{done:.0f} s elapsed, ~{eta:.0f} s left)", flush=True)
+
+    def report(done, total):
+        elapsed = time.perf_counter() - started
+        eta = elapsed / done * (total - done)
+        print(f"{done}/{total} cells done  ({elapsed:.0f} s elapsed, ~{eta:.0f} s left)",
+              flush=True)
+
+    rows = run_hourly_sweep(plan, default_demand_profile(), max_workers=args.workers,
+                            progress=report)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "full_sweep.csv"

@@ -1,21 +1,27 @@
 """Experiment orchestration: attack variants and the hourly model sweep.
 
 A sweep builds one CTMC per (scenario variant, hour), solves it in the
-requested mode and reports the four label probabilities.  Cells are
-independent; with a worker pool the output is still deterministic
-because rows are sorted and per-cell simulation seeds derive from the
-cell's position in the plan, not from scheduling.
+requested mode and reports the four label probabilities.  A chain depends
+on the hour's demand only through each state's dispatch comparisons, so
+cells often build bit-identical chains; each distinct chain is solved
+once and its probabilities are copied to every cell that shares it.
+With a worker pool the output is still deterministic because rows are
+sorted and per-cell simulation seeds derive from the cell's position in
+the plan, not from scheduling.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
+import numpy as np
+
+from .ctmc import Ctmc
 from .errors import GridlockError
 from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile, Scenario
 from .grid import build_grid_ctmc
@@ -164,16 +170,52 @@ def make_attack_variants(base: Scenario) -> list[tuple[str, Scenario]]:
     return variants
 
 
-def _solve_cell(
-    name: str, scen: Scenario, hour: int, base_mw: float, plan: ExperimentPlan, cell_index: int
-) -> ResultRow:
-    chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
+# (variant name, scenario, hour, base demand in MW)
+_Cell = tuple[str, Scenario, int, float]
+# a cell's row, or the exception that failed it
+_Outcome = ResultRow | Exception
+
+
+def _chain_key(chain: Ctmc) -> bytes:
+    """sha256 over all that the solvers and the simulator read of a chain:
+    size, initial state, CSR arrays with their dtypes and the sorted label
+    sets.  `state_meta` is left out."""
+    h = hashlib.sha256(np.array([chain.n_states, chain.initial], dtype=np.int64))
+    for a in (chain.indptr, chain.indices, chain.data):
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a))
+    for name in sorted(chain.labels):
+        states = np.sort(np.fromiter(chain.labels[name], dtype=np.int64))
+        h.update(f"{name}\0{len(states)}\0".encode())
+        h.update(states)
+    return h.digest()
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: one bad cell must not abort
+    the sweep."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e
+
+
+def _solve(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float]:
     if plan.mode == "steady":
         dist = steady_state(chain, plan.solver)
     else:
         dist = transient(chain, plan.horizon_minutes, epsilon=plan.solver.tolerance)
-    probs = {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
+    return {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
 
+
+def _finish_cell(
+    plan: ExperimentPlan, chain: Ctmc, probs: dict[str, float] | Exception,
+    name: str, hour: int, cell_index: int,
+) -> _Outcome:
+    """The cell's row from its chain's solved probabilities, after the
+    cell's own simulation cross-check; a failed solve fails the cell."""
+    if isinstance(probs, Exception):
+        return probs
     if plan.sim_trials is not None:
         seed = derive_trial_seed(plan.sim_seed, cell_index)
         for lab in REPORT_LABELS:
@@ -206,32 +248,104 @@ def _solve_cell(
     )
 
 
+def _serial_cell(
+    plan: ExperimentPlan, cell: _Cell, cell_index: int,
+    solved: dict[bytes, dict[str, float] | Exception],
+) -> _Outcome:
+    name, scen, hour, base_mw = cell
+    chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
+    key = _chain_key(chain)
+    if key not in solved:
+        solved[key] = _attempt(_solve, chain, plan)
+    return _finish_cell(plan, chain, solved[key], name, hour, cell_index)
+
+
+def _serial_outcomes(plan: ExperimentPlan, cells: list[_Cell]) -> Iterator[tuple[int, _Outcome]]:
+    # cells stream in plan order through this module's globals; only the
+    # probabilities of each distinct chain are kept: a chain dies with its
+    # _serial_cell frame, before the next cell builds
+    solved: dict[bytes, dict[str, float] | Exception] = {}
+    for idx, cell in enumerate(cells):
+        yield idx, _attempt(_serial_cell, plan, cell, idx, solved)
+
+
+def _digest_cell(plan: ExperimentPlan, scen: Scenario, base_mw: float) -> tuple[bytes, float]:
+    """A cell's chain key and predicted solve cost, states x max exit rate."""
+    chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
+    return _chain_key(chain), chain.n_states * float(chain.exit_rates.max())
+
+
+def _solve_shared(
+    plan: ExperimentPlan, scen: Scenario, base_mw: float,
+    sharers: list[tuple[int, str, int]],
+) -> list[_Outcome]:
+    """Rebuild one distinct chain, solve it once and finish each
+    (cell index, variant, hour) that shares it."""
+    chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
+    probs = _attempt(_solve, chain, plan)
+    return [_attempt(_finish_cell, plan, chain, probs, name, hour, idx)
+            for idx, name, hour in sharers]
+
+
+def _pool_outcomes(
+    plan: ExperimentPlan, cells: list[_Cell], pool: ProcessPoolExecutor
+) -> Iterator[tuple[int, _Outcome]]:
+    # workers build and key every cell; rebuilding a chain in its solve job
+    # is cheaper than pickling it back and forth
+    keyed = [pool.submit(_digest_cell, plan, scen, base_mw) for _, scen, _, base_mw in cells]
+    groups: dict[bytes, tuple[float, list[int]]] = {}
+    for idx, future in enumerate(keyed):
+        got = _attempt(future.result)
+        if isinstance(got, Exception):
+            yield idx, got
+        else:
+            key, cost = got
+            groups.setdefault(key, (cost, []))[1].append(idx)
+
+    # one job per distinct chain, costliest first (stable, so ties keep
+    # plan order)
+    jobs = {}
+    for _, members in sorted(groups.values(), key=lambda g: -g[0]):
+        _, scen, _, base_mw = cells[members[0]]
+        sharers = [(i, cells[i][0], cells[i][2]) for i in members]
+        jobs[pool.submit(_solve_shared, plan, scen, base_mw, sharers)] = members
+    for future in as_completed(jobs):
+        got = _attempt(future.result)
+        for k, idx in enumerate(jobs[future]):
+            yield idx, got if isinstance(got, Exception) else got[k]
+
+
 def run_hourly_sweep(
     plan: ExperimentPlan,
     profile: DemandProfile,
     failures: list[CellFailure] | None = None,
     max_workers: int = 1,
+    progress: Callable[[int, int], None] | None = None,
 ) -> list[ResultRow]:
     """Solve every (variant, hour) cell; rows come back sorted.
 
-    A failing cell, whatever it raised, is appended to `failures` when a
-    collector is given; otherwise the first failure, in (variant, hour)
-    order, is raised as a SweepError naming the cell once every cell ran.
+    Cells whose chains are bit-identical share one solve; each still gets
+    its own row, simulation seed and failure.  `progress(done, total)` is
+    called after each finished cell.  A failing cell, whatever it raised,
+    is appended to `failures` when a collector is given; otherwise the
+    first failure, in (variant, hour) order, is raised as a SweepError
+    naming the cell once every cell ran.
     """
-    cells = [(name, scen, hour) for name, scen in plan.variants for hour in plan.hours]
+    cells = [(name, scen, hour, profile.mw_by_hour[hour])
+             for name, scen in plan.variants for hour in plan.hours]
     rows: list[ResultRow] = []
     problems: list[CellFailure] = []
     with ProcessPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
-        # the serial path calls _solve_cell in this process, through this
-        # module's globals; a pool submits every cell before collecting any
-        solve = partial if pool is None else (lambda *a: pool.submit(*a).result)
-        calls = [solve(_solve_cell, name, scen, hour, profile.mw_by_hour[hour], plan, idx)
-                 for idx, (name, scen, hour) in enumerate(cells)]
-        for (name, _, hour), call in zip(cells, calls):
-            try:
-                rows.append(call())
-            except Exception as e:  # one bad cell must not abort the sweep
-                problems.append(CellFailure(name, hour, e))
+        outcomes = (_serial_outcomes(plan, cells) if pool is None
+                    else _pool_outcomes(plan, cells, pool))
+        for done, (idx, outcome) in enumerate(outcomes, start=1):
+            name, _, hour, _ = cells[idx]
+            if isinstance(outcome, Exception):
+                problems.append(CellFailure(name, hour, outcome))
+            else:
+                rows.append(outcome)
+            if progress is not None:
+                progress(done, len(cells))
 
     problems.sort(key=lambda f: (f.variant, f.hour))
     if problems and failures is None:

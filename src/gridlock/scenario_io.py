@@ -120,7 +120,11 @@ def _float_in(section: _Section, key: str, lo: float, hi: float) -> float:
     return value
 
 
-def _duration_in(section: _Section, key: str, allow_inf: bool = False) -> float | None:
+def _duration_in(
+    section: _Section, key: str, allow_inf: bool = False, units: int = 1
+) -> float | None:
+    """A duration t whose rate units/t is finite: the chain's rates are
+    1/t, and up to count/t for a generator class's timings."""
     token, lineno = section.take(key)
     try:
         value = parse_duration(token)
@@ -128,6 +132,8 @@ def _duration_in(section: _Section, key: str, allow_inf: bool = False) -> float 
         raise MalformedDuration(str(e), line=lineno) from None
     if value is None and not allow_inf:
         raise ScenarioSyntaxError(f"{key} cannot be 'inf'", line=lineno)
+    if value is not None and not math.isfinite(units / value):
+        raise NonFiniteValue(f"{key} makes the rate {units}/t overflow, got {token!r}", line=lineno)
     return value
 
 
@@ -195,16 +201,17 @@ def parse_scenario(text: str) -> Scenario:
             )
         if count > sys.float_info.max:
             raise NonFiniteValue(f"count overflows a float, got {count_token!r}", line=count_line)
+        units = max(count, 1)  # GeneratorClass rejects a count below 1
         try:
             classes.append(
                 GeneratorClass(
                     name=name,
                     capacity_mw=capacity,
                     count=count,
-                    t_start=_duration_in(sec, "t_start"),
-                    t_stop=_duration_in(sec, "t_stop"),
-                    t_trip=_duration_in(sec, "t_trip"),
-                    t_recover=_duration_in(sec, "t_recover", allow_inf=True),
+                    t_start=_duration_in(sec, "t_start", units=units),
+                    t_stop=_duration_in(sec, "t_stop", units=units),
+                    t_trip=_duration_in(sec, "t_trip", units=units),
+                    t_recover=_duration_in(sec, "t_recover", allow_inf=True, units=units),
                 )
             )
         except ValueError as e:

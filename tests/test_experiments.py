@@ -1,7 +1,11 @@
 import csv
+import importlib.util
 import math
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridlock import experiments
@@ -24,6 +28,7 @@ from gridlock.experiments import (
     make_attack_variants,
     run_hourly_sweep,
 )
+from gridlock.cli import _exit_code
 from gridlock.ctmc import new_ctmc
 from gridlock.grid import (
     Botnet,
@@ -42,6 +47,7 @@ from gridlock.scenario_io import (
     default_scenario_text,
     write_results_csv,
 )
+from gridlock.sim import derive_trial_seed
 from gridlock.solvers import SolverConfig
 
 
@@ -394,6 +400,161 @@ class TestSweep:
         assert isinstance(exc.value.__cause__, ValueError)
 
 
+def shared_chain_plan(**kw):
+    """Six tiny cells, ATTACK-C and ATTACK-W at hours 12-14, that all build
+    one bit-identical chain although their demands differ."""
+    attacks = tuple(v for v in make_attack_variants(tiny_scenario()) if v[0] != "NO-ATTACK")
+    return ExperimentPlan(variants=attacks, hours=(12, 13, 14), **kw)
+
+
+def log_calls(monkeypatch, tmp_path, name, record=lambda *a, **k: ""):
+    """Spy on experiments.<name>: each call, in this process or in a forked
+    pool worker, appends record(*args) as one line to a file.  Returns a
+    function that reads the lines back."""
+    log = tmp_path / f"{name}.log"
+    real = getattr(experiments, name)
+
+    def spy(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{record(*args, **kwargs)}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, spy)
+    return lambda: log.read_text().splitlines() if log.exists() else []
+
+
+def _keyed_chain(rates=(1.0, 2.0, 3.0), initial=0, labels=None, meta=("x", "y", "z")):
+    return new_ctmc(3, [(0, 1, rates[0]), (1, 2, rates[1]), (2, 0, rates[2])], initial,
+                    labels or {"a": [0], "b": [1, 2]}, meta)
+
+
+class TestChainKey:
+    def test_descriptions_do_not_count(self):
+        assert (experiments._chain_key(_keyed_chain())
+                == experiments._chain_key(_keyed_chain(meta=("u", "v", "w"))))
+
+    @pytest.mark.parametrize("other", [
+        _keyed_chain(rates=(1.0, 2.5, 3.0)),
+        _keyed_chain(initial=1),
+        _keyed_chain(labels={"a": [0, 1], "b": [2]}),
+        _keyed_chain(labels={"a": [0], "c": [1, 2]}),
+        replace(_keyed_chain(), indptr=_keyed_chain().indptr.astype(np.int64),
+                indices=_keyed_chain().indices.astype(np.int64)),
+    ], ids=["rate", "initial", "label-states", "label-name", "index-dtype"])
+    def test_what_the_solvers_read_counts(self, other):
+        assert experiments._chain_key(_keyed_chain()) != experiments._chain_key(other)
+
+
+def fail_every_job(*_):
+    raise RuntimeError("worker lost")
+
+
+class TestSharedChains:
+    def test_lost_pool_job_fails_every_sharing_cell(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_solve_shared", fail_every_job)
+        failures: list[CellFailure] = []
+        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), failures=failures,
+                                max_workers=2)
+        assert rows == []
+        assert [(f.variant, f.hour) for f in failures] == [
+            (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
+        ]
+        assert all(isinstance(f.error, RuntimeError) for f in failures)
+
+    def test_plan_cells_share_one_chain(self):
+        plan, profile = shared_chain_plan(), tiny_profile()
+        keys = {experiments._chain_key(build_grid_ctmc(scen, profile.mw_by_hour[h]))
+                for _, scen in plan.variants for h in plan.hours}
+        assert len(keys) == 1
+        assert len({profile.mw_by_hour[h] for h in plan.hours}) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_transient_for_six_cells(self, monkeypatch, tmp_path, workers):
+        calls = log_calls(monkeypatch, tmp_path, "transient")
+        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), max_workers=workers)
+        assert len(calls()) == 1
+        assert [(r.scenario, r.hour) for r in rows] == [
+            (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
+        ]
+        probs = {(r.p_over_supply, r.p_equilibrium, r.p_over_demand, r.p_blackout,
+                  r.state_count) for r in rows}
+        assert len(probs) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_hour_18_steady_solves_three_chains(self, monkeypatch, tmp_path, workers):
+        # ATTACK-H and ATTACK-N build one 8 190-state chain at hour 18
+        plan = ExperimentPlan(variants=tuple(make_attack_variants(default_scenario())),
+                              hours=(18,), mode="steady")
+        profile = default_demand_profile()
+
+        every = tmp_path / "every"
+        every.mkdir()
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_chain_key", lambda chain: object())
+            solves = log_calls(m, every, "steady_state")
+            reference = run_hourly_sweep(plan, profile)
+        assert len(solves()) == 4
+
+        calls = log_calls(monkeypatch, tmp_path, "steady_state")
+        rows = run_hourly_sweep(plan, profile, max_workers=workers)
+        assert len(calls()) == 3
+        assert rows == reference
+        by_name = {r.scenario: r for r in rows}
+        assert by_name["ATTACK-H"].state_count == by_name["ATTACK-N"].state_count == 8190
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_solve_fails_every_sharing_cell(self, monkeypatch, workers):
+        def diverge(*_, **__):
+            raise NonConvergence("uniformization diverged")
+
+        monkeypatch.setattr(experiments, "transient", diverge)
+        failures: list[CellFailure] = []
+        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), failures=failures,
+                                max_workers=workers)
+        assert rows == []
+        assert [(f.variant, f.hour) for f in failures] == [
+            (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
+        ]
+        assert all(isinstance(f.error, NonConvergence) for f in failures)
+        assert {_exit_code(f.error) for f in failures} == {2}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_sharing_cell_simulates_with_its_own_seed(self, monkeypatch, tmp_path, workers):
+        seeds = log_calls(monkeypatch, tmp_path, "estimate_label_metrics",
+                          record=lambda chain, label, t, trials, seed: seed)
+        plan = shared_chain_plan(sim_trials=400, sim_seed=7)
+        failures: list[CellFailure] = []
+        rows = run_hourly_sweep(plan, tiny_profile(), failures=failures, max_workers=workers)
+        assert failures == []
+        assert len(rows) == 6
+        # one estimate per label per cell, on the cell's position in the plan
+        assert Counter(map(int, seeds())) == Counter(
+            {derive_trial_seed(7, idx): 4 for idx in range(6)}
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_counts_every_cell(self, workers):
+        seen = []
+        plan = ExperimentPlan(variants=tuple(make_attack_variants(tiny_scenario())),
+                              hours=(12, 13, 14))
+        run_hourly_sweep(plan, tiny_profile(), max_workers=workers,
+                         progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(done, 9) for done in range(1, 10)]
+
+
+@pytest.mark.parametrize("hours", ["25", "4-x", "12-4", ""])
+def test_full_sweep_script_rejects_bad_hours(tmp_path, capsys, hours):
+    path = Path(__file__).parents[1] / "scripts" / "run_full_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_full_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--hours", hours, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument --hours: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Desk transient sweep (desk_scenario, hours 0-23, 10 min) as written by the
 # full-window uniformization solver; solver speed-ups must keep these bytes.
 GOLDEN_DESK_CSV = Path(__file__).parent / "data" / "desk_transient_sweep.csv"
@@ -624,8 +785,13 @@ class TestCli:
             ("scenario", "t_start = 1s", "t_start = " + "9" * 400 + "m", 29),
             ("scenario", "capacity_mw = 40", "capacity_mw = inf", 19),
             ("demand", "\n4,200\n", "\n4,inf\n", 6),
+            # 1e-321 min: every trip rate of the first class is infinite
+            ("scenario", "t_trip = 1s", "t_trip = 0." + "0" * 320 + "1m", 23),
+            # 1e-308 min: 1/t is finite, 4/t is not
+            ("scenario", "t_trip = 1s", "t_trip = 0." + "0" * 307 + "1m", 23),
         ],
-        ids=["duration-overflow", "capacity-inf", "demand-inf"],
+        ids=["duration-overflow", "capacity-inf", "demand-inf", "rate-overflow",
+             "count-rate-overflow"],
     )
     def test_non_finite_input_exits_1_with_one_error(self, tmp_path, capsys, kind, old, new, line):
         texts = {"scenario": default_scenario_text(), "demand": default_demand_text()}
@@ -681,6 +847,20 @@ class TestCli:
         assert "error: ATTACK-C hour 12: ValueError: " in captured.err
         assert "error: ATTACK-W hour 12: ValueError: " in captured.err
         assert len(captured.out.splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_shared_chain_failure_names_each_cell(self, capsys, workers):
+        # full hour 18: ATTACK-H and ATTACK-N share the chain whose solve fails
+        code = self.run("check", "--hours", "18", "--mode", "steady",
+                        "--max-iterations", "2", "--workers", workers)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1
+        err = captured.err.splitlines()
+        assert [line.split(":")[1] for line in err] == [
+            " ATTACK-G hour 18", " ATTACK-H hour 18", " ATTACK-N hour 18", " NO-ATTACK hour 18"
+        ]
+        assert err[1].split(":", 2)[2] == err[2].split(":", 2)[2]
 
     def test_state_space_limit_exits_3(self, cli_files, capsys):
         scen, dem = cli_files

@@ -43,6 +43,11 @@ from gridlock.scenario_io import (
 )
 
 
+# durations of 1e-321 and 1e-308 minutes
+TINY_1E_321 = "0." + "0" * 320 + "1m"
+TINY_1E_308 = "0." + "0" * 307 + "1m"
+
+
 class TestParseDuration:
     @pytest.mark.parametrize(
         "token,minutes",
@@ -162,13 +167,24 @@ class TestParseScenario:
             ("capacity_mw = 40", "capacity_mw = inf", NonFiniteValue, 19),
             ("capacity_mw = 40", "capacity_mw = nan", NonFiniteValue, 19),
             ("count = 4", "count = " + "9" * 400, NonFiniteValue, 20),
+            # 1e-321 min: 1/t overflows
+            ("t_normal_to_low = 5m", "t_normal_to_low = " + TINY_1E_321, NonFiniteValue, 7),
+            # 1e-308 min: 1/t is finite, the nuclear class's 4/t is not
+            ("t_trip = 1s", "t_trip = " + TINY_1E_308, NonFiniteValue, 23),
         ],
-        ids=["t_start-overflow", "capacity-inf", "capacity-nan", "count-overflow"],
+        ids=["t_start-overflow", "capacity-inf", "capacity-nan", "count-overflow",
+             "rate-overflow", "count-rate-overflow"],
     )
     def test_non_finite_value_names_its_line(self, old, new, error, line):
         with pytest.raises(error) as e:
             parse_scenario(default_scenario_text().replace(old, new))
         assert e.value.line == line
+
+    def test_rate_check_scales_with_count(self):
+        # the duration that overflows 4/t above keeps 1/t finite
+        text = default_scenario_text().replace("t_normal_to_low = 5m",
+                                               "t_normal_to_low = " + TINY_1E_308)
+        assert parse_scenario(text).demand.t_normal_to_low == 1e-308
 
     def test_botnet_enabled_strict(self):
         text = default_scenario_text().replace("enabled = true", "enabled = yes")
