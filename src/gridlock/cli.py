@@ -29,7 +29,7 @@ from .experiments import (
     make_attack_variants,
     run_hourly_sweep,
 )
-from .grid import build_grid_ctmc, state_space_stats
+from .grid import MAX_STATES, build_grid_ctmc, state_space_stats
 from .scenario_io import (
     default_demand_profile,
     default_scenario,
@@ -81,6 +81,13 @@ def _load_inputs(args):
     return scenario, profile
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError:
+        raise ValueError(f"cannot write {path}") from None
+
+
 def _cmd_check(args) -> int:
     scenario, profile = _load_inputs(args)
     plan = ExperimentPlan(
@@ -97,11 +104,11 @@ def _cmd_check(args) -> int:
     rows = run_hourly_sweep(plan, profile, failures=failures, max_workers=args.workers)
     csv_text = write_results_csv(rows)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.gnuplot:
-        Path(args.gnuplot).write_text(format_gnuplot(rows))
+        _write(args.gnuplot, format_gnuplot(rows))
     if failures:
         for f in failures:
             kind = "" if isinstance(f.error, GridlockError) else f"{type(f.error).__name__}: "
@@ -158,7 +165,7 @@ def _build_parser() -> _Parser:
                        help="scenario file (default: packaged reference grid)")
         p.add_argument("--demand", default=None,
                        help="hourly demand CSV (default: packaged profile)")
-        p.add_argument("--max-states", type=int, default=5_000_000,
+        p.add_argument("--max-states", type=int, default=MAX_STATES,
                        help="abort model construction beyond this many states")
 
     check = sub.add_parser("check", help="solve the hourly variant sweep")
@@ -166,11 +173,11 @@ def _build_parser() -> _Parser:
     check.add_argument("--hours", default="0-23", help="hour list, e.g. 4,12,18 or 0-23")
     check.add_argument("--mode", choices=("steady", "transient"), default="transient")
     check.add_argument("--horizon", type=float, default=60.0, help="transient horizon, minutes")
-    check.add_argument("--tolerance", type=float, default=1e-10,
+    check.add_argument("--tolerance", type=float, default=SolverConfig.tolerance,
                        help="steady mode: target for the absorption gap and for the "
                             "balance residual max|pi Q|, in (0, 1); transient mode: "
                             "total-variation error budget of uniformization, in (0, 1e-3]")
-    check.add_argument("--max-iterations", type=int, default=1_000_000,
+    check.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
                        help="steady mode: cap on absorption sweeps and on power "
                             "iterations per BSCC")
     check.add_argument("--out", help="results CSV path (default stdout)")

@@ -6,8 +6,9 @@ named label sets.  Absorbing states simply have no outgoing entries;
 self-loops are rejected because they have no effect on CTMC dynamics.
 The rates are stored once, as CSR arrays with targets ascending within
 each row.  Everything else (rate and generator matrices, exit rates, the
-``transitions`` mapping, state descriptions) is derived lazily and
-cached; ``Ctmc`` instances are immutable and safe to share between threads.
+``transitions`` mapping, state descriptions) is derived and cached, lazily
+but for the exit rates, which construction checks to be finite; ``Ctmc``
+instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -145,8 +146,13 @@ def ctmc_from_arrays(
 
     index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
-    return Ctmc(n_states, indptr.astype(index_dtype), dst[order].astype(index_dtype),
-                rates[order], initial, frozen_labels, describe)
+    chain = Ctmc(n_states, indptr.astype(index_dtype), dst[order].astype(index_dtype),
+                 rates[order], initial, frozen_labels, describe)
+    with np.errstate(over="ignore"):  # finite rates can still sum past the float range
+        overflow = ~np.isfinite(chain.exit_rates)
+    if overflow.any():
+        raise NonPositiveRate(f"state {np.argmax(overflow)} has exit rate inf, not finite")
+    return chain
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .ctmc import Ctmc
 from .errors import GridlockError
 from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile, Scenario
-from .grid import build_grid_ctmc
+from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import derive_trial_seed, estimate_label_metrics
 from .solvers import SolverConfig, label_probability, steady_state, transient
@@ -70,7 +70,7 @@ class ExperimentPlan:
     solver: SolverConfig = field(default_factory=SolverConfig)
     sim_trials: int | None = None
     sim_seed: int = 0
-    max_states: int = 5_000_000
+    max_states: int = MAX_STATES
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))

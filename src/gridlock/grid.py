@@ -27,6 +27,7 @@ OVER_SUPPLY = "overSupply"
 EQUILIBRIUM = "equilibrium"
 OVER_DEMAND = "overDemand"
 BLACKOUT = "blackout"
+MAX_STATES = 5_000_000  # default cap on the states of one chain
 
 
 def _positive(name: str, value: float) -> None:
@@ -283,7 +284,7 @@ def _rules(s: Scenario, base_mw: float):
 
 
 def build_grid_ctmc(
-    s: Scenario, base_mw: float, max_states: int = 5_000_000
+    s: Scenario, base_mw: float, max_states: int = MAX_STATES
 ) -> Ctmc:
     """Breadth-first compilation of a scenario at one hourly demand level.
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from decimal import Decimal
+from functools import partial
 from importlib import resources
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import (
     BadHeader,
@@ -33,17 +35,6 @@ from .grid import Botnet, Controller, DemandProcess, DemandProfile, GeneratorCla
 _DURATION_RE = re.compile(r"^(\d+\.?\d*|\.\d+)(s|m|h)$")
 _UNIT_MINUTES = {"s": 1.0 / 60.0, "m": 1.0, "h": 60.0}
 
-_CONTROLLER_KEYS = {"tolerance", "priority"}
-_DEMAND_KEYS = {
-    "delta",
-    "t_normal_to_low",
-    "t_low_to_normal",
-    "t_normal_to_high",
-    "t_high_to_normal",
-}
-_BOTNET_KEYS = {"enabled", "spike_fraction", "t_off_to_on", "t_on_to_off"}
-_GENERATOR_KEYS = {"capacity_mw", "count", "t_start", "t_stop", "t_trip", "t_recover"}
-
 RESULTS_HEADER = "hour,scenario,mode,p_over_supply,p_equilibrium,p_over_demand,p_blackout"
 
 
@@ -64,19 +55,115 @@ def parse_duration(token: str) -> float | None:
     return value
 
 
-class _Section:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.keys: dict[str, tuple[str, int]] = {}
+class _Codec(NamedTuple):
+    """How one value is read from its token and written back (see _SECTIONS)."""
 
-    def take(self, key: str) -> tuple[str, int]:
+    read: Callable[[str, str, dict], Any]
+    write: Callable[[Any], str]
+
+
+def _real(interval: str) -> _Codec:
+    """A finite float in an interval written like '[0, 1)'."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+
+    def read(token, key, fields):
         try:
-            return self.keys.pop(key)
-        except KeyError:
-            raise ScenarioSyntaxError(
-                f"[{self.name}] is missing key {key!r}", line=self.line
-            ) from None
+            value = float(token)
+        except ValueError:
+            raise ScenarioSyntaxError(f"{key} must be a number, got {token!r}") from None
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{key} must be finite, got {token!r}")
+        if not ((lo <= value if interval[0] == "[" else lo < value)
+                and (value <= hi if interval[-1] == "]" else value < hi)):
+            raise ScenarioSyntaxError(f"{key} must be in {interval}, got {token}")
+        return value
+
+    return _Codec(read, repr)
+
+
+def _read_count(token, key, fields):
+    try:
+        count = int(token)
+    except ValueError:
+        raise ScenarioSyntaxError(f"{key} must be an integer, got {token!r}") from None
+    if count > sys.float_info.max:
+        raise NonFiniteValue(f"{key} overflows a float, got {token!r}")
+    if count < 1:
+        raise ScenarioSyntaxError(f"{key} must be >= 1, got {token}")
+    return count
+
+
+def _read_bool(token, key, fields):
+    if token not in ("true", "false"):
+        raise ScenarioSyntaxError(f"{key} must be 'true' or 'false', got {token!r}")
+    return token == "true"
+
+
+def _format_duration(minutes: float | None) -> str:
+    """Whole minutes or seconds where exact, else minutes without an exponent."""
+    if minutes is None:
+        return "inf"
+    if minutes == int(minutes):
+        return f"{int(minutes)}m"
+    seconds = minutes * 60.0
+    if seconds == int(seconds) and parse_duration(f"{int(seconds)}s") == minutes:
+        return f"{int(seconds)}s"
+    return f"{Decimal(repr(minutes)):f}m"
+
+
+def _read_duration(token, key, fields, allow_inf=False):
+    """A duration t whose rates, 1/t and up to count/t for a class, are finite."""
+    value = parse_duration(token)
+    if value is None and not allow_inf:
+        raise ScenarioSyntaxError(f"{key} cannot be 'inf'")
+    units = fields.get("count", 1)
+    if value is not None and not math.isfinite(units / value):
+        raise NonFiniteValue(f"{key} makes the rate {units}/t overflow, got {token!r}")
+    return value
+
+
+_DURATION = _Codec(_read_duration, _format_duration)
+_NAMES = _Codec(lambda token, key, fields: tuple(p.strip() for p in token.split(",")), ",".join)
+_BOOL = _Codec(_read_bool, lambda value: "true" if value else "false")
+
+# The scenario file format: per section, file key -> (dataclass field, codec),
+# in file order; the singleton sections are named after Scenario's fields.
+# codec.read(token, key, fields) gets the section's values read so far and
+# raises an InputFileError that the caller gives the key's line; codec.write
+# gives a token that reads back to exactly the value.
+_SECTIONS = {
+    "controller": (Controller, {
+        "tolerance": ("tolerance", _real("(0, 1)")),
+        "priority": ("priority", _NAMES),
+    }),
+    "demand": (DemandProcess, {
+        "delta": ("delta_fraction", _real("[0, 1)")),
+        "t_normal_to_low": ("t_normal_to_low", _DURATION),
+        "t_low_to_normal": ("t_low_to_normal", _DURATION),
+        "t_normal_to_high": ("t_normal_to_high", _DURATION),
+        "t_high_to_normal": ("t_high_to_normal", _DURATION),
+    }),
+    "botnet": (Botnet, {
+        "enabled": ("enabled", _BOOL),
+        "spike_fraction": ("spike_fraction", _real("[0, 1]")),
+        "t_off_to_on": ("t_off_to_on", _DURATION),
+        "t_on_to_off": ("t_on_to_off", _DURATION),
+    }),
+}
+_GENERATOR = {
+    "capacity_mw": ("capacity_mw", _real("(0, inf)")),
+    "count": ("count", _Codec(_read_count, str)),
+    "t_start": ("t_start", _DURATION),
+    "t_stop": ("t_stop", _DURATION),
+    "t_trip": ("t_trip", _DURATION),
+    "t_recover": ("t_recover", _Codec(partial(_read_duration, allow_inf=True), _format_duration)),
+}
+
+
+class _Section(NamedTuple):
+    name: str
+    line: int
+    keys: dict[str, tuple[str, int]]  # key -> (token, line)
 
 
 def _scan_sections(text: str) -> list[_Section]:
@@ -88,7 +175,7 @@ def _scan_sections(text: str) -> list[_Section]:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioSyntaxError("unterminated section header", line=lineno)
-            sections.append(_Section(line[1:-1].strip(), lineno))
+            sections.append(_Section(line[1:-1].strip(), lineno, {}))
             continue
         if "=" not in line:
             raise ScenarioSyntaxError(f"expected key = value, got {line!r}", line=lineno)
@@ -101,61 +188,32 @@ def _scan_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _check_keys(section: _Section, allowed: set[str]) -> None:
-    for key, (_, lineno) in section.keys.items():
-        if key not in allowed:
-            raise UnknownKey(f"unknown key {key!r} in [{section.name}]", line=lineno)
-
-
-def _float_in(section: _Section, key: str, lo: float, hi: float) -> float:
-    token, lineno = section.take(key)
-    try:
-        value = float(token)
-    except ValueError:
-        raise ScenarioSyntaxError(f"{key} must be a number, got {token!r}", line=lineno)
-    if not lo <= value <= hi:
-        raise ScenarioSyntaxError(
-            f"{key} must be in [{lo}, {hi}], got {token}", line=lineno
-        )
-    return value
-
-
-def _duration_in(
-    section: _Section, key: str, allow_inf: bool = False, units: int = 1
-) -> float | None:
-    """A duration t whose rate units/t is finite: the chain's rates are
-    1/t, and up to count/t for a generator class's timings."""
-    token, lineno = section.take(key)
-    try:
-        value = parse_duration(token)
-    except MalformedDuration as e:
-        raise MalformedDuration(str(e), line=lineno) from None
-    if value is None and not allow_inf:
-        raise ScenarioSyntaxError(f"{key} cannot be 'inf'", line=lineno)
-    if value is not None and not math.isfinite(units / value):
-        raise NonFiniteValue(f"{key} makes the rate {units}/t overflow, got {token!r}", line=lineno)
-    return value
+def _read_section(sec: _Section, rows: dict) -> dict:
+    """The section's values by dataclass field, each checked at its key's line."""
+    for key, (_, lineno) in sec.keys.items():
+        if key not in rows:
+            raise UnknownKey(f"unknown key {key!r} in [{sec.name}]", line=lineno)
+    fields: dict[str, Any] = {}
+    for key, (field, codec) in rows.items():
+        if key not in sec.keys:
+            raise ScenarioSyntaxError(f"[{sec.name}] is missing key {key!r}", line=sec.line)
+        token, lineno = sec.keys[key]
+        try:
+            fields[field] = codec.read(token, key, fields)
+        except InputFileError as e:
+            raise type(e)(str(e), line=lineno) from None
+    return fields
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario file."""
-    sections = _scan_sections(text)
-
-    controller_sec = demand_sec = botnet_sec = None
+    singles: dict[str, _Section] = {}
     generators: dict[str, _Section] = {}
-    for sec in sections:
-        if sec.name == "controller":
-            if controller_sec is not None:
-                raise ScenarioSyntaxError("duplicate [controller] section", line=sec.line)
-            controller_sec = sec
-        elif sec.name == "demand":
-            if demand_sec is not None:
-                raise ScenarioSyntaxError("duplicate [demand] section", line=sec.line)
-            demand_sec = sec
-        elif sec.name == "botnet":
-            if botnet_sec is not None:
-                raise ScenarioSyntaxError("duplicate [botnet] section", line=sec.line)
-            botnet_sec = sec
+    for sec in _scan_sections(text):
+        if sec.name in _SECTIONS:
+            if sec.name in singles:
+                raise ScenarioSyntaxError(f"duplicate [{sec.name}] section", line=sec.line)
+            singles[sec.name] = sec
         elif sec.name.startswith("generator "):
             name = sec.name[len("generator ") :].strip()
             if not name:
@@ -165,141 +223,38 @@ def parse_scenario(text: str) -> Scenario:
             generators[name] = sec
         else:
             raise UnknownKey(f"unknown section [{sec.name}]", line=sec.line)
-
-    if controller_sec is None:
-        raise MissingSection("controller")
-    if demand_sec is None:
-        raise MissingSection("demand")
-    if botnet_sec is None:
-        raise MissingSection("botnet")
+    for name in _SECTIONS:
+        if name not in singles:
+            raise MissingSection(name)
     if not generators:
         raise MissingSection("generator")
 
-    _check_keys(controller_sec, _CONTROLLER_KEYS)
-    _check_keys(demand_sec, _DEMAND_KEYS)
-    _check_keys(botnet_sec, _BOTNET_KEYS)
-    for sec in generators.values():
-        _check_keys(sec, _GENERATOR_KEYS)
-
-    classes = []
-    for name, sec in generators.items():
-        cap_token, cap_line = sec.take("capacity_mw")
-        count_token, count_line = sec.take("count")
-        try:
-            capacity = float(cap_token)
-        except ValueError:
-            raise ScenarioSyntaxError(
-                f"capacity_mw must be a number, got {cap_token!r}", line=cap_line
-            )
-        if not math.isfinite(capacity):
-            raise NonFiniteValue(f"capacity_mw must be finite, got {cap_token!r}", line=cap_line)
-        try:
-            count = int(count_token)
-        except ValueError:
-            raise ScenarioSyntaxError(
-                f"count must be an integer, got {count_token!r}", line=count_line
-            )
-        if count > sys.float_info.max:
-            raise NonFiniteValue(f"count overflows a float, got {count_token!r}", line=count_line)
-        units = max(count, 1)  # GeneratorClass rejects a count below 1
-        try:
-            classes.append(
-                GeneratorClass(
-                    name=name,
-                    capacity_mw=capacity,
-                    count=count,
-                    t_start=_duration_in(sec, "t_start", units=units),
-                    t_stop=_duration_in(sec, "t_stop", units=units),
-                    t_trip=_duration_in(sec, "t_trip", units=units),
-                    t_recover=_duration_in(sec, "t_recover", allow_inf=True, units=units),
-                )
-            )
-        except ValueError as e:
-            raise ScenarioSyntaxError(str(e), line=sec.line) from None
-
-    priority_token, priority_line = controller_sec.take("priority")
-    priority = tuple(p.strip() for p in priority_token.split(","))
+    classes = tuple(GeneratorClass(name=name, **_read_section(sec, _GENERATOR))
+                    for name, sec in generators.items())
+    parts = {name: cls(**_read_section(singles[name], rows))
+             for name, (cls, rows) in _SECTIONS.items()}
+    priority = parts["controller"].priority
     if sorted(priority) != sorted(generators):
         raise PriorityMismatch(
             f"priority {','.join(priority)} does not match generator classes "
             f"{','.join(generators)}",
-            line=priority_line,
+            line=singles["controller"].keys["priority"][1],
         )
-
-    enabled_token, enabled_line = botnet_sec.take("enabled")
-    if enabled_token not in ("true", "false"):
-        raise ScenarioSyntaxError(
-            f"enabled must be 'true' or 'false', got {enabled_token!r}", line=enabled_line
-        )
-
-    try:
-        return Scenario(
-            classes=tuple(classes),
-            demand=DemandProcess(
-                delta_fraction=_float_in(demand_sec, "delta", 0.0, 0.999999),
-                t_normal_to_low=_duration_in(demand_sec, "t_normal_to_low"),
-                t_low_to_normal=_duration_in(demand_sec, "t_low_to_normal"),
-                t_normal_to_high=_duration_in(demand_sec, "t_normal_to_high"),
-                t_high_to_normal=_duration_in(demand_sec, "t_high_to_normal"),
-            ),
-            botnet=Botnet(
-                spike_fraction=_float_in(botnet_sec, "spike_fraction", 0.0, 1.0),
-                t_off_to_on=_duration_in(botnet_sec, "t_off_to_on"),
-                t_on_to_off=_duration_in(botnet_sec, "t_on_to_off"),
-                enabled=enabled_token == "true",
-            ),
-            controller=Controller(
-                priority=priority,
-                tolerance=_float_in(controller_sec, "tolerance", 1e-9, 0.999999),
-            ),
-        )
-    except ValueError as e:
-        raise ScenarioSyntaxError(str(e)) from None
+    return Scenario(classes=classes, **parts)
 
 
-def _format_duration(minutes: float | None) -> str:
-    if minutes is None:
-        return "inf"
-    if minutes == int(minutes):
-        return f"{int(minutes)}m"
-    seconds = minutes * 60.0
-    if seconds == int(seconds) and seconds / 60.0 == minutes:
-        return f"{int(seconds)}s"
-    return f"{minutes!r}m"
+def _format_section(header: str, value, rows: dict) -> str:
+    return "\n".join([f"[{header}]"] + [
+        f"{key} = {codec.write(getattr(value, field))}" for key, (field, codec) in rows.items()
+    ])
 
 
 def format_scenario(s: Scenario) -> str:
     """Serialize a Scenario so that parse(format(s)) == s."""
-    lines = [
-        "[controller]",
-        f"tolerance = {s.controller.tolerance!r}",
-        f"priority = {','.join(s.controller.priority)}",
-        "",
-        "[demand]",
-        f"delta = {s.demand.delta_fraction!r}",
-        f"t_normal_to_low = {_format_duration(s.demand.t_normal_to_low)}",
-        f"t_low_to_normal = {_format_duration(s.demand.t_low_to_normal)}",
-        f"t_normal_to_high = {_format_duration(s.demand.t_normal_to_high)}",
-        f"t_high_to_normal = {_format_duration(s.demand.t_high_to_normal)}",
-        "",
-        "[botnet]",
-        f"enabled = {'true' if s.botnet.enabled else 'false'}",
-        f"spike_fraction = {s.botnet.spike_fraction!r}",
-        f"t_off_to_on = {_format_duration(s.botnet.t_off_to_on)}",
-        f"t_on_to_off = {_format_duration(s.botnet.t_on_to_off)}",
-    ]
-    for g in s.classes:
-        lines += [
-            "",
-            f"[generator {g.name}]",
-            f"capacity_mw = {g.capacity_mw!r}",
-            f"count = {g.count}",
-            f"t_start = {_format_duration(g.t_start)}",
-            f"t_stop = {_format_duration(g.t_stop)}",
-            f"t_trip = {_format_duration(g.t_trip)}",
-            f"t_recover = {_format_duration(g.t_recover)}",
-        ]
-    return "\n".join(lines) + "\n"
+    blocks = [_format_section(name, getattr(s, name), rows)
+              for name, (_, rows) in _SECTIONS.items()]
+    blocks += [_format_section(f"generator {g.name}", g, _GENERATOR) for g in s.classes]
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_demand_csv(text: str) -> DemandProfile:
@@ -339,7 +294,7 @@ def load_demand_csv(text: str) -> DemandProfile:
 
 
 def format_demand_csv(profile: DemandProfile) -> str:
-    rows = [f"{h},{mw:g}" for h, mw in enumerate(profile.mw_by_hour)]
+    rows = [f"{h},{mw!r}" for h, mw in enumerate(profile.mw_by_hour)]
     return "hour,mw\n" + "\n".join(rows) + "\n"
 
 

@@ -162,7 +162,7 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     raise NonConvergence(f"power method hit the {cfg.max_iterations}-iteration cap")
 
 
-def transient(c: Ctmc, t: float, epsilon: float = 1e-10) -> Distribution:
+def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Distribution:
     """State distribution after t minutes, by uniformization.
 
     The error budget epsilon is split in two halves.  The Poisson window

@@ -56,6 +56,12 @@ class TestConstruction:
         with pytest.raises(NonPositiveRate):
             new_ctmc(2, [(0, 1, rate)], 0)
 
+    def test_rejects_exit_rate_overflow(self, recwarn):
+        # each rate is finite, their sum is not
+        with pytest.raises(NonPositiveRate, match="state 1 has exit rate inf"):
+            new_ctmc(3, [(0, 1, 1.0), (1, 0, 1e308), (1, 2, 1e308)], 0)
+        assert not recwarn.list
+
     @pytest.mark.parametrize("src,dst", [(2, 0), (0, 2), (-1, 0)])
     def test_rejects_out_of_range_transition(self, src, dst):
         with pytest.raises(IndexOutOfRange):
@@ -214,13 +220,14 @@ class TestDistribution:
 
 @st.composite
 def transition_lists(draw, min_size=0):
-    """(n, triples): distinct off-diagonal pairs with positive finite rates."""
+    """(n, triples): distinct off-diagonal pairs with positive finite rates
+    whose exit-rate sums stay finite (at most 6 rates leave a state)."""
     n = draw(st.integers(min_value=2, max_value=7))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min_size))
     rates = draw(
         st.lists(
-            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=0.0, exclude_min=True, max_value=1e307),
             min_size=len(chosen),
             max_size=len(chosen),
         )

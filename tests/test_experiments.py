@@ -807,6 +807,38 @@ class TestCli:
         [err] = captured.err.splitlines()
         assert err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the cap lets NO-ATTACK converge and stops the attack cells
+            # of a chain with infinite exit rates instead of sweeping forever
+            ["check", "--mode", "steady", "--hours", "4", "--max-iterations", "5000"],
+            ["check", "--hours", "4", "--horizon", "10"],
+            ["simulate", "--hour", "4", "--trials", "100"],
+        ],
+        ids=["steady", "transient", "simulate"],
+    )
+    def test_exit_rate_overflow_exits_1_with_error_lines(self, tmp_path, capsys, recwarn, argv):
+        # 5e-308 min: each class's count/t is finite, but a state's rates sum past it
+        scen = tmp_path / "scenario"
+        tiny = "t_trip = 0." + "0" * 307 + "5m"
+        scen.write_text(default_scenario_text().replace("t_trip = 1s", tiny))
+        code = self.run(*argv, "--scenario", str(scen))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("error: ") for line in err)
+        assert all("exit rate inf, not finite" in line for line in err)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_unwritable_output_exits_1_cannot_write(self, cli_files, tmp_path, capsys):
+        scen, dem = cli_files
+        for option in ("--out", "--gnuplot"):
+            path = tmp_path / "no" / "such" / "x.csv"
+            code = self.run("check", "--scenario", str(scen), "--demand", str(dem),
+                            "--hours", "4", "--mode", "steady", option, str(path))
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: cannot write {path}"]
+
     def test_check_infinite_horizon_exits_1_with_one_error(self, cli_files, capsys):
         scen, dem = cli_files
         code = self.run(

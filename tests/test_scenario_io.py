@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridlock import (
@@ -20,7 +20,7 @@ from gridlock import (
     ScenarioSyntaxError,
     UnknownKey,
 )
-from gridlock.experiments import ResultRow
+from gridlock.experiments import ResultRow, desk_demand_profile
 from gridlock.grid import (
     Botnet,
     Controller,
@@ -186,6 +186,38 @@ class TestParseScenario:
                                                "t_normal_to_low = " + TINY_1E_308)
         assert parse_scenario(text).demand.t_normal_to_low == 1e-308
 
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [
+            ("count = 4", "count = 0", 20),
+            ("capacity_mw = 40", "capacity_mw = -40", 19),
+            ("tolerance = 0.01", "tolerance = 1", 2),
+            ("delta = 0.05", "delta = 1", 6),
+            ("spike_fraction = 0.30", "spike_fraction = 1.5", 14),
+        ],
+        ids=["count-zero", "capacity-negative", "tolerance-one", "delta-one", "spike-above-one"],
+    )
+    def test_out_of_range_value_names_its_line(self, old, new, line):
+        with pytest.raises(ScenarioSyntaxError) as e:
+            parse_scenario(default_scenario_text().replace(old, new))
+        assert e.value.line == line
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("tolerance = 0.01", "tolerance = 1e-10"),
+            ("delta = 0.05", "delta = 0.9999995"),
+            ("spike_fraction = 0.30", "spike_fraction = 1.0"),
+            ("t_trip = 1s", "t_trip = 0.00001m"),
+        ],
+        ids=["tolerance-1e-10", "delta-near-one", "spike-one", "duration-1e-5"],
+    )
+    def test_model_domain_edges_parse_and_round_trip(self, old, new):
+        s = parse_scenario(default_scenario_text().replace(old, new, 1))
+        text = format_scenario(s)
+        assert new in text
+        assert parse_scenario(text) == s
+
     def test_botnet_enabled_strict(self):
         text = default_scenario_text().replace("enabled = true", "enabled = yes")
         with pytest.raises(ScenarioSyntaxError, match="enabled"):
@@ -194,7 +226,8 @@ class TestParseScenario:
 
 @st.composite
 def scenarios(draw):
-    dur = st.floats(min_value=0.01, max_value=500.0, allow_nan=False)
+    dur = st.floats(min_value=1e-9, max_value=1e9)
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
     n = draw(st.integers(min_value=1, max_value=3))
     classes = tuple(
         GeneratorClass(
@@ -211,7 +244,7 @@ def scenarios(draw):
     return Scenario(
         classes=classes,
         demand=DemandProcess(
-            draw(st.floats(min_value=0.0, max_value=0.9)),
+            draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
             draw(dur),
             draw(dur),
             draw(dur),
@@ -225,7 +258,7 @@ def scenarios(draw):
         ),
         controller=Controller(
             tuple(draw(st.permutations([c.name for c in classes]))),
-            draw(st.floats(min_value=1e-6, max_value=0.9)),
+            draw(unit),
         ),
     )
 
@@ -233,7 +266,10 @@ def scenarios(draw):
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_scenario_round_trip(s):
-    assert parse_scenario(format_scenario(s)) == s
+    text = format_scenario(s)
+    assert parse_scenario(text) == s
+    durations = [line.split(" = ")[1] for line in text.splitlines() if line.startswith("t_")]
+    assert not any("e" in token for token in durations), text
 
 
 def test_reference_round_trip_is_stable():
@@ -285,9 +321,14 @@ class TestDemandCsv:
         with pytest.raises(InputFileError):
             load_demand_csv(text)
 
-    def test_round_trip(self):
-        p = default_demand_profile()
-        assert load_demand_csv(format_demand_csv(p)) == p
+    @settings(max_examples=100, deadline=None)
+    @example(mw=default_demand_profile().mw_by_hour)
+    @example(mw=desk_demand_profile().mw_by_hour)
+    @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=24, max_size=24))
+    def test_round_trip(self, mw):
+        profile = DemandProfile(tuple(mw))
+        assert load_demand_csv(format_demand_csv(profile)) == profile
 
 
 class TestResultsCsv:
