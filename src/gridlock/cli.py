@@ -15,13 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    GridlockError,
-    InputFileError,
-    InsufficientCapacity,
-    NonConvergence,
-    StateSpaceLimitExceeded,
-)
+from .errors import GridlockError, NonConvergence, StateSpaceLimitExceeded
 from .experiments import (
     REPORT_LABELS,
     ExperimentPlan,
@@ -69,15 +63,16 @@ def _parse_hours(spec: str) -> tuple[int, ...]:
     return tuple(hours)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError:
+        raise ValueError(f"cannot read {path}") from None
+
+
 def _load_inputs(args):
-    if args.scenario is None:
-        scenario = default_scenario()
-    else:
-        scenario = parse_scenario(Path(args.scenario).read_text())
-    if args.demand is None:
-        profile = default_demand_profile()
-    else:
-        profile = load_demand_csv(Path(args.demand).read_text())
+    scenario = default_scenario() if args.scenario is None else parse_scenario(_read(args.scenario))
+    profile = default_demand_profile() if args.demand is None else load_demand_csv(_read(args.demand))
     return scenario, profile
 
 
@@ -148,10 +143,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _exit_code(exc: Exception) -> int:
-    cause = exc.__cause__ if isinstance(exc.__cause__, GridlockError) else exc
-    if isinstance(cause, StateSpaceLimitExceeded) or isinstance(exc, StateSpaceLimitExceeded):
+    if isinstance(exc, StateSpaceLimitExceeded):
         return 3
-    if isinstance(cause, NonConvergence) or isinstance(exc, NonConvergence):
+    if isinstance(exc, NonConvergence):
         return 2
     return 1
 
@@ -214,9 +208,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: cannot read {e.filename}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

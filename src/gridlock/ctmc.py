@@ -120,8 +120,15 @@ def ctmc_from_arrays(
     """
     if not 0 <= initial < n_states:
         raise IndexOutOfRange(f"initial state {initial} not in [0, {n_states})")
-    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    src_in, dst_in = np.asarray(src), np.asarray(dst)
     rates = np.asarray(rates, dtype=float)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here
+        src, dst = src_in.astype(np.int64), dst_in.astype(np.int64)
+    fractional = (src != src_in) | (dst != dst_in)
+    if fractional.any():
+        i = int(np.argmax(fractional))
+        raise IndexOutOfRange(f"transition ({src_in[i]}, {dst_in[i]}, rate {float(rates[i])!r}) "
+                              "has a state index that is not an integer")
     key = src * n_states + dst
     order = np.argsort(key, kind="stable")
     duplicate = np.zeros(len(key), dtype=bool)

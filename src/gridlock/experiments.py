@@ -290,8 +290,8 @@ def _solve_shared(
 def _pool_outcomes(
     plan: ExperimentPlan, cells: list[_Cell], pool: ProcessPoolExecutor
 ) -> Iterator[tuple[int, _Outcome]]:
-    # workers build and key every cell; rebuilding a chain in its solve job
-    # is cheaper than pickling it back and forth
+    # workers build and key every cell, and each solve job rebuilds its
+    # chain: a built Ctmc does not pickle, as its `describe` is a closure
     keyed = [pool.submit(_digest_cell, plan, scen, base_mw) for _, scen, _, base_mw in cells]
     groups: dict[bytes, tuple[float, list[int]]] = {}
     for idx, future in enumerate(keyed):

@@ -48,8 +48,10 @@ class GeneratorClass:
     t_recover: float | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("class name must be nonempty")
+        name = self.name  # must survive a scenario file, where ',' and '#' are syntax
+        if name.splitlines() != [name] or name != name.strip() or "," in name or "#" in name:
+            raise ValueError(f"class name {name!r} must be one nonempty line without ',', "
+                             "'#' or leading or trailing whitespace")
         _positive("capacity_mw", self.capacity_mw)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")

@@ -218,6 +218,8 @@ def parse_scenario(text: str) -> Scenario:
             name = sec.name[len("generator ") :].strip()
             if not name:
                 raise ScenarioSyntaxError("generator section without a name", line=sec.line)
+            if "," in name:
+                raise ScenarioSyntaxError(f"class name {name!r} holds a ','", line=sec.line)
             if name in generators:
                 raise DuplicateClass(f"duplicate class {name!r}", line=sec.line)
             generators[name] = sec

@@ -43,11 +43,16 @@ def _to_unit(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+def _trial_keys(master: int, trials: int | np.ndarray) -> np.ndarray:
+    """Stream keys of the given trial indices under a master seed."""
+    with np.errstate(over="ignore"):
+        return _mix64(np.uint64(master & 0xFFFFFFFFFFFFFFFF)
+                      + np.asarray(trials, dtype=np.uint64) * _TRIAL_STRIDE)
+
+
 def derive_trial_seed(master: int, trial: int) -> int:
     """Stream key for one trial; a scalar path sampled on it replays that trial."""
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(master & 0xFFFFFFFFFFFFFFFF) + np.uint64(trial) * _TRIAL_STRIDE)
-    return int(key)
+    return int(_trial_keys(master, trial))
 
 
 @dataclass(frozen=True)
@@ -84,15 +89,13 @@ class _Compiled:
         m = c.rate_matrix
         self.initial = c.initial
         self.exits = c.exit_rates
-        degree = int(np.diff(m.indptr).max()) if c.n_states else 0
-        width = max(degree, 1)
+        width = max(int(np.diff(m.indptr).max()), 1)
         self.cum_rates = np.full((c.n_states, width), np.inf)
         self.targets = np.full((c.n_states, width), -1, dtype=np.int64)
         for s in range(c.n_states):
             lo, hi = m.indptr[s], m.indptr[s + 1]
-            if hi > lo:
-                self.cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
-                self.targets[s, : hi - lo] = m.indices[lo:hi]
+            self.cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
+            self.targets[s, : hi - lo] = m.indices[lo:hi]
 
 
 def estimate_label_metrics(
@@ -109,18 +112,14 @@ def estimate_label_metrics(
     if not 0 < horizon < math.inf:
         raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
     in_label = np.zeros(c.n_states, dtype=bool)
-    if c.label_states(label):
-        in_label[np.fromiter(sorted(c.label_states(label)), dtype=np.int64)] = True
+    in_label[np.fromiter(c.label_states(label), dtype=np.int64)] = True
 
     comp = _Compiled(c)
     at_horizon = np.empty(trials, dtype=bool)
     occupancy = np.empty(trials, dtype=np.float64)
-    master = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
-        with np.errstate(over="ignore"):
-            keys = _mix64(master + np.arange(lo, hi, dtype=np.uint64) * _TRIAL_STRIDE)
-        flags, occ = _run_chunk(comp, in_label, horizon, keys)
+        flags, occ = _run_chunk(comp, in_label, horizon, _trial_keys(seed, np.arange(lo, hi)))
         at_horizon[lo:hi] = flags
         occupancy[lo:hi] = occ
 
@@ -137,7 +136,7 @@ def estimate_label_metrics(
         occupancy=occ_mean,
         occupancy_standard_error=occ_se,
         trials=trials,
-        seed=int(master),
+        seed=seed & 0xFFFFFFFFFFFFFFFF,
     )
 
 
@@ -148,7 +147,9 @@ def _run_chunk(
 
     Per trial this performs exactly the operations of a one-path loop
     (draw 2j picks the sojourn, draw 2j+1 the successor) in the same order,
-    which is what makes the batch bitwise-comparable to that loop.
+    which is what makes the batch bitwise-comparable to that loop.  A trial
+    in an absorbing state draws an infinite sojourn, so it crosses the
+    horizon like any other.
     """
     m = len(keys)
     state = np.full(m, comp.initial, dtype=np.int64)
@@ -159,20 +160,9 @@ def _run_chunk(
 
     j = 0
     while alive.size:
-        exits = comp.exits[state[alive]]
-        absorbed = exits == 0.0
-        if absorbed.any():
-            idx = alive[absorbed]
-            seg = horizon - t[idx]
-            label_time[idx] += seg * in_label[state[idx]]
-            total_time[idx] += seg
-            alive = alive[~absorbed]
-            exits = comp.exits[state[alive]]
-        if not alive.size:
-            break
-
         u = _to_unit(_draw(keys[alive], 2 * j))
-        end = t[alive] + (-np.log(u)) / exits
+        with np.errstate(divide="ignore"):
+            end = t[alive] + (-np.log(u)) / comp.exits[state[alive]]
         crossed = end > horizon
         seg = np.where(crossed, horizon, end) - t[alive]
         label_time[alive] += seg * in_label[state[alive]]

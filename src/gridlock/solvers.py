@@ -138,17 +138,15 @@ def steady_state(c: Ctmc, cfg: SolverConfig | None = None) -> Distribution:
 def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Stationary vector of the sub-chain on one BSCC, normalized to 1.
 
-    Power iteration on the uniformized matrix P = I + Q/lam of the BSCC.
+    Power iteration on the uniformized matrix P = I + Q/lam of the BSCC;
+    no rate leaves a BSCC, so its exit rates are those of the whole chain.
     """
     n_b = len(states)
     if n_b == 1:
         # a singleton BSCC is an absorbing state
         return np.ones(1)
 
-    local = c.rate_matrix[states][:, states].tocsr()
-    exits = np.asarray(local.sum(axis=1)).ravel()
-    lam = _UNIF_SLACK * exits.max()
-    pt = (sp.eye(n_b) + (local - sp.diags(exits)) / lam).T.tocsr()
+    pt, lam = _uniformized_transpose(c.rate_matrix[states][:, states], c.exit_rates[states])
     x = np.full(n_b, 1.0 / n_b)
     for _ in range(cfg.max_iterations):
         x_new = pt @ x
@@ -184,11 +182,10 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
 
     pi0 = np.zeros(c.n_states)
     pi0[c.initial] = 1.0
-    max_exit = float(c.exit_rates.max()) if c.n_states else 0.0
-    if t == 0.0 or max_exit == 0.0:
+    if t == 0.0 or not c.exit_rates.any():
         return Distribution(pi0)
 
-    lam = _UNIF_SLACK * max_exit
+    pt, lam = _uniformized_transpose(c.rate_matrix, c.exit_rates)
     mu = lam * t
     if mu > 25:
         lo = int(poisson.ppf(epsilon / 4, mu))
@@ -198,19 +195,22 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
         hi = int(poisson.isf(epsilon / 2, mu))
     weights = poisson.pmf(np.arange(lo, hi + 1), mu)
 
-    out, _ = _uniformize(_uniformized_transpose(c, lam), pi0, weights, lo, epsilon)
+    out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
     out /= out.sum()
     return Distribution(out)
 
 
-def _uniformized_transpose(c: Ctmc, lam: float) -> sp.csr_matrix:
-    """P^T for P = I + Q/lam, assembled as R^T/lam + diag(1 - E/lam).
+def _uniformized_transpose(rates: sp.csr_matrix, exits: np.ndarray) -> tuple[sp.csr_matrix, float]:
+    """P^T for P = I + Q/lam and lam, for rates R with exit rates E.
 
-    Both terms scale by 1/lam, as scipy's scalar division does, so the
-    entries equal those of (I + Q/lam)^T bit for bit.
+    lam is _UNIF_SLACK times the largest exit rate, and P^T is assembled
+    as R^T/lam + diag(1 - E/lam).  Both terms scale by 1/lam, as scipy's
+    scalar division does, so the entries equal those of (I + Q/lam)^T
+    bit for bit.
     """
+    lam = _UNIF_SLACK * exits.max()
     inv = 1.0 / lam
-    return (c.rate_matrix.T * inv + sp.diags(1.0 - c.exit_rates * inv)).tocsr()
+    return (rates.T * inv + sp.diags(1.0 - exits * inv)).tocsr(), lam
 
 
 def _uniformize(
@@ -244,7 +244,5 @@ def label_probability(d: Distribution, c: Ctmc, label: str) -> float:
         raise IndexOutOfRange(
             f"distribution has {len(d)} entries for a {c.n_states}-state chain"
         )
-    if not states:
-        return 0.0
     idx = np.fromiter(sorted(states), dtype=np.int64)
     return float(d.probs[idx].sum())

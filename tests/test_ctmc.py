@@ -67,6 +67,13 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(src, dst, 1.0)], 0)
 
+    @pytest.mark.parametrize("src,dst", [(0, 1.7), (0.5, 1), (0, math.nan), (math.inf, 1)])
+    def test_rejects_non_integer_transition_index(self, src, dst, recwarn):
+        # a truncating cast would build (0, 1.7) as a 0 -> 1 transition
+        with pytest.raises(IndexOutOfRange, match=rf"\({float(src)}, {float(dst)}, rate 1.0\)"):
+            new_ctmc(3, [(src, dst, 1.0)], 0)
+        assert not recwarn.list
+
     def test_rejects_out_of_range_initial(self):
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 5)

@@ -45,6 +45,8 @@ from gridlock.scenario_io import (
     default_demand_text,
     default_scenario,
     default_scenario_text,
+    format_demand_csv,
+    format_scenario,
     write_results_csv,
 )
 from gridlock.sim import derive_trial_seed
@@ -577,6 +579,23 @@ def test_desk_steady_sweep_matches_golden_bytes():
     assert write_results_csv(rows).encode() == GOLDEN_DESK_STEADY_CSV.read_bytes()
 
 
+# `gridlock simulate` stdout on the desk files at hours 4, 12 and 18 (10 min,
+# 20 000 trials, so each run spans two chunks, seed 1), one run after another.
+GOLDEN_DESK_SIMULATE = Path(__file__).parent / "data" / "desk_simulate.txt"
+
+
+def test_desk_simulate_matches_golden_bytes(tmp_path, capsys):
+    from gridlock.cli import main
+
+    scen, dem = tmp_path / "desk.scenario", tmp_path / "desk_demand.csv"
+    scen.write_text(format_scenario(desk_scenario()))
+    dem.write_text(format_demand_csv(desk_demand_profile()))
+    for hour in ("4", "12", "18"):
+        assert main(["simulate", "--scenario", str(scen), "--demand", str(dem), "--hour", hour,
+                     "--horizon", "10", "--trials", "20000", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_DESK_SIMULATE.read_bytes()
+
+
 class TestGnuplot:
     def test_blocked_output(self):
         rows = [
@@ -838,6 +857,16 @@ class TestCli:
                             "--hours", "4", "--mode", "steady", option, str(path))
             assert code == 1
             assert capsys.readouterr().err.splitlines() == [f"error: cannot write {path}"]
+
+    @pytest.mark.parametrize("command", [["check", "--hours", "4"], ["simulate", "--hour", "4"],
+                                         ["inspect"]], ids=["check", "simulate", "inspect"])
+    @pytest.mark.parametrize("flag", ["--scenario", "--demand"])
+    def test_unreadable_input_exits_1_cannot_read(self, tmp_path, capsys, command, flag):
+        code = self.run(*command, flag, str(tmp_path))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot read {tmp_path}"]
 
     def test_check_infinite_horizon_exits_1_with_one_error(self, cli_files, capsys):
         scen, dem = cli_files

@@ -1,8 +1,9 @@
 import math
 import sys
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridlock import (
@@ -224,14 +225,41 @@ class TestParseScenario:
             parse_scenario(text)
 
 
+# names a scenario file can carry, and ones it cannot: ',' (the priority
+# separator), '#' (a comment), line breaks (str.splitlines also breaks at
+# \x85 and \u2028) and leading or trailing whitespace
+BAD_CLASS_NAMES = ["", "gas#2", "a,b", " gas", "gas\t", "a\nb", "a\rb", "gas\r\n", "a\x85b",
+                   "a\u2028b"]
+class_names = st.one_of(
+    st.text(st.sampled_from("gas2 -[]=\t,#\r\n\x85\u2028"), max_size=5),
+    st.text(max_size=5),
+    st.sampled_from(BAD_CLASS_NAMES),
+)
+
+
+def _generator(name):
+    return GeneratorClass(name, 10.0, 1, t_start=1.0, t_stop=1.0, t_trip=1.0)
+
+
+def _carried_or(name, fallback):
+    """name if GeneratorClass accepts it, else fallback."""
+    try:
+        return _generator(name).name
+    except ValueError:
+        return fallback
+
+
 @st.composite
 def scenarios(draw):
     dur = st.floats(min_value=1e-9, max_value=1e9)
     unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
     n = draw(st.integers(min_value=1, max_value=3))
+    names = [_carried_or(name, f"class{i}") for i, name in enumerate(draw(st.lists(
+        class_names, min_size=n, max_size=n, unique=True)))]
+    assume(len(set(names)) == n)
     classes = tuple(
         GeneratorClass(
-            name=f"class{i}",
+            name=name,
             capacity_mw=draw(st.floats(min_value=0.5, max_value=100.0)),
             count=draw(st.integers(min_value=1, max_value=9)),
             t_start=draw(dur),
@@ -239,7 +267,7 @@ def scenarios(draw):
             t_trip=draw(dur),
             t_recover=draw(st.one_of(st.none(), dur)),
         )
-        for i in range(n)
+        for name in names
     )
     return Scenario(
         classes=classes,
@@ -270,6 +298,30 @@ def test_scenario_round_trip(s):
     assert parse_scenario(text) == s
     durations = [line.split(" = ")[1] for line in text.splitlines() if line.startswith("t_")]
     assert not any("e" in token for token in durations), text
+
+
+@pytest.mark.parametrize("name", BAD_CLASS_NAMES)
+def test_class_name_the_format_cannot_carry_is_rejected(name):
+    with pytest.raises(ValueError, match="class name"):
+        _generator(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_names)
+def test_class_name_is_rejected_or_round_trips(name):
+    try:
+        g = _generator(name)
+    except ValueError:
+        return
+    s = replace(default_scenario(), classes=(g,), controller=Controller((name,), 0.01))
+    assert parse_scenario(format_scenario(s)) == s
+
+
+def test_generator_header_with_comma_names_its_line():
+    text = default_scenario_text().replace("[generator gas]", "[generator gas,x]")
+    with pytest.raises(ScenarioSyntaxError, match="class name 'gas,x'") as e:
+        parse_scenario(text)
+    assert e.value.line == 34
 
 
 def test_reference_round_trip_is_stable():

@@ -78,21 +78,41 @@ def _metrics_from_path(path, label_states, horizon):
     return path.final_state in label_states, label_t / total_t
 
 
-class TestBatchMatchesLoop:
-    @pytest.mark.parametrize("label", ["busy", "all"])
-    def test_bitwise_agreement(self, stiff_loop, label):
-        trials, horizon, master = 400, 30.0, 20260825
-        est = estimate_label_metrics(stiff_loop, label, horizon, trials, master)
+def _assert_batch_matches_loop(chain, label, horizon, trials, master):
+    est = estimate_label_metrics(chain, label, horizon, trials, master)
 
-        states = stiff_loop.label_states(label)
-        flags, occs = [], []
-        for i in range(trials):
-            p = simulate_path(stiff_loop, horizon, derive_trial_seed(master, i))
-            f, o = _metrics_from_path(p, states, horizon)
-            flags.append(f)
-            occs.append(o)
-        assert est.point_probability == sum(flags) / trials
-        assert est.occupancy == float(np.asarray(occs).sum()) / trials
+    states = chain.label_states(label)
+    flags, occs = [], []
+    for i in range(trials):
+        p = simulate_path(chain, horizon, derive_trial_seed(master, i))
+        f, o = _metrics_from_path(p, states, horizon)
+        flags.append(f)
+        occs.append(o)
+    assert est.point_probability == sum(flags) / trials
+    assert est.occupancy == float(np.asarray(occs).sum()) / trials
+
+
+class TestBatchMatchesLoop:
+    # decay absorbs in state 1, so its trials end on an absorbing state
+    @pytest.mark.parametrize(
+        "chain,label",
+        [("stiff_loop", "busy"), ("stiff_loop", "all"), ("decay", "done"), ("decay", "all")],
+        ids=["busy", "all", "decay-done", "decay-all"],
+    )
+    def test_bitwise_agreement(self, request, chain, label):
+        _assert_batch_matches_loop(request.getfixturevalue(chain), label, 30.0, 400, 20260825)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bitwise_agreement_on_random_chains(self, data):
+        # chains with absorbing states, unreachable states and empty labels
+        chain = data.draw(sim_chains())
+        label = data.draw(st.sampled_from(sorted(chain.labels)))
+        # horizons of about 0.5, 5 and 50 jumps keep the one-path loop fast
+        jumps = data.draw(st.sampled_from([0.5, 5.0, 50.0]))
+        horizon = jumps / (float(chain.exit_rates.max()) or 1.0)
+        master = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+        _assert_batch_matches_loop(chain, label, horizon, 100, master)
 
     def test_chunk_boundaries_do_not_matter(self, decay):
         # trials above one chunk; rerun must be identical
@@ -168,7 +188,9 @@ def sim_chains(draw):
         draw(st.floats(min_value=0.01, max_value=100.0, allow_nan=False))
         for _ in chosen
     ]
-    return new_ctmc(n, [(s, t, r) for (s, t), r in zip(chosen, rates)], 0)
+    marked = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return new_ctmc(n, [(s, t, r) for (s, t), r in zip(chosen, rates)], 0,
+                    {"marked": marked, "none": [], "all": range(n)})
 
 
 @settings(max_examples=50, deadline=None)

@@ -309,7 +309,8 @@ class TestStationarityStop:
         c = new_ctmc(n, transitions, 0)
         lam = 1.02 * c.exit_rates.max()
         want = (sp.eye(n) + c.generator_matrix() / lam).T.tocsr()
-        got = solvers._uniformized_transpose(c, lam)
+        got, got_lam = solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)
+        assert got_lam == lam
         assert got.shape == want.shape
         assert np.array_equal(got.toarray(), want.toarray())
 
