@@ -116,12 +116,11 @@ def _cmd_simulate(args) -> int:
     scenario, profile = _load_inputs(args)
     chain = build_grid_ctmc(scenario, profile.mw_by_hour[args.hour],
                             max_states=args.max_states)
-    ests = [estimate_label_metrics(chain, label, args.horizon, args.trials, args.seed)
-            for label in REPORT_LABELS]
+    result = estimate_label_metrics(chain, REPORT_LABELS, args.horizon, args.trials, args.seed)
     print(f"hour {args.hour}: {chain.n_states} states, "
           f"{args.trials} trials, horizon {args.horizon:g} min")
     print("label point_probability point_se occupancy occupancy_se")
-    for est in ests:
+    for est in result.estimates:
         print(
             f"{est.label} {est.point_probability:.9f} {est.point_standard_error:.9f} "
             f"{est.occupancy:.9f} {est.occupancy_standard_error:.9f}"

@@ -118,8 +118,9 @@ def ctmc_from_arrays(
     Duplicate (source, target) pairs are rejected rather than summed, so
     that model-construction bugs surface instead of silently merging.
     """
-    if not 0 <= initial < n_states:
-        raise IndexOutOfRange(f"initial state {initial} not in [0, {n_states})")
+    if not (0 <= initial < n_states and initial == int(initial)):
+        raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
+    initial = int(initial)
     src_in, dst_in = np.asarray(src), np.asarray(dst)
     rates = np.asarray(rates, dtype=float)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+from scipy.special import betaincinv
 
 from .ctmc import Ctmc
 from .errors import GridlockError
@@ -30,6 +31,10 @@ from .sim import derive_trial_seed, estimate_label_metrics
 from .solvers import SolverConfig, label_probability, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
+
+# Family-wise false-alarm rate of the simulation cross-check; it is split
+# by Sidak over every (cell, label) test of a plan.
+SIM_FAMILY_ALPHA = 1e-3
 
 # Desk-scale preset: the reference fleet shrunk to 2 nuclear / 2 hydro /
 # 3 gas units (150 MW).  The demand scale and horizon are calibrated, not
@@ -139,7 +144,7 @@ class SweepError(GridlockError):
 
 
 class SimulationMismatch(GridlockError):
-    """Solver and simulator disagree beyond 3 standard errors."""
+    """A solver value lies outside the exact interval of its simulation."""
 
 
 def make_attack_variants(base: Scenario) -> list[tuple[str, Scenario]]:
@@ -208,6 +213,13 @@ def _solve(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float]:
     return {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
 
 
+def _clopper_pearson(k: int, n: int, alpha: float) -> tuple[float, float]:
+    """Exact two-sided 1 - alpha interval for a proportion seen k times in n."""
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
+    return lo, hi
+
+
 def _finish_cell(
     plan: ExperimentPlan, chain: Ctmc, probs: dict[str, float] | Exception,
     name: str, hour: int, cell_index: int,
@@ -218,22 +230,25 @@ def _finish_cell(
         return probs
     if plan.sim_trials is not None:
         seed = derive_trial_seed(plan.sim_seed, cell_index)
-        for lab in REPORT_LABELS:
-            est = estimate_label_metrics(
-                chain, lab, plan.horizon_minutes, plan.sim_trials, seed
-            )
-            # zero-count guard: with k successes in n trials the plug-in
-            # standard error degenerates at k=0 or k=n, so clamp through
-            # a continuity-corrected proportion
-            n = est.trials
-            k = est.point_probability * n
-            p_tilde = (k + 0.5) / (n + 1.0)
-            se = max(est.point_standard_error, math.sqrt(p_tilde * (1 - p_tilde) / n))
-            if abs(probs[lab] - est.point_probability) > 3.0 * se:
+        sim = estimate_label_metrics(
+            chain, REPORT_LABELS, plan.horizon_minutes, plan.sim_trials, seed
+        )
+        tests = len(plan.variants) * len(plan.hours) * len(REPORT_LABELS)
+        alpha = -math.expm1(math.log1p(-SIM_FAMILY_ALPHA) / tests)
+        # the solver's value is itself known only to within its tolerance,
+        # the total-variation bound of uniformization
+        slack = plan.solver.tolerance
+        n = sim.trials
+        for est in sim.estimates:
+            k = round(est.point_probability * n)
+            lo, hi = _clopper_pearson(k, n, alpha)
+            solved = probs[est.label]
+            if not lo - slack <= solved <= hi + slack:
                 raise SimulationMismatch(
-                    f"{name} hour {hour} label {lab}: solver {probs[lab]:.6g} vs "
-                    f"simulation {est.point_probability:.6g} "
-                    f"(3 SE = {3.0 * se:.3g}, {n} trials)"
+                    f"label {est.label}: solver {solved:.6g} vs simulation "
+                    f"{est.point_probability:.6g} ({k} of {n} paths, Clopper-Pearson "
+                    f"interval [{lo:.6g}, {hi:.6g}] at alpha {alpha:.3g}, "
+                    f"{SIM_FAMILY_ALPHA:g} family-wise over {tests} tests)"
                 )
 
     return ResultRow(

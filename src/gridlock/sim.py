@@ -82,47 +82,80 @@ class _Compiled:
     cum_rates rows hold the running sum of outgoing rates padded with
     +inf; the successor for unit draw v is the first column whose
     cumulative rate exceeds v * E(s), in both the scalar and the
-    vectorized sampler.
+    vectorized sampler.  The rates are scattered into zero-padded rows
+    first: a row's cumsum is a left-to-right accumulation, so the padding
+    after a row's rates leaves their running sums bit for bit unchanged.
     """
 
     def __init__(self, c: Ctmc):
         m = c.rate_matrix
         self.initial = c.initial
         self.exits = c.exit_rates
-        width = max(int(np.diff(m.indptr).max()), 1)
-        self.cum_rates = np.full((c.n_states, width), np.inf)
+        counts = np.diff(m.indptr)
+        width = max(int(counts.max()), 1)
+        rows = np.repeat(np.arange(c.n_states), counts)
+        cols = np.arange(m.nnz) - np.repeat(m.indptr[:-1], counts)
+        padded = np.zeros((c.n_states, width))
+        padded[rows, cols] = m.data
+        self.cum_rates = np.cumsum(padded, axis=1)
+        self.cum_rates[np.arange(width) >= counts[:, None]] = np.inf
         self.targets = np.full((c.n_states, width), -1, dtype=np.int64)
-        for s in range(c.n_states):
-            lo, hi = m.indptr[s], m.indptr[s + 1]
-            self.cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
-            self.targets[s, : hi - lo] = m.indices[lo:hi]
+        self.targets[rows, cols] = m.indices
+
+
+@dataclass(frozen=True)
+class LabelEstimates:
+    """Estimates for several labels, all scored on one set of paths."""
+
+    trials: int
+    seed: int
+    estimates: tuple[LabelEstimate, ...]
 
 
 def estimate_label_metrics(
-    c: Ctmc, label: str, horizon: float, trials: int, seed: int
-) -> LabelEstimate:
-    """Estimate point probability and occupancy of a label by simulation.
+    c: Ctmc, labels: str | tuple[str, ...], horizon: float, trials: int, seed: int
+) -> LabelEstimate | LabelEstimates:
+    """Estimate point probability and occupancy of labels by simulation.
 
     Runs `trials` paths on per-trial streams derived from the master
     seed, vectorized in fixed-size chunks; per-trial results land in
-    index order, so the aggregate never depends on scheduling.
+    index order, so the aggregate never depends on scheduling.  Each path
+    is sampled once and scored against every label, so a label's estimate
+    does not depend on which other labels are asked for.  One label name
+    gives its LabelEstimate; a tuple of names gives LabelEstimates in the
+    order given.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < horizon < math.inf:
         raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
-    in_label = np.zeros(c.n_states, dtype=bool)
-    in_label[np.fromiter(c.label_states(label), dtype=np.int64)] = True
+    names = (labels,) if isinstance(labels, str) else tuple(labels)
+    in_label = np.zeros((len(names), c.n_states), dtype=bool)
+    for row, name in zip(in_label, names):
+        row[np.fromiter(c.label_states(name), dtype=np.int64)] = True
 
     comp = _Compiled(c)
-    at_horizon = np.empty(trials, dtype=bool)
-    occupancy = np.empty(trials, dtype=np.float64)
+    # one row per label, so each label's statistics run over contiguous
+    # memory exactly as they would for that label alone
+    at_horizon = np.empty((len(names), trials), dtype=bool)
+    occupancy = np.empty((len(names), trials), dtype=np.float64)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
         flags, occ = _run_chunk(comp, in_label, horizon, _trial_keys(seed, np.arange(lo, hi)))
-        at_horizon[lo:hi] = flags
-        occupancy[lo:hi] = occ
+        at_horizon[:, lo:hi] = flags
+        occupancy[:, lo:hi] = occ
 
+    seed &= 0xFFFFFFFFFFFFFFFF
+    estimates = tuple(
+        _estimate(name, flags, occ, seed) for name, flags, occ in zip(names, at_horizon, occupancy)
+    )
+    if isinstance(labels, str):
+        return estimates[0]
+    return LabelEstimates(trials, seed, estimates)
+
+
+def _estimate(label: str, at_horizon: np.ndarray, occupancy: np.ndarray, seed: int) -> LabelEstimate:
+    trials = len(at_horizon)
     p = float(at_horizon.sum()) / trials
     point_se = math.sqrt(p * (1.0 - p) / trials)
     occ_mean = float(occupancy.sum()) / trials
@@ -136,7 +169,7 @@ def estimate_label_metrics(
         occupancy=occ_mean,
         occupancy_standard_error=occ_se,
         trials=trials,
-        seed=seed & 0xFFFFFFFFFFFFFFFF,
+        seed=seed,
     )
 
 
@@ -145,16 +178,17 @@ def _run_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All trials of one chunk, advanced one jump per round.
 
-    Per trial this performs exactly the operations of a one-path loop
-    (draw 2j picks the sojourn, draw 2j+1 the successor) in the same order,
-    which is what makes the batch bitwise-comparable to that loop.  A trial
-    in an absorbing state draws an infinite sojourn, so it crosses the
-    horizon like any other.
+    in_label is an (labels, states) mask; the results are (labels, trials)
+    flags at the horizon and occupancies.  Per trial this performs exactly
+    the operations of a one-path loop (draw 2j picks the sojourn, draw
+    2j+1 the successor) in the same order, which is what makes the batch
+    bitwise-comparable to that loop.  A trial in an absorbing state draws
+    an infinite sojourn, so it crosses the horizon like any other.
     """
     m = len(keys)
     state = np.full(m, comp.initial, dtype=np.int64)
     t = np.zeros(m)
-    label_time = np.zeros(m)
+    label_time = np.zeros((len(in_label), m))
     total_time = np.zeros(m)
     alive = np.arange(m)
 
@@ -165,7 +199,7 @@ def _run_chunk(
             end = t[alive] + (-np.log(u)) / comp.exits[state[alive]]
         crossed = end > horizon
         seg = np.where(crossed, horizon, end) - t[alive]
-        label_time[alive] += seg * in_label[state[alive]]
+        label_time[:, alive] += seg * in_label[:, state[alive]]
         total_time[alive] += seg
 
         movers = alive[~crossed]
@@ -178,4 +212,4 @@ def _run_chunk(
         alive = movers
         j += 1
 
-    return in_label[state], label_time / total_time
+    return in_label[:, state], label_time / total_time

@@ -173,7 +173,7 @@ def test_criterion_4_simulation_cross_validation():
             index += 1
             p = label_probability(dist, c, label)
             # half-count guard keeps a zero-count estimate from collapsing
-            # the band to zero width (same rule as the CLI cross-check)
+            # the band to zero width
             k = round(est.point_probability * trials)
             p_tilde = (k + 0.5) / (trials + 1.0)
             se = max(est.point_standard_error,

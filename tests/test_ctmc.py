@@ -78,6 +78,18 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 5)
 
+    @pytest.mark.parametrize("initial", [1.5, 0.25, math.nan, math.inf])
+    def test_rejects_non_integer_initial(self, initial):
+        # a fractional initial state would build and then fail inside the
+        # solvers as a numpy IndexError
+        with pytest.raises(IndexOutOfRange, match="initial state"):
+            new_ctmc(3, [(0, 1, 1.0), (1, 2, 1.0)], initial)
+
+    @pytest.mark.parametrize("initial", [2.0, np.int64(2), np.int32(2)])
+    def test_initial_is_stored_as_int(self, initial):
+        c = new_ctmc(3, [(0, 1, 1.0), (1, 2, 1.0)], initial)
+        assert c.initial == 2 and type(c.initial) is int
+
     def test_rejects_duplicate_transition(self):
         with pytest.raises(DuplicateTransition):
             new_ctmc(2, [(0, 1, 1.0), (0, 1, 2.0)], 0)

@@ -21,6 +21,7 @@ from gridlock.experiments import (
     CellFailure,
     ExperimentPlan,
     ResultRow,
+    SimulationMismatch,
     SweepError,
     desk_demand_profile,
     desk_scenario,
@@ -35,6 +36,7 @@ from gridlock.grid import (
     Controller,
     DemandProcess,
     DemandProfile,
+    EQUILIBRIUM,
     GeneratorClass,
     OVER_SUPPLY,
     Scenario,
@@ -346,6 +348,30 @@ class TestSweep:
         assert failures == []
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shifted_solver_value_is_caught(self, monkeypatch, workers):
+        real = experiments._solve
+
+        def shifted(chain, plan):
+            probs = real(chain, plan)
+            p = probs[EQUILIBRIUM]
+            return dict(probs, **{EQUILIBRIUM: p + (0.05 if p < 0.5 else -0.05)})
+
+        monkeypatch.setattr(experiments, "_solve", shifted)
+        plan = ExperimentPlan(variants=tuple(make_attack_variants(tiny_scenario())),
+                              hours=(18,), sim_trials=20_000, sim_seed=3)
+        failures: list[CellFailure] = []
+        assert run_hourly_sweep(plan, tiny_profile(), failures=failures,
+                                max_workers=workers) == []
+        assert len(failures) == 3
+        for f in failures:
+            assert isinstance(f.error, SimulationMismatch)
+            # the CLI prefixes variant and hour; the message names neither
+            assert str(f.error).startswith("label equilibrium: solver ")
+            assert f.variant not in str(f.error) and "hour" not in str(f.error)
+            # 3 cells x 4 labels share the family-wise alpha
+            assert f"alpha {-math.expm1(math.log1p(-1e-3) / 12):.3g}" in str(f.error)
+
     def test_transient_gets_the_plan_tolerance(self, monkeypatch):
         seen = []
         real = experiments.transient
@@ -523,15 +549,16 @@ class TestSharedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_sharing_cell_simulates_with_its_own_seed(self, monkeypatch, tmp_path, workers):
         seeds = log_calls(monkeypatch, tmp_path, "estimate_label_metrics",
-                          record=lambda chain, label, t, trials, seed: seed)
+                          record=lambda chain, labels, t, trials, seed: seed)
         plan = shared_chain_plan(sim_trials=400, sim_seed=7)
         failures: list[CellFailure] = []
         rows = run_hourly_sweep(plan, tiny_profile(), failures=failures, max_workers=workers)
         assert failures == []
         assert len(rows) == 6
-        # one estimate per label per cell, on the cell's position in the plan
+        # one pass over all four labels per cell, on the cell's position in
+        # the plan
         assert Counter(map(int, seeds())) == Counter(
-            {derive_trial_seed(7, idx): 4 for idx in range(6)}
+            {derive_trial_seed(7, idx): 1 for idx in range(6)}
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -555,6 +582,17 @@ def test_full_sweep_script_rejects_bad_hours(tmp_path, capsys, hours):
     assert exc.value.code == 2
     assert "error: argument --hours: " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 2.6e-6])
+@pytest.mark.parametrize("k,n", [(0, 1), (1, 1), (0, 4000), (3, 4000), (2000, 4000),
+                                 (3999, 4000), (4000, 4000), (17, 20_000)])
+def test_clopper_pearson_matches_the_beta_quantiles(k, n, alpha):
+    from scipy.stats import beta
+
+    lo, hi = experiments._clopper_pearson(k, n, alpha)
+    assert lo == (0.0 if k == 0 else pytest.approx(beta.ppf(alpha / 2, k, n - k + 1), rel=1e-9))
+    assert hi == (1.0 if k == n else pytest.approx(beta.ppf(1 - alpha / 2, k + 1, n - k), rel=1e-9))
 
 
 # Desk transient sweep (desk_scenario, hours 0-23, 10 min) as written by the

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlock import NegativeTime, UnknownLabel, new_ctmc
-from gridlock.sim import derive_trial_seed, estimate_label_metrics
+from gridlock.sim import LabelEstimates, _Compiled, derive_trial_seed, estimate_label_metrics
 from gridlock.solvers import label_probability, transient
 
 from oracles import Path, simulate_path
@@ -119,6 +119,69 @@ class TestBatchMatchesLoop:
         a = estimate_label_metrics(decay, "done", 2.0, 20000, 5)
         b = estimate_label_metrics(decay, "done", 2.0, 20000, 5)
         assert a == b
+
+
+class TestOnePassForManyLabels:
+    def test_tuple_gives_estimates_in_order(self, stiff_loop):
+        res = estimate_label_metrics(stiff_loop, ("all", "busy"), 7.0, 300, seed=9)
+        assert isinstance(res, LabelEstimates)
+        assert (res.trials, res.seed) == (300, 9)
+        assert [e.label for e in res.estimates] == ["all", "busy"]
+
+    def test_unknown_label_in_tuple(self, decay):
+        with pytest.raises(UnknownLabel):
+            estimate_label_metrics(decay, ("done", "nope"), 1.0, 10, seed=0)
+
+    def test_seed_is_reported_modulo_2_64(self, decay):
+        res = estimate_label_metrics(decay, ("done",), 1.0, 10, seed=-1)
+        assert res.seed == res.estimates[0].seed == 2**64 - 1
+
+    def test_chunk_boundaries(self, stiff_loop):
+        # above one chunk, so every label's row is filled chunk by chunk
+        res = estimate_label_metrics(stiff_loop, ("busy", "all"), 3.0, 20_000, seed=5)
+        assert res.estimates == tuple(
+            estimate_label_metrics(stiff_loop, lab, 3.0, 20_000, seed=5) for lab in ("busy", "all")
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_tuple_equals_single_label_calls(self, data):
+        # chains with absorbing states, unreachable states and empty labels;
+        # every subset of the labels, in any order
+        chain = data.draw(sim_chains())
+        names = data.draw(st.permutations(sorted(chain.labels)))
+        subset = tuple(names[: data.draw(st.integers(min_value=1, max_value=len(names)))])
+        jumps = data.draw(st.sampled_from([0.5, 5.0, 50.0]))
+        horizon = jumps / (float(chain.exit_rates.max()) or 1.0)
+        master = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+        res = estimate_label_metrics(chain, subset, horizon, 300, master)
+        assert res.trials == 300
+        assert res.estimates == tuple(
+            estimate_label_metrics(chain, lab, horizon, 300, master) for lab in subset
+        )
+
+
+def _compiled_by_loop(c):
+    """_Compiled's tables built one state at a time."""
+    m = c.rate_matrix
+    width = max(int(np.diff(m.indptr).max()), 1)
+    cum_rates = np.full((c.n_states, width), np.inf)
+    targets = np.full((c.n_states, width), -1, dtype=np.int64)
+    for s in range(c.n_states):
+        lo, hi = m.indptr[s], m.indptr[s + 1]
+        cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
+        targets[s, : hi - lo] = m.indices[lo:hi]
+    return cum_rates, targets
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_compiled_tables_match_a_per_state_loop(data):
+    chain = data.draw(sim_chains())
+    comp = _Compiled(chain)
+    cum_rates, targets = _compiled_by_loop(chain)
+    assert comp.cum_rates.tobytes() == cum_rates.tobytes()
+    assert np.array_equal(comp.targets, targets)
 
 
 class TestEstimates:
