@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .errors import GridlockError, NonConvergence, StateSpaceLimitExceeded
@@ -57,9 +58,6 @@ def _parse_hours(spec: str) -> tuple[int, ...]:
             hours.extend(range(lo, hi + 1))
         else:
             hours.append(int(part))
-    for h in hours:
-        if not 0 <= h <= 23:
-            raise ValueError(f"hour {h} outside 0-23")
     return tuple(hours)
 
 
@@ -83,6 +81,22 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}") from None
 
 
+def _progress_reporter():
+    """A sweep progress callback that prints done/total and an ETA to
+    stderr, or None when stderr is not a terminal."""
+    if not sys.stderr.isatty():
+        return None
+    started = time.perf_counter()
+
+    def report(done, total):
+        elapsed = time.perf_counter() - started
+        eta = elapsed / done * (total - done)
+        print(f"{done}/{total} cells done ({elapsed:.0f} s elapsed, ~{eta:.0f} s left)",
+              file=sys.stderr, flush=True)
+
+    return report
+
+
 def _cmd_check(args) -> int:
     scenario, profile = _load_inputs(args)
     plan = ExperimentPlan(
@@ -96,7 +110,8 @@ def _cmd_check(args) -> int:
         max_states=args.max_states,
     )
     failures = []
-    rows = run_hourly_sweep(plan, profile, failures=failures, max_workers=args.workers)
+    rows = run_hourly_sweep(plan, profile, failures=failures, max_workers=args.workers,
+                            progress=_progress_reporter())
     csv_text = write_results_csv(rows)
     if args.out:
         _write(args.out, csv_text)

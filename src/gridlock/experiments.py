@@ -84,9 +84,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one variant")
         if not self.hours:
             raise ValueError("plan needs at least one hour")
-        for h in self.hours:
+        for i, h in enumerate(self.hours):
             if not 0 <= h <= 23:
                 raise ValueError(f"hour {h} outside 0-23")
+            if h in self.hours[:i]:
+                raise ValueError(f"hour {h} given twice")
         if self.mode not in ("steady", "transient"):
             raise ValueError(f"mode must be steady or transient, got {self.mode!r}")
         if self.mode == "transient" and (tol := self.solver.tolerance) > 1e-3:
@@ -346,6 +348,8 @@ def run_hourly_sweep(
     first failure, in (variant, hour) order, is raised as a SweepError
     naming the cell once every cell ran.
     """
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cells = [(name, scen, hour, profile.mw_by_hour[hour])
              for name, scen in plan.variants for hour in plan.hours]
     rows: list[ResultRow] = []

@@ -163,15 +163,12 @@ def test_criterion_4_simulation_cross_validation():
     trials = 100_000
     within = 0
     cells = []
-    index = 0
-    for hour in (4, 12, 18):
+    for i, hour in enumerate((4, 12, 18)):
         c = build_grid_ctmc(scen, prof.mw_by_hour[hour])
         dist = transient(c, 60.0)
-        for label in REPORT_LABELS:
-            est = estimate_label_metrics(c, label, 60.0, trials,
-                                         derive_trial_seed(11, index))
-            index += 1
-            p = label_probability(dist, c, label)
+        sim = estimate_label_metrics(c, REPORT_LABELS, 60.0, trials, derive_trial_seed(11, i))
+        for est in sim.estimates:
+            p = label_probability(dist, c, est.label)
             # half-count guard keeps a zero-count estimate from collapsing
             # the band to zero width
             k = round(est.point_probability * trials)
@@ -180,7 +177,7 @@ def test_criterion_4_simulation_cross_validation():
                      math.sqrt(p_tilde * (1.0 - p_tilde) / trials))
             hit = abs(p - est.point_probability) <= 3.0 * se
             within += hit
-            cells.append((hour, label, hit))
+            cells.append((hour, est.label, hit))
     elapsed = time.perf_counter() - started
     ok = within >= 11 and elapsed < 120.0
     misses = [(h, lab) for h, lab, hit in cells if not hit]

@@ -1,6 +1,8 @@
 import csv
-import importlib.util
+import io
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -183,6 +185,11 @@ class TestPlanValidation:
     def test_rejects_hour_out_of_range(self):
         with pytest.raises(ValueError):
             ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(24,))
+
+    @pytest.mark.parametrize("hours", [(12, 12), (0, 1, 2, 1)])
+    def test_rejects_repeated_hour(self, hours):
+        with pytest.raises(ValueError, match=f"hour {hours[-1]} given twice"):
+            ExperimentPlan(variants=(("X", tiny_scenario()),), hours=hours)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -395,6 +402,16 @@ class TestSweep:
         pooled = run_hourly_sweep(plan, tiny_profile(), max_workers=2)
         assert write_results_csv(serial) == write_results_csv(pooled)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers_before_building(self, monkeypatch, workers):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a chain")
+
+        monkeypatch.setattr(experiments, "build_grid_ctmc", no_build)
+        plan = ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(12,))
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_program_fault_names_its_cell(self, monkeypatch, workers):
         break_hour_12_attack_rows(monkeypatch)
@@ -571,19 +588,6 @@ class TestSharedChains:
         assert seen == [(done, 9) for done in range(1, 10)]
 
 
-@pytest.mark.parametrize("hours", ["25", "4-x", "12-4", ""])
-def test_full_sweep_script_rejects_bad_hours(tmp_path, capsys, hours):
-    path = Path(__file__).parents[1] / "scripts" / "run_full_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_full_sweep", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--hours", hours, "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "error: argument --hours: " in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("alpha", [1e-3, 2.6e-6])
 @pytest.mark.parametrize("k,n", [(0, 1), (1, 1), (0, 4000), (3, 4000), (2000, 4000),
                                  (3999, 4000), (4000, 4000), (17, 20_000)])
@@ -620,6 +624,25 @@ def test_desk_steady_sweep_matches_golden_bytes():
 # `gridlock simulate` stdout on the desk files at hours 4, 12 and 18 (10 min,
 # 20 000 trials, so each run spans two chunks, seed 1), one run after another.
 GOLDEN_DESK_SIMULATE = Path(__file__).parent / "data" / "desk_simulate.txt"
+
+
+# `gridlock check` on the packaged reference fleet: steady at hours 4, 12
+# and 18 (CSV and gnuplot), and transient at hour 18 (60 min, CSV).
+GOLDEN_FULL = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv,goldens", [
+    (["--mode", "steady", "--hours", "4,12,18"],
+     {"--out": "full_steady_sweep.csv", "--gnuplot": "full_steady_sweep.dat"}),
+    (["--hours", "18"], {"--out": "full_transient_hour18.csv"}),
+], ids=["steady", "transient"])
+def test_full_fleet_check_matches_golden_bytes(tmp_path, argv, goldens):
+    from gridlock.cli import main
+
+    outputs = [arg for flag, name in goldens.items() for arg in (flag, str(tmp_path / name))]
+    assert main(["check", *argv, *outputs]) == 0
+    for name in goldens.values():
+        assert (tmp_path / name).read_bytes() == (GOLDEN_FULL / name).read_bytes(), name
 
 
 def test_desk_simulate_matches_golden_bytes(tmp_path, capsys):
@@ -786,13 +809,46 @@ class TestCli:
         assert code == 1
         assert "line" in capsys.readouterr().err
 
-    def test_bad_hours_exit_1(self, cli_files, capsys):
+    @pytest.mark.parametrize("hours", ["25", "4-x", "12-4", "", "12,12", "0-5,3"])
+    def test_bad_hours_exit_1(self, cli_files, capsys, hours):
         scen, dem = cli_files
         code = self.run(
-            "check", "--scenario", str(scen), "--demand", str(dem), "--hours", "25"
+            "check", "--scenario", str(scen), "--demand", str(dem), "--hours", hours
         )
         assert code == 1
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_1(self, cli_files, capsys, workers):
+        scen, dem = cli_files
+        code = self.run("check", "--scenario", str(scen), "--demand", str(dem),
+                        "--hours", "4", "--workers", workers)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("tty", [True, False])
+    def test_check_progress_only_on_a_terminal(self, cli_files, tmp_path, monkeypatch, tty):
+        class Stderr(io.StringIO):
+            def isatty(self):
+                return tty
+
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        scen, dem = cli_files
+        code = self.run("check", "--scenario", str(scen), "--demand", str(dem),
+                        "--hours", "4,12,18", "--out", str(tmp_path / "r.csv"))
+        assert code == 0
+        if not tty:
+            assert stderr.getvalue() == ""
+            return
+        lines = stderr.getvalue().splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == [f"{d}/9" for d in range(1, 10)]
+        assert all(re.fullmatch(r"\d/9 cells done \(\d+ s elapsed, ~\d+ s left\)", line)
+                   for line in lines)
 
     def test_usage_error_exits_1(self, capsys):
         code = self.run("check", "--scenario")
