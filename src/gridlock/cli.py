@@ -47,17 +47,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_hours(spec: str) -> tuple[int, ...]:
     hours: list[int] = []
     for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty hour entry in {spec!r}")
-        if "-" in part:
-            lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValueError(f"bad hour range {part!r}")
-            hours.extend(range(lo, hi + 1))
-        else:
-            hours.append(int(part))
+        lo_s, dash, hi_s = part.partition("-")
+        try:
+            lo, hi = int(lo_s), int(hi_s if dash else lo_s)
+        except ValueError:
+            raise ValueError(f"--hours: bad entry {part!r} in {spec!r}") from None
+        if lo > hi:
+            raise ValueError(f"--hours: bad hour range {part!r}")
+        hours.extend(range(lo, hi + 1))
     return tuple(hours)
 
 

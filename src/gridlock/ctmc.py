@@ -81,13 +81,6 @@ class Ctmc:
         """Infinitesimal generator Q: off-diagonal R, diagonal -E(s)."""
         return (self.rate_matrix - sp.diags(self.exit_rates)).tocsr()
 
-    def embedded_dtmc(self) -> sp.csr_matrix:
-        """Jump chain: rows of R divided by E(s); absorbing states self-loop."""
-        exits = self.exit_rates
-        jump = sp.csr_matrix((self.data / np.repeat(exits, np.diff(self.indptr)),
-                              self.indices, self.indptr), shape=self.rate_matrix.shape)
-        return (jump + sp.diags((exits == 0.0).astype(float))).tocsr()
-
     def label_states(self, label: str) -> frozenset[int]:
         try:
             return self.labels[label]

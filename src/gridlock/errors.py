@@ -28,7 +28,8 @@ class SelfLoop(GridlockError):
 
 
 class NegativeTime(GridlockError):
-    """A time or horizon that is negative, infinite or NaN."""
+    """A time or horizon that is negative, infinite or NaN, or too long
+    for a finite uniformization window."""
 
 
 # --- solving -------------------------------------------------------------

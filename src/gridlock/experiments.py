@@ -103,7 +103,7 @@ class ExperimentPlan:
             if self.mode != "transient":
                 raise ValueError("simulation cross-check needs transient mode")
         if self.max_states < 1:
-            raise ValueError("max_states must be >= 1")
+            raise ValueError(f"max_states must be >= 1, got {self.max_states}")
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,8 @@ def _pool_outcomes(
     plan: ExperimentPlan, cells: list[_Cell], pool: ProcessPoolExecutor
 ) -> Iterator[tuple[int, _Outcome]]:
     # workers build and key every cell, and each solve job rebuilds its
-    # chain: a built Ctmc does not pickle, as its `describe` is a closure
+    # chain: shipping the built chains through this process instead holds
+    # them all here at once, which triples the sweep's peak memory
     keyed = [pool.submit(_digest_cell, plan, scen, base_mw) for _, scen, _, base_mw in cells]
     groups: dict[bytes, tuple[float, list[int]]] = {}
     for idx, future in enumerate(keyed):

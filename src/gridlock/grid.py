@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import NamedTuple
 
@@ -156,36 +157,14 @@ class DemandProfile:
                 raise ValueError(f"hour {h}: demand must be > 0, got {mw!r}")
 
 
-@dataclass(frozen=True)
-class GridState:
-    """Per-class (available, serving, offline) counts + demand level + botnet."""
+def initial_state(s: Scenario, base_mw: float) -> tuple[int, ...]:
+    """The key of the start state: whole units go serving in priority order
+    until supply covers base_mw, at demand level normal with the botnet off.
 
-    counts: tuple[tuple[int, int, int], ...]
-    demand_level: str
-    botnet_on: bool
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "counts", tuple(tuple(c) for c in self.counts)
-        )
-        if self.demand_level not in DEMAND_LEVELS:
-            raise ValueError(f"unknown demand level {self.demand_level!r}")
-        for triple in self.counts:
-            if len(triple) != 3 or any(c < 0 for c in triple):
-                raise ValueError(f"bad count triple {triple!r}")
-
-    def describe(self, scenario: Scenario) -> str:
-        parts = [
-            f"{g.name}={a}a/{s}s/{o}o"
-            for g, (a, s, o) in zip(scenario.classes, self.counts)
-        ]
-        parts.append(self.demand_level)
-        parts.append("botnet-on" if self.botnet_on else "botnet-off")
-        return " ".join(parts)
-
-
-def initial_state(s: Scenario, base_mw: float) -> GridState:
-    """Whole units go serving in priority order until supply covers base_mw."""
+    A state key is the flat int tuple (a0, s0, o0, a1, s1, o1, ..., level,
+    botnet): each class's available, serving and offline counts in class
+    order, the level's index in DEMAND_LEVELS, and botnet 0 (off) or 1 (on).
+    """
     if base_mw > s.total_capacity_mw:
         raise InsufficientCapacity(
             f"base demand {base_mw} MW exceeds fleet capacity "
@@ -200,25 +179,24 @@ def initial_state(s: Scenario, base_mw: float) -> GridState:
             acc += cls.capacity_mw
         if acc >= base_mw:
             break
-    counts = tuple(
-        (g.count - serving[g.name], serving[g.name], 0) for g in s.classes
+    counts = sum(((g.count - serving[g.name], serving[g.name], 0) for g in s.classes), ())
+    return counts + (DEMAND_LEVELS.index("normal"), 0)
+
+
+def _descriptions(names: tuple[str, ...], keys: list[tuple[int, ...]]) -> tuple[str, ...]:
+    """Each key as text: 'name=Aa/Ss/Oo' per class, the demand level and
+    'botnet-on' or 'botnet-off'."""
+    return tuple(
+        " ".join([*(f"{name}={a}a/{s}s/{o}o"
+                    for name, a, s, o in zip(names, k[0:-2:3], k[1:-2:3], k[2:-2:3])),
+                  DEMAND_LEVELS[k[-2]], "botnet-on" if k[-1] else "botnet-off"])
+        for k in keys
     )
-    return GridState(counts, "normal", False)
-
-
-def _key(g: GridState) -> tuple[int, ...]:
-    """The flat tuple the builder hashes: (a0, s0, o0, a1, ..., level, botnet),
-    counts in class order, the level's index in DEMAND_LEVELS, botnet 0/1."""
-    return sum(g.counts, ()) + (DEMAND_LEVELS.index(g.demand_level), int(g.botnet_on))
-
-
-def _state(key: tuple[int, ...]) -> GridState:
-    counts = tuple(zip(key[0:-2:3], key[1:-2:3], key[2:-2:3]))
-    return GridState(counts, DEMAND_LEVELS[key[-2]], bool(key[-1]))
 
 
 def _rules(s: Scenario, base_mw: float):
-    """The demand, botnet, controller, trip and recovery rules over keys.
+    """The demand, botnet, controller, trip and recovery rules over state
+    keys (laid out in `initial_state`).
 
     Returns step(key) -> (band, [(successor key, rate), ...]) with moves in
     the order demand, botnet, turn-on, turn-off, trips, recovery.  Rates,
@@ -295,8 +273,10 @@ def build_grid_ctmc(
     "blackout" for overDemand states with at least one unit offline.
     State descriptions are built on the first read of `state_meta`.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
     step = _rules(s, base_mw)
-    keys = [_key(initial_state(s, base_mw))]
+    keys = [initial_state(s, base_mw)]
     index = {keys[0]: 0}
     src, dst, rates = array("q"), array("q"), array("d")
     labels: dict[str, list[int]] = {OVER_SUPPLY: [], EQUILIBRIUM: [], OVER_DEMAND: [], BLACKOUT: []}
@@ -320,7 +300,7 @@ def build_grid_ctmc(
             rates.append(rate)
     del index  # freed before the assembly below
     return ctmc_from_arrays(len(keys), *map(np.asarray, (src, dst, rates)), 0, labels,
-                            lambda: tuple(_state(k).describe(s) for k in keys))
+                            partial(_descriptions, tuple(g.name for g in s.classes), keys))
 
 
 class StateSpaceStats(NamedTuple):

@@ -49,10 +49,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BsccPartition:
-    """Bottom strongly connected components and the remaining states."""
+    """Bottom strongly connected components and the remaining states, each
+    an ascending int64 array of state indices."""
 
-    bsccs: tuple[frozenset[int], ...]
-    transient_states: frozenset[int]
+    bsccs: tuple[np.ndarray, ...]
+    transient_states: np.ndarray
 
 
 def bscc_decomposition(c: Ctmc) -> BsccPartition:
@@ -68,11 +69,9 @@ def bscc_decomposition(c: Ctmc) -> BsccPartition:
     members = np.split(
         np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp, minlength=n_comp))[:-1]
     )
-    bsccs = sorted(
-        (frozenset(members[i].tolist()) for i in np.flatnonzero(is_bottom)), key=min
-    )
-    transient = frozenset(np.flatnonzero(~is_bottom[comp]).tolist())
-    return BsccPartition(tuple(bsccs), transient)
+    bottom = np.flatnonzero(is_bottom)
+    bottom = bottom[np.argsort([members[i][0] for i in bottom])]
+    return BsccPartition(tuple(members[i] for i in bottom), np.flatnonzero(~is_bottom[comp]))
 
 
 def absorption_probabilities(
@@ -93,14 +92,17 @@ def absorption_probabilities(
             out[i] = 1.0
             return out
 
-    trans = np.fromiter(sorted(p.transient_states), dtype=np.int64)
+    trans = p.transient_states
     row_of = int(np.searchsorted(trans, c.initial))
-    jump_t = c.embedded_dtmc()[trans]
+    # jump-chain rows R/E of the transient states; each has E > 0, as a
+    # state without exits is a BSCC of its own
+    rows = c.rate_matrix[trans]
+    jump_t = sp.csr_matrix((rows.data / np.repeat(c.exit_rates[trans], np.diff(rows.indptr)),
+                            rows.indices, rows.indptr), shape=rows.shape)
     ptt = jump_t[:, trans].tocsr()
     first_hit = np.zeros((len(trans), k))
     for i, b in enumerate(p.bsccs):
-        cols = np.fromiter(sorted(b), dtype=np.int64)
-        first_hit[:, i] = np.asarray(jump_t[:, cols].sum(axis=1)).ravel()
+        first_hit[:, i] = np.asarray(jump_t[:, b].sum(axis=1)).ravel()
 
     h = np.zeros_like(first_hit)
     for _ in range(cfg.max_iterations):
@@ -123,8 +125,7 @@ def steady_state(c: Ctmc, cfg: SolverConfig | None = None) -> Distribution:
     for w, b in zip(weights, part.bsccs):
         if w == 0.0:
             continue
-        states = np.fromiter(sorted(b), dtype=np.int64)
-        pi[states] = w * _solve_bscc(c, states, cfg)
+        pi[b] = w * _solve_bscc(c, b, cfg)
     pi /= pi.sum()
 
     residual = float(np.abs(c.generator_matrix().T @ pi).max())
@@ -186,13 +187,16 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
         return Distribution(pi0)
 
     pt, lam = _uniformized_transpose(c.rate_matrix, c.exit_rates)
-    mu = lam * t
+    mu = float(lam) * t  # a Python float overflows to inf without a warning
     if mu > 25:
-        lo = int(poisson.ppf(epsilon / 4, mu))
-        hi = int(poisson.ppf(1 - epsilon / 4, mu))
+        lo, hi = poisson.ppf(epsilon / 4, mu), poisson.ppf(1 - epsilon / 4, mu)
     else:
-        lo = 0
-        hi = int(poisson.isf(epsilon / 2, mu))
+        lo, hi = 0, poisson.isf(epsilon / 2, mu)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        # scipy's Poisson quantiles turn NaN from about Lambda*t = 1e12
+        raise NegativeTime(f"t = {t} min gives Lambda*t = {mu:.3g}, too large "
+                           "for a finite Poisson window")
+    lo, hi = int(lo), int(hi)
     weights = poisson.pmf(np.arange(lo, hi + 1), mu)
 
     out, _ = _uniformize(pt, pi0, weights, lo, epsilon)

@@ -6,7 +6,8 @@ dense arrays, good enough for the tiny chains the tests feed it; the grid
 models take their band test from the supply and demand rules written out
 here, not from the builder's.  The one exception is marked: `classify` and
 `enabled_transitions` wrap the builder's rule function so that rule-level
-tests can address it one GridState at a time.
+tests can address it one GridState at a time.  `GridState` is the state
+type of the reference builders and the readable form of a builder key.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from gridlock.ctmc import Ctmc, new_ctmc
 from gridlock.errors import NegativeTime
 from gridlock.grid import (
     BLACKOUT,
+    DEMAND_LEVELS,
     EQUILIBRIUM,
     OVER_DEMAND,
     OVER_SUPPLY,
-    GridState,
     Scenario,
-    _key,
     _rules,
-    _state,
     initial_state,
 )
 from gridlock.sim import _Compiled, _draw, _to_unit
@@ -161,6 +160,48 @@ def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
 # -- grid rules --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class GridState:
+    """Per-class (available, serving, offline) counts + demand level + botnet."""
+
+    counts: tuple[tuple[int, int, int], ...]
+    demand_level: str
+    botnet_on: bool
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "counts", tuple(tuple(c) for c in self.counts)
+        )
+        if self.demand_level not in DEMAND_LEVELS:
+            raise ValueError(f"unknown demand level {self.demand_level!r}")
+        for triple in self.counts:
+            if len(triple) != 3 or any(c < 0 for c in triple):
+                raise ValueError(f"bad count triple {triple!r}")
+
+    @classmethod
+    def of(cls, key: tuple[int, ...]) -> GridState:
+        """The state a builder key (see grid.initial_state) stands for."""
+        counts = tuple(zip(key[0:-2:3], key[1:-2:3], key[2:-2:3]))
+        return cls(counts, DEMAND_LEVELS[key[-2]], bool(key[-1]))
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        return sum(self.counts, ()) + (DEMAND_LEVELS.index(self.demand_level), int(self.botnet_on))
+
+    def describe(self, scenario: Scenario) -> str:
+        parts = [
+            f"{g.name}={a}a/{s}s/{o}o"
+            for g, (a, s, o) in zip(scenario.classes, self.counts)
+        ]
+        parts.append(self.demand_level)
+        parts.append("botnet-on" if self.botnet_on else "botnet-off")
+        return " ".join(parts)
+
+
+def initial_grid_state(s: Scenario, base_mw: float) -> GridState:
+    return GridState.of(initial_state(s, base_mw))
+
+
 def supply(g: GridState, s: Scenario) -> float:
     """Generated power: serving units times their class capacity."""
     return sum(cls.capacity_mw * serv for cls, (_, serv, _) in zip(s.classes, g.counts))
@@ -188,12 +229,12 @@ def _band(g: GridState, s: Scenario, base_mw: float) -> str:
 
 def classify(g: GridState, s: Scenario, base_mw: float) -> str:
     """The band grid._rules gives g."""
-    return _rules(s, base_mw)(_key(g))[0]
+    return _rules(s, base_mw)(g.key)[0]
 
 
 def enabled_transitions(g: GridState, s: Scenario, base_mw: float) -> list[tuple[GridState, float]]:
     """The successors with rates that grid._rules gives g, in rule order."""
-    return [(_state(k), rate) for k, rate in _rules(s, base_mw)(_key(g))[1]]
+    return [(GridState.of(k), rate) for k, rate in _rules(s, base_mw)(g.key)[1]]
 
 
 # -- explicit per-unit grid model ------------------------------------
@@ -269,7 +310,7 @@ def _unit_moves(units, level, botnet_on, s: Scenario, base_mw: float):
 
 
 def per_unit_ctmc(s: Scenario, base_mw: float):
-    g0 = initial_state(s, base_mw)
+    g0 = initial_grid_state(s, base_mw)
     units0 = tuple(
         tuple("S" if i < serv else "A" for i in range(cls.count))
         for cls, (_, serv, _) in zip(s.classes, g0.counts)
@@ -352,7 +393,7 @@ def _grid_moves(g: GridState, s: Scenario, base_mw: float):
 
 
 def grid_state_ctmc(s: Scenario, base_mw: float):
-    start = initial_state(s, base_mw)
+    start = initial_grid_state(s, base_mw)
     index = {start: 0}
     order = [start]
     transitions = []

@@ -151,22 +151,6 @@ class TestGeneratorMatrix:
         assert q[0, 1] == 2.0 and q[1, 0] == 1.0
 
 
-class TestEmbeddedDtmc:
-    def test_rows_are_distributions(self, slow_unit_attacked):
-        p = slow_unit_attacked.embedded_dtmc()
-        assert np.allclose(np.asarray(p.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-
-    def test_race_probabilities(self, slow_unit_attacked):
-        p = slow_unit_attacked.embedded_dtmc().toarray()
-        assert p[1, 0] == pytest.approx(0.50 / 1200.5)
-        assert p[1, 2] == pytest.approx(1200.0 / 1200.5)
-
-    def test_absorbing_state_self_loops(self):
-        c = new_ctmc(2, [(0, 1, 3.0)], 0)
-        p = c.embedded_dtmc().toarray()
-        assert p[1, 1] == 1.0
-
-
 def _row(c, s):
     """Outgoing (target, rate) pairs of state s, read off the CSR arrays."""
     lo, hi = c.indptr[s], c.indptr[s + 1]
@@ -209,13 +193,6 @@ def test_generator_rows_sum_zero(chain):
     rows = np.asarray(chain.generator_matrix().sum(axis=1)).ravel()
     scale = np.maximum(chain.exit_rates, 1.0)
     assert np.all(np.abs(rows) <= 1e-12 * scale)
-
-
-@settings(max_examples=60)
-@given(small_chains())
-def test_embedded_rows_sum_one(chain):
-    rows = np.asarray(chain.embedded_dtmc().sum(axis=1)).ravel()
-    assert np.allclose(rows, 1.0, atol=1e-12)
 
 
 class TestDistribution:

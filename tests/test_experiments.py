@@ -645,6 +645,16 @@ def test_full_fleet_check_matches_golden_bytes(tmp_path, argv, goldens):
         assert (tmp_path / name).read_bytes() == (GOLDEN_FULL / name).read_bytes(), name
 
 
+# `gridlock inspect` stdout on the packaged reference fleet at hours 4 and 18.
+@pytest.mark.parametrize("hour", ["4", "18"])
+def test_full_fleet_inspect_matches_golden_bytes(capsys, hour):
+    from gridlock.cli import main
+
+    assert main(["inspect", "--hour", hour]) == 0
+    golden = GOLDEN_FULL / f"full_inspect_hour{hour}.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_desk_simulate_matches_golden_bytes(tmp_path, capsys):
     from gridlock.cli import main
 
@@ -809,7 +819,15 @@ class TestCli:
         assert code == 1
         assert "line" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hours", ["25", "4-x", "12-4", "", "12,12", "0-5,3"])
+    # each bad --hours value and what its error line must name
+    BAD_HOURS = {
+        "25": "hour 25", "4-x": "--hours: bad entry '4-x'",
+        "12-4": "--hours: bad hour range '12-4'", "": "--hours: bad entry ''",
+        "4,,5": "--hours: bad entry ''", "4-": "--hours: bad entry '4-'",
+        "12,12": "hour 12", "0-5,3": "hour 3",
+    }
+
+    @pytest.mark.parametrize("hours", list(BAD_HOURS))
     def test_bad_hours_exit_1(self, cli_files, capsys, hours):
         scen, dem = cli_files
         code = self.run(
@@ -819,6 +837,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert self.BAD_HOURS[hours] in captured.err
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exit_1(self, cli_files, capsys, workers):
@@ -1025,6 +1044,26 @@ class TestCli:
         )
         assert code == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["check", "--hours", "4"], ["simulate", "--hour", "4"],
+                                         ["inspect"]], ids=["check", "simulate", "inspect"])
+    def test_max_states_below_1_exits_1(self, capsys, command):
+        code = self.run(*command, "--max-states", "0")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: max_states must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("horizon", ["1e300", "1e308"])
+    def test_horizon_too_long_to_uniformize_exits_1(self, capsys, recwarn, horizon):
+        code = self.run("check", "--hours", "4", "--horizon", horizon)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        for line in err:
+            assert re.fullmatch(r"error: [\w-]+ hour 4: t = [^ ]+ min gives Lambda\*t = \S+, "
+                                r"too large for a finite Poisson window", line), line
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_simulate_output_shape(self, cli_files, capsys):
         scen, dem = cli_files

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gridlock.grid import (
     DemandProcess,
     DemandProfile,
     GeneratorClass,
-    GridState,
     Scenario,
     build_grid_ctmc,
     initial_state,
@@ -24,9 +24,11 @@ from gridlock.scenario_io import default_demand_profile, default_scenario
 from gridlock.solvers import label_probability, steady_state, transient
 
 from oracles import (
+    GridState,
     classify,
     effective_demand,
     enabled_transitions,
+    initial_grid_state,
     grid_state_ctmc,
     per_unit_ctmc,
     supply,
@@ -165,14 +167,18 @@ class TestClassify:
 
 
 class TestInitialState:
+    def test_key_layout(self, scen):
+        # per-class (available, serving, offline), then level "normal", botnet off
+        assert initial_state(scen, 300.0) == (0, 4, 0, 0, 5, 0, 2, 4, 0, 1, 0)
+
     def test_greedy_reference(self, scen):
-        g = initial_state(scen, 300.0)
+        g = initial_grid_state(scen, 300.0)
         assert g.counts == ((0, 4, 0), (0, 5, 0), (2, 4, 0))
         assert g.demand_level == "normal" and not g.botnet_on
         assert supply(g, scen) == 300.0
 
     def test_tiny_base_single_unit(self, scen):
-        g = initial_state(scen, 0.001)
+        g = initial_grid_state(scen, 0.001)
         assert g.counts == ((3, 1, 0), (5, 0, 0), (6, 0, 0))
 
     def test_insufficient_capacity(self, scen):
@@ -180,12 +186,12 @@ class TestInitialState:
             initial_state(scen, 321.0)
 
     def test_exact_capacity(self, scen):
-        g = initial_state(scen, 320.0)
+        g = initial_grid_state(scen, 320.0)
         assert supply(g, scen) == 320.0
 
     def test_priority_order_respected(self):
         scen = make_scenario(priority=("gas", "nuclear", "hydro"))
-        g = initial_state(scen, 65.0)
+        g = initial_grid_state(scen, 65.0)
         # gas first: all six gas units, then one nuclear crosses 65
         assert g.counts == ((3, 1, 0), (5, 0, 0), (0, 6, 0))
 
@@ -215,7 +221,7 @@ def _moves_by_kind(g, scen, base):
 
 class TestEnabledTransitions:
     def test_equilibrium_quiet(self, scen):
-        g = initial_state(scen, 300.0)
+        g = initial_grid_state(scen, 300.0)
         kinds = _moves_by_kind(g, scen, 300.0)
         assert len(kinds["demand"]) == 2
         assert len(kinds["botnet"]) == 1
@@ -223,7 +229,7 @@ class TestEnabledTransitions:
 
     def test_equilibrium_quiet_without_botnet(self):
         scen = make_scenario(enabled=False)
-        g = initial_state(scen, 300.0)
+        g = initial_grid_state(scen, 300.0)
         moves = enabled_transitions(g, scen, 300.0)
         assert len(moves) == 2
         assert {m.demand_level for m, _ in moves} == {"low", "high"}
@@ -291,7 +297,7 @@ class TestBuild:
 
     def test_initial_label_matches_classify(self, scen):
         c = build_grid_ctmc(scen, 300.0)
-        band = classify(initial_state(scen, 300.0), scen, 300.0)
+        band = classify(initial_grid_state(scen, 300.0), scen, 300.0)
         assert 0 in c.labels[band]
 
     def test_state_cap(self, scen):
@@ -302,6 +308,10 @@ class TestBuild:
         a = build_grid_ctmc(scen, 250.0)
         b = build_grid_ctmc(scen, 250.0)
         assert a == b
+
+    def test_pickle_round_trip(self, scen):
+        c = build_grid_ctmc(scen, 250.0)
+        assert pickle.loads(pickle.dumps(c)) == c
 
     def test_insufficient_capacity_propagates(self, scen):
         with pytest.raises(InsufficientCapacity):
@@ -317,7 +327,7 @@ class TestStats:
         from collections import deque
 
         c = build_grid_ctmc(scen, 280.0)
-        start = initial_state(scen, 280.0)
+        start = initial_grid_state(scen, 280.0)
         seen = {start}
         queue = deque([start])
         n_trans = 0
@@ -370,7 +380,7 @@ class TestNoAttackBlackout:
 def _exclusivity_violations(scen, base):
     from collections import deque
 
-    start = initial_state(scen, base)
+    start = initial_grid_state(scen, base)
     seen = {start}
     queue = deque([start])
     bad = 0

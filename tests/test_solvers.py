@@ -50,21 +50,24 @@ class TestSolverConfig:
             SolverConfig(max_iterations=0)
 
 
+def _lists(p):
+    """The partition as lists, after checking it holds ascending int64 arrays."""
+    for a in (*p.bsccs, p.transient_states):
+        assert a.dtype == np.int64 and (np.diff(a) > 0).all()
+    return [b.tolist() for b in p.bsccs], p.transient_states.tolist()
+
+
 class TestBsccDecomposition:
     def test_cycle_is_one_bscc(self, cycle):
-        p = bscc_decomposition(cycle)
-        assert p.bsccs == (frozenset({0, 1}),)
-        assert p.transient_states == frozenset()
+        assert _lists(bscc_decomposition(cycle)) == ([[0, 1]], [])
 
     def test_absorbing_target(self):
         p = bscc_decomposition(new_ctmc(2, [(0, 1, 1.0)], 0))
-        assert p.bsccs == (frozenset({1}),)
-        assert p.transient_states == frozenset({0})
+        assert _lists(p) == ([[1]], [0])
 
     def test_two_absorbing_targets(self):
         p = bscc_decomposition(new_ctmc(3, [(0, 1, 1.0), (0, 2, 3.0)], 0))
-        assert p.bsccs == (frozenset({1}), frozenset({2}))
-        assert p.transient_states == frozenset({0})
+        assert _lists(p) == ([[1], [2]], [0])
 
     def test_ordering_by_smallest_member(self):
         # two 2-state cycles fed from a common source
@@ -73,12 +76,10 @@ class TestBsccDecomposition:
             [(0, 3, 1.0), (0, 1, 1.0), (3, 4, 1.0), (4, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
             0,
         )
-        p = bscc_decomposition(c)
-        assert p.bsccs == (frozenset({1, 2}), frozenset({3, 4}))
+        assert _lists(bscc_decomposition(c)) == ([[1, 2], [3, 4]], [0])
 
     def test_unreachable_state_with_exit_is_transient(self, slow_unit_idle):
-        p = bscc_decomposition(slow_unit_idle)
-        assert p.transient_states == frozenset({2})
+        assert _lists(bscc_decomposition(slow_unit_idle))[1] == [2]
 
 
 class TestAbsorptionProbabilities:
@@ -439,12 +440,9 @@ def test_bscc_partition_matches_per_state_grouping(chain):
     for s in range(chain.n_states):
         members[comp[s]].add(s)
     leaves = {comp[s] for (s, d) in chain.transitions if comp[s] != comp[d]}
-    part = bscc_decomposition(chain)
-    assert part.bsccs == tuple(
-        sorted((frozenset(m) for i, m in enumerate(members) if i not in leaves), key=min)
-    )
-    assert part.transient_states == frozenset().union(
-        *(m for i, m in enumerate(members) if i in leaves)
+    assert _lists(bscc_decomposition(chain)) == (
+        sorted(sorted(m) for i, m in enumerate(members) if i not in leaves),
+        sorted(set().union(*(m for i, m in enumerate(members) if i in leaves))),
     )
 
 
