@@ -96,19 +96,24 @@ def _progress_reporter():
 
 def _cmd_check(args) -> int:
     scenario, profile = _load_inputs(args)
-    plan = ExperimentPlan(
-        variants=tuple(make_attack_variants(scenario)),
-        hours=_parse_hours(args.hours),
-        mode=args.mode,
-        horizon_minutes=args.horizon,
-        solver=SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations),
-        sim_trials=args.sim_trials,
-        sim_seed=args.sim_seed,
-        max_states=args.max_states,
-    )
-    failures = []
-    rows = run_hourly_sweep(plan, profile, failures=failures, max_workers=args.workers,
-                            progress=_progress_reporter())
+    try:
+        plan = ExperimentPlan(
+            variants=tuple(make_attack_variants(scenario)),
+            hours=_parse_hours(args.hours),
+            mode=args.mode,
+            horizon_minutes=args.horizon,
+            solver=SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iterations),
+            sim_trials=args.sim_trials,
+            sim_seed=args.sim_seed,
+            max_states=args.max_states,
+        )
+    except ValueError as e:
+        # the plan's hour rules (0-23, no repeats) word their errors "hour H ..."
+        if str(e).startswith("hour "):
+            raise ValueError(f"--hours: {e}") from None
+        raise
+    rows, failures = run_hourly_sweep(plan, profile, max_workers=args.workers,
+                                      progress=_progress_reporter())
     csv_text = write_results_csv(rows)
     if args.out:
         _write(args.out, csv_text)
@@ -116,12 +121,9 @@ def _cmd_check(args) -> int:
         sys.stdout.write(csv_text)
     if args.gnuplot:
         _write(args.gnuplot, format_gnuplot(rows))
-    if failures:
-        for f in failures:
-            kind = "" if isinstance(f.error, GridlockError) else f"{type(f.error).__name__}: "
-            print(f"error: {f.variant} hour {f.hour}: {kind}{f.error}", file=sys.stderr)
-        return max(_exit_code(f.error) for f in failures)
-    return 0
+    for f in failures:
+        print(f"error: {f}", file=sys.stderr)
+    return max((_exit_code(f.error) for f in failures), default=0)
 
 
 def _cmd_simulate(args) -> int:
@@ -187,18 +189,18 @@ def _build_parser() -> _Parser:
                             "iterations per BSCC")
     check.add_argument("--out", help="results CSV path (default stdout)")
     check.add_argument("--gnuplot", help="also write a gnuplot data file")
-    check.add_argument("--workers", type=int, default=1)
+    check.add_argument("--workers", type=int, default=1, help="worker processes, one per cell at most")
     check.add_argument("--sim-trials", type=int, default=None,
                        help="cross-check each cell against this many simulated trials")
-    check.add_argument("--sim-seed", type=int, default=0)
+    check.add_argument("--sim-seed", type=int, default=0, help="seed of the per-cell simulation seeds")
     check.set_defaults(func=_cmd_check)
 
     sim = sub.add_parser("simulate", help="Monte Carlo estimates at one hour")
     add_common(sim)
     sim.add_argument("--hour", type=int, required=True, choices=range(24), metavar="H")
-    sim.add_argument("--trials", type=int, default=10_000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--horizon", type=float, default=60.0)
+    sim.add_argument("--trials", type=int, default=10_000, help="simulated paths")
+    sim.add_argument("--seed", type=int, default=0, help="random seed")
+    sim.add_argument("--horizon", type=float, default=60.0, help="path length, minutes")
     sim.set_defaults(func=_cmd_simulate)
 
     ins = sub.add_parser("inspect", help="state-space statistics at one hour")

@@ -84,6 +84,9 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one variant")
         if not self.hours:
             raise ValueError("plan needs at least one hour")
+        names = [name for name, _ in self.variants]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variant names in {names}")
         for i, h in enumerate(self.hours):
             if not 0 <= h <= 23:
                 raise ValueError(f"hour {h} outside 0-23")
@@ -129,20 +132,16 @@ class ResultRow:
 
 class CellFailure(NamedTuple):
     """A cell that raised; any error other than a GridlockError is a fault
-    in the program, kept with its traceback and mapped to exit code 1."""
+    in the program, kept with its traceback, mapped to exit code 1 and
+    named by its type in the failure's text."""
 
     variant: str
     hour: int
     error: Exception
 
-
-class SweepError(GridlockError):
-    """A sweep cell failed and no failure collector was supplied."""
-
-    def __init__(self, variant: str, hour: int, error: Exception):
-        super().__init__(f"{variant} hour {hour}: {error}")
-        self.variant = variant
-        self.hour = hour
+    def __str__(self):
+        kind = "" if isinstance(self.error, GridlockError) else f"{type(self.error).__name__}: "
+        return f"{self.variant} hour {self.hour}: {kind}{self.error}"
 
 
 class SimulationMismatch(GridlockError):
@@ -153,11 +152,11 @@ def make_attack_variants(base: Scenario) -> list[tuple[str, Scenario]]:
     """NO-ATTACK plus one botnet-enabled variant per class, that class first.
 
     Variant tags use class initials when unambiguous (nuclear -> ATTACK-N),
-    full upper-case names otherwise.
+    else full upper-case names when those are, else the names as written.
     """
     names = [g.name for g in base.classes]
-    initials = [n[:1].upper() for n in names]
-    tags = initials if len(set(initials)) == len(names) else [n.upper() for n in names]
+    tags = next((t for t in ([n[:1].upper() for n in names], [n.upper() for n in names])
+                 if len(set(t)) == len(names)), names)
 
     variants = [
         ("NO-ATTACK", replace(base, botnet=replace(base.botnet, enabled=False)))
@@ -336,44 +335,37 @@ def _pool_outcomes(
 def run_hourly_sweep(
     plan: ExperimentPlan,
     profile: DemandProfile,
-    failures: list[CellFailure] | None = None,
     max_workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
-) -> list[ResultRow]:
-    """Solve every (variant, hour) cell; rows come back sorted.
-
-    Cells whose chains are bit-identical share one solve; each still gets
-    its own row, simulation seed and failure.  `progress(done, total)` is
-    called after each finished cell.  A failing cell, whatever it raised,
-    is appended to `failures` when a collector is given; otherwise the
-    first failure, in (variant, hour) order, is raised as a SweepError
-    naming the cell once every cell ran.
+) -> tuple[list[ResultRow], list[CellFailure]]:
+    """Solve every (variant, hour) cell; return (rows, failures), sorted by
+    (scenario, hour) and by (variant, hour).  A cell that raised, whatever
+    it raised, is a failure.  Cells whose chains are bit-identical share one
+    solve; each still gets its own row, simulation seed and failure.
+    `progress(done, total)` is called after each finished cell.  The pool
+    gets at most one worker per cell; with one worker, cells run here.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cells = [(name, scen, hour, profile.mw_by_hour[hour])
              for name, scen in plan.variants for hour in plan.hours]
+    workers = min(max_workers, len(cells))
     rows: list[ResultRow] = []
-    problems: list[CellFailure] = []
-    with ProcessPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
+    failures: list[CellFailure] = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         outcomes = (_serial_outcomes(plan, cells) if pool is None
                     else _pool_outcomes(plan, cells, pool))
         for done, (idx, outcome) in enumerate(outcomes, start=1):
             name, _, hour, _ = cells[idx]
             if isinstance(outcome, Exception):
-                problems.append(CellFailure(name, hour, outcome))
+                failures.append(CellFailure(name, hour, outcome))
             else:
                 rows.append(outcome)
             if progress is not None:
                 progress(done, len(cells))
 
-    problems.sort(key=lambda f: (f.variant, f.hour))
-    if problems and failures is None:
-        first = problems[0]
-        raise SweepError(first.variant, first.hour, first.error) from first.error
-    if failures is not None:
-        failures.extend(problems)
-    return sorted(rows, key=lambda r: (r.scenario, r.hour))
+    return (sorted(rows, key=lambda r: (r.scenario, r.hour)),
+            sorted(failures, key=lambda f: (f.variant, f.hour)))
 
 
 def format_gnuplot(rows: list[ResultRow]) -> str:

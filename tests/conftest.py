@@ -19,5 +19,6 @@ def desk_transient_sweep():
     started = time.perf_counter()
     plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
                           horizon_minutes=DESK_HORIZON_MINUTES)
-    rows = run_hourly_sweep(plan, desk_demand_profile())
+    rows, failures = run_hourly_sweep(plan, desk_demand_profile())
+    assert failures == []
     return rows, time.perf_counter() - started

@@ -20,11 +20,9 @@ from gridlock.experiments import (
     DESK_COUNTS,
     DESK_DEMAND_SCALE,
     DESK_HORIZON_MINUTES,
-    CellFailure,
     ExperimentPlan,
     ResultRow,
     SimulationMismatch,
-    SweepError,
     desk_demand_profile,
     desk_scenario,
     format_gnuplot,
@@ -74,6 +72,13 @@ def tiny_profile():
     return DemandProfile(tuple(30.0 + 2.0 * h for h in range(24)))
 
 
+def sweep_rows(plan, profile, **kw):
+    """The sweep's rows, for a plan none of whose cells may fail."""
+    rows, failures = run_hourly_sweep(plan, profile, **kw)
+    assert failures == []
+    return rows
+
+
 def break_hour_12_attack_rows(monkeypatch):
     """Make ResultRow raise ValueError on the 6-state attack chains of the
     tiny sweep (hour 12).  Forked pool workers inherit the patch."""
@@ -115,17 +120,19 @@ class TestMakeAttackVariants:
 
     def test_initial_collision_falls_back_to_full_names(self):
         base = tiny_scenario()
-        collided = Scenario(
-            classes=(
-                GeneratorClass("coal", 50.0, 1, 2.0, 2.0, 1.0, 5.0),
-                GeneratorClass("cogen", 30.0, 1, 1.0, 1.0, 1.0, 5.0),
-            ),
-            demand=base.demand,
-            botnet=base.botnet,
-            controller=Controller(("coal", "cogen"), 0.01),
-        )
-        names = [name for name, _ in make_attack_variants(collided)]
-        assert names == ["NO-ATTACK", "ATTACK-COAL", "ATTACK-COGEN"]
+        for classes, tags in [
+            (("coal", "cogen"), ["COAL", "COGEN"]),
+            # upper-cased names collide too: the names as written
+            (("GAS", "hydro", "gas"), ["GAS", "hydro", "gas"]),
+        ]:
+            collided = Scenario(
+                classes=tuple(GeneratorClass(n, 50.0, 1, 2.0, 2.0, 1.0, 5.0) for n in classes),
+                demand=base.demand,
+                botnet=base.botnet,
+                controller=Controller(classes, 0.01),
+            )
+            names = [name for name, _ in make_attack_variants(collided)]
+            assert names == ["NO-ATTACK"] + [f"ATTACK-{t}" for t in tags]
 
     def test_base_scenario_not_mutated(self):
         base = tiny_scenario()
@@ -181,6 +188,10 @@ class TestPlanValidation:
     def test_rejects_empty_hours(self):
         with pytest.raises(ValueError):
             ExperimentPlan(variants=(("X", tiny_scenario()),), hours=())
+
+    def test_rejects_repeated_variant_name(self):
+        with pytest.raises(ValueError, match="duplicate variant names in"):
+            ExperimentPlan(variants=(("X", tiny_scenario()), ("X", tiny_scenario(False))))
 
     def test_rejects_hour_out_of_range(self):
         with pytest.raises(ValueError):
@@ -244,7 +255,7 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(18, 4)
         )
-        rows = run_hourly_sweep(plan, tiny_profile())
+        rows = sweep_rows(plan, tiny_profile())
         assert len(rows) == 6
         assert [(r.scenario, r.hour) for r in rows] == [
             ("ATTACK-C", 4),
@@ -259,7 +270,7 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(12,)
         )
-        rows = run_hourly_sweep(plan, tiny_profile())
+        rows = sweep_rows(plan, tiny_profile())
         for r in rows:
             if r.scenario == "NO-ATTACK":
                 assert r.p_blackout == 0.0
@@ -268,7 +279,7 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(4, 18)
         )
-        for r in run_hourly_sweep(plan, tiny_profile()):
+        for r in sweep_rows(plan, tiny_profile()):
             total = r.p_over_supply + r.p_equilibrium + r.p_over_demand
             assert abs(total - 1.0) < 1e-9
             assert r.p_blackout <= r.p_over_demand + 1e-12
@@ -281,7 +292,7 @@ class TestSweep:
             hours=(12,),
             mode="steady",
         )
-        rows = run_hourly_sweep(plan, tiny_profile())
+        rows = sweep_rows(plan, tiny_profile())
         assert all(r.mode == "steady" for r in rows)
         for r in rows:
             assert abs(r.p_over_supply + r.p_equilibrium + r.p_over_demand - 1.0) < 1e-9
@@ -290,8 +301,8 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(4, 18)
         )
-        first = run_hourly_sweep(plan, tiny_profile())
-        second = run_hourly_sweep(plan, tiny_profile())
+        first = sweep_rows(plan, tiny_profile())
+        second = sweep_rows(plan, tiny_profile())
         assert write_results_csv(first) == write_results_csv(second)
         for a, b in zip(first, second):
             assert a.p_blackout == b.p_blackout
@@ -304,8 +315,7 @@ class TestSweep:
             mode="steady",
             solver=SolverConfig(max_iterations=2),
         )
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(plan, tiny_profile(), failures=failures)
+        rows, failures = run_hourly_sweep(plan, tiny_profile())
         assert rows == []
         assert [(f.variant, f.hour) for f in failures] == [
             ("ATTACK-C", 4),
@@ -317,19 +327,6 @@ class TestSweep:
         ]
         assert all(isinstance(f.error, NonConvergence) for f in failures)
 
-    def test_sweep_error_without_collector(self):
-        plan = ExperimentPlan(
-            variants=tuple(make_attack_variants(tiny_scenario())),
-            hours=(4,),
-            mode="steady",
-            solver=SolverConfig(max_iterations=2),
-        )
-        with pytest.raises(SweepError) as exc:
-            run_hourly_sweep(plan, tiny_profile())
-        assert exc.value.variant == "ATTACK-C"
-        assert exc.value.hour == 4
-        assert isinstance(exc.value.__cause__, NonConvergence)
-
     def test_partial_failure_keeps_good_rows(self):
         variants = tuple(make_attack_variants(tiny_scenario()))
         profile = tiny_profile()
@@ -337,8 +334,7 @@ class TestSweep:
         big = build_grid_ctmc(dict(variants)["ATTACK-C"], profile.mw_by_hour[12])
         assert small.n_states < big.n_states
         plan = ExperimentPlan(variants=variants, hours=(12,), max_states=small.n_states)
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(plan, profile, failures=failures)
+        rows, failures = run_hourly_sweep(plan, profile)
         assert [r.scenario for r in rows] == ["NO-ATTACK"]
         assert sorted(f.variant for f in failures) == ["ATTACK-C", "ATTACK-W"]
         assert all(isinstance(f.error, StateSpaceLimitExceeded) for f in failures)
@@ -350,8 +346,7 @@ class TestSweep:
             sim_trials=400,
             sim_seed=7,
         )
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(plan, tiny_profile(), failures=failures)
+        rows, failures = run_hourly_sweep(plan, tiny_profile())
         assert failures == []
         assert len(rows) == 3
 
@@ -367,9 +362,8 @@ class TestSweep:
         monkeypatch.setattr(experiments, "_solve", shifted)
         plan = ExperimentPlan(variants=tuple(make_attack_variants(tiny_scenario())),
                               hours=(18,), sim_trials=20_000, sim_seed=3)
-        failures: list[CellFailure] = []
-        assert run_hourly_sweep(plan, tiny_profile(), failures=failures,
-                                max_workers=workers) == []
+        rows, failures = run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
+        assert rows == []
         assert len(failures) == 3
         for f in failures:
             assert isinstance(f.error, SimulationMismatch)
@@ -391,16 +385,31 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
         )
-        run_hourly_sweep(plan, tiny_profile())
+        sweep_rows(plan, tiny_profile())
         assert seen == [1e-6, 1e-6]
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(4, 18)
         )
-        serial = run_hourly_sweep(plan, tiny_profile(), max_workers=1)
-        pooled = run_hourly_sweep(plan, tiny_profile(), max_workers=2)
+        serial = sweep_rows(plan, tiny_profile(), max_workers=1)
+        pooled = sweep_rows(plan, tiny_profile(), max_workers=2)
         assert write_results_csv(serial) == write_results_csv(pooled)
+
+    @pytest.mark.parametrize("hours,workers,pools", [((4, 12), 64, [2]), ((4,), 8, [])])
+    def test_no_more_pool_workers_than_cells(self, monkeypatch, hours, workers, pools):
+        seen = []
+        real = experiments.ProcessPoolExecutor
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            # start two at most, whatever the sweep asks for
+            return real(min(max_workers, 2))
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", spy)
+        plan = ExperimentPlan(variants=(("X", tiny_scenario()),), hours=hours)
+        assert len(sweep_rows(plan, tiny_profile(), max_workers=workers)) == len(hours)
+        assert seen == pools
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_nonpositive_workers_before_building(self, monkeypatch, workers):
@@ -418,10 +427,7 @@ class TestSweep:
         plan = ExperimentPlan(
             variants=tuple(make_attack_variants(tiny_scenario())), hours=(4, 12)
         )
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(
-            plan, tiny_profile(), failures=failures, max_workers=workers
-        )
+        rows, failures = run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
         assert [(f.variant, f.hour) for f in failures] == [
             ("ATTACK-C", 12),
             ("ATTACK-W", 12),
@@ -433,16 +439,6 @@ class TestSweep:
             ("NO-ATTACK", 4),
             ("NO-ATTACK", 12),
         ]
-
-    def test_program_fault_without_collector(self, monkeypatch):
-        break_hour_12_attack_rows(monkeypatch)
-        plan = ExperimentPlan(
-            variants=tuple(make_attack_variants(tiny_scenario())), hours=(12,)
-        )
-        with pytest.raises(SweepError) as exc:
-            run_hourly_sweep(plan, tiny_profile())
-        assert (exc.value.variant, exc.value.hour) == ("ATTACK-C", 12)
-        assert isinstance(exc.value.__cause__, ValueError)
 
 
 def shared_chain_plan(**kw):
@@ -497,9 +493,7 @@ def fail_every_job(*_):
 class TestSharedChains:
     def test_lost_pool_job_fails_every_sharing_cell(self, monkeypatch):
         monkeypatch.setattr(experiments, "_solve_shared", fail_every_job)
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), failures=failures,
-                                max_workers=2)
+        rows, failures = run_hourly_sweep(shared_chain_plan(), tiny_profile(), max_workers=2)
         assert rows == []
         assert [(f.variant, f.hour) for f in failures] == [
             (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
@@ -516,7 +510,7 @@ class TestSharedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_transient_for_six_cells(self, monkeypatch, tmp_path, workers):
         calls = log_calls(monkeypatch, tmp_path, "transient")
-        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), max_workers=workers)
+        rows = sweep_rows(shared_chain_plan(), tiny_profile(), max_workers=workers)
         assert len(calls()) == 1
         assert [(r.scenario, r.hour) for r in rows] == [
             (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
@@ -537,11 +531,11 @@ class TestSharedChains:
         with monkeypatch.context() as m:
             m.setattr(experiments, "_chain_key", lambda chain: object())
             solves = log_calls(m, every, "steady_state")
-            reference = run_hourly_sweep(plan, profile)
+            reference = sweep_rows(plan, profile)
         assert len(solves()) == 4
 
         calls = log_calls(monkeypatch, tmp_path, "steady_state")
-        rows = run_hourly_sweep(plan, profile, max_workers=workers)
+        rows = sweep_rows(plan, profile, max_workers=workers)
         assert len(calls()) == 3
         assert rows == reference
         by_name = {r.scenario: r for r in rows}
@@ -553,9 +547,8 @@ class TestSharedChains:
             raise NonConvergence("uniformization diverged")
 
         monkeypatch.setattr(experiments, "transient", diverge)
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(shared_chain_plan(), tiny_profile(), failures=failures,
-                                max_workers=workers)
+        rows, failures = run_hourly_sweep(shared_chain_plan(), tiny_profile(),
+                                          max_workers=workers)
         assert rows == []
         assert [(f.variant, f.hour) for f in failures] == [
             (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
@@ -568,8 +561,7 @@ class TestSharedChains:
         seeds = log_calls(monkeypatch, tmp_path, "estimate_label_metrics",
                           record=lambda chain, labels, t, trials, seed: seed)
         plan = shared_chain_plan(sim_trials=400, sim_seed=7)
-        failures: list[CellFailure] = []
-        rows = run_hourly_sweep(plan, tiny_profile(), failures=failures, max_workers=workers)
+        rows, failures = run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
         assert failures == []
         assert len(rows) == 6
         # one pass over all four labels per cell, on the cell's position in
@@ -583,8 +575,8 @@ class TestSharedChains:
         seen = []
         plan = ExperimentPlan(variants=tuple(make_attack_variants(tiny_scenario())),
                               hours=(12, 13, 14))
-        run_hourly_sweep(plan, tiny_profile(), max_workers=workers,
-                         progress=lambda done, total: seen.append((done, total)))
+        sweep_rows(plan, tiny_profile(), max_workers=workers,
+                   progress=lambda done, total: seen.append((done, total)))
         assert seen == [(done, 9) for done in range(1, 10)]
 
 
@@ -617,7 +609,7 @@ def test_desk_steady_sweep_matches_golden_bytes():
     plan = ExperimentPlan(
         variants=tuple(make_attack_variants(desk_scenario())), mode="steady"
     )
-    rows = run_hourly_sweep(plan, desk_demand_profile())
+    rows = sweep_rows(plan, desk_demand_profile())
     assert write_results_csv(rows).encode() == GOLDEN_DESK_STEADY_CSV.read_bytes()
 
 
@@ -631,18 +623,38 @@ GOLDEN_DESK_SIMULATE = Path(__file__).parent / "data" / "desk_simulate.txt"
 GOLDEN_FULL = Path(__file__).parent / "data"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("argv,goldens", [
     (["--mode", "steady", "--hours", "4,12,18"],
      {"--out": "full_steady_sweep.csv", "--gnuplot": "full_steady_sweep.dat"}),
     (["--hours", "18"], {"--out": "full_transient_hour18.csv"}),
 ], ids=["steady", "transient"])
-def test_full_fleet_check_matches_golden_bytes(tmp_path, argv, goldens):
+def test_full_fleet_check_matches_golden_bytes(tmp_path, argv, goldens, workers):
     from gridlock.cli import main
 
     outputs = [arg for flag, name in goldens.items() for arg in (flag, str(tmp_path / name))]
-    assert main(["check", *argv, *outputs]) == 0
+    assert main(["check", *argv, *outputs, "--workers", workers]) == 0
     for name in goldens.values():
         assert (tmp_path / name).read_bytes() == (GOLDEN_FULL / name).read_bytes(), name
+
+
+def test_desk_script_names_every_failed_cell_and_exits_1(tmp_path, monkeypatch, capsys):
+    import runpy
+
+    def diverge(*_):
+        raise NonConvergence("uniformization diverged")
+
+    monkeypatch.setattr(experiments, "_solve", diverge)
+    script = Path(__file__).parents[1] / "scripts" / "run_desk_sweep.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 96
+    assert all(re.fullmatch(r"error: (NO-ATTACK|ATTACK-[NHG]) hour \d+: uniformization diverged",
+                            line) for line in err)
+    assert not (tmp_path / "out").exists()
 
 
 # `gridlock inspect` stdout on the packaged reference fleet at hours 4 and 18.
@@ -821,10 +833,10 @@ class TestCli:
 
     # each bad --hours value and what its error line must name
     BAD_HOURS = {
-        "25": "hour 25", "4-x": "--hours: bad entry '4-x'",
+        "25": "--hours: hour 25 outside 0-23", "4-x": "--hours: bad entry '4-x'",
         "12-4": "--hours: bad hour range '12-4'", "": "--hours: bad entry ''",
         "4,,5": "--hours: bad entry ''", "4-": "--hours: bad entry '4-'",
-        "12,12": "hour 12", "0-5,3": "hour 3",
+        "12,12": "--hours: hour 12 given twice", "0-5,3": "--hours: hour 3 given twice",
     }
 
     @pytest.mark.parametrize("hours", list(BAD_HOURS))
