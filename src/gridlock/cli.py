@@ -54,7 +54,8 @@ def _parse_hours(spec: str) -> tuple[int, ...]:
             raise ValueError(f"--hours: bad entry {part!r} in {spec!r}") from None
         if lo > hi:
             raise ValueError(f"--hours: bad hour range {part!r}")
-        hours.extend(range(lo, hi + 1))
+        # any 25 hours in a row hold one past 23, where the plan's checks stop
+        hours.extend(range(lo, min(hi, lo + 24) + 1))
     return tuple(hours)
 
 

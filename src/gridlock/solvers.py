@@ -3,8 +3,8 @@
 Steady state on a reducible chain is defined as the absorption-weighted
 mixture of the stationary distributions of its bottom strongly connected
 components; transient states carry probability 0.  The weights come from
-sweeps of the embedded jump chain and each component is solved by power
-iteration on its uniformized matrix.  Transient analysis
+sweeps of the embedded jump chain (none for one component) and each is
+solved by power iteration on its uniformized matrix.  Transient analysis
 uses uniformization with two-sided Poisson truncation and stops early
 once the iterate is provably stationary.
 """
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import poisson
 
@@ -26,8 +27,8 @@ from .errors import IndexOutOfRange, NegativeTime, NonConvergence
 # uniformized matrix has positive diagonal everywhere (aperiodicity).
 _UNIF_SLACK = 1.02
 
-# Steps between stationarity tests in the uniformization loop; a test
-# costs about one SpMV's worth of vector work.
+# Steps between stationarity tests in the uniformization and power
+# loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
 
 
@@ -83,9 +84,12 @@ def absorption_probabilities(
     transient states.  After j sweeps the accumulator holds the exact
     probability of absorption within j jumps, so the shortfall of its row
     sum from 1 bounds the remaining error and drives the stopping rule.
+    With one BSCC the answer is exactly 1 and no sweep runs.
     """
     cfg = cfg or SolverConfig()
     k = len(p.bsccs)
+    if k == 1:
+        return np.ones(1)
     for i, b in enumerate(p.bsccs):
         if c.initial in b:
             out = np.zeros(k)
@@ -141,6 +145,8 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
     Power iteration on the uniformized matrix P = I + Q/lam of the BSCC;
     no rate leaves a BSCC, so its exit rates are those of the whole chain.
+    Every _STATIONARITY_CHECK iterations, and at the last one the cap
+    allows, x is normalized and tested against one more step.
     """
     n_b = len(states)
     if n_b == 1:
@@ -148,16 +154,20 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
         return np.ones(1)
 
     pt, lam = _uniformized_transpose(c.rate_matrix[states][:, states], c.exit_rates[states])
-    x = np.full(n_b, 1.0 / n_b)
-    for _ in range(cfg.max_iterations):
-        x_new = pt @ x
-        x_new /= x_new.sum()
+    x, y = np.full(n_b, 1.0 / n_b), np.empty(n_b)
+    for i in range(1, cfg.max_iterations + 1):
+        if i % _STATIONARITY_CHECK and i < cfg.max_iterations:
+            x, y = _step(pt, x, y), x
+            continue
+        x /= x.sum()
+        _step(pt, x, y)
+        y /= y.sum()
         # lam * (xP - x) equals the balance residual of x, so return the
         # verified iterate; the margin absorbs rounding between this
         # check and the final one done on Q itself
-        if lam * np.abs(x_new - x).max() < 0.5 * cfg.tolerance:
+        if lam * np.abs(y - x).max() < 0.5 * cfg.tolerance:
             return x
-        x = x_new
+        x, y = y, x
     raise NonConvergence(f"power method hit the {cfg.max_iterations}-iteration cap")
 
 
@@ -227,18 +237,26 @@ def _uniformize(
     """
     hi = lo + len(weights) - 1
     out = np.zeros_like(x)
+    x, x_next, tmp = x.copy(), np.empty_like(x), np.empty_like(x)
     for k in range(hi):
         if k >= lo:
-            out += weights[k - lo] * x
-        x_next = pt @ x
+            out += np.multiply(weights[k - lo], x, out=tmp)
+        _step(pt, x, x_next)
         if (k + 1) % _STATIONARITY_CHECK == 0:
-            d = float(np.abs(x_next - x).sum())
+            d = float(np.abs(np.subtract(x_next, x, out=tmp), out=tmp).sum())
             if d * (hi - k) <= epsilon:
                 out += weights[max(k + 1 - lo, 0):].sum() * x_next
                 return out, k + 1
-        x = x_next
+        x, x_next = x_next, x
     out += weights[-1] * x
     return out, hi
+
+
+def _step(pt: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = pt @ x, bit for bit, in place: scipy's private CSR kernel, no allocation."""
+    out.fill(0.0)
+    csr_matvec(*pt.shape, pt.indptr, pt.indices, pt.data, x, out)
+    return out
 
 
 def label_probability(d: Distribution, c: Ctmc, label: str) -> float:

@@ -29,7 +29,7 @@ from gridlock.experiments import (
     make_attack_variants,
     run_hourly_sweep,
 )
-from gridlock.cli import _exit_code
+from gridlock.cli import _exit_code, _parse_hours
 from gridlock.ctmc import new_ctmc
 from gridlock.grid import (
     Botnet,
@@ -837,6 +837,8 @@ class TestCli:
         "12-4": "--hours: bad hour range '12-4'", "": "--hours: bad entry ''",
         "4,,5": "--hours: bad entry ''", "4-": "--hours: bad entry '4-'",
         "12,12": "--hours: hour 12 given twice", "0-5,3": "--hours: hour 3 given twice",
+        # expanded in full, this range would take gigabytes
+        "0-100000000": "--hours: hour 24 outside 0-23",
     }
 
     @pytest.mark.parametrize("hours", list(BAD_HOURS))
@@ -850,6 +852,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert self.BAD_HOURS[hours] in captured.err
+
+    @pytest.mark.parametrize("spec,expanded", [
+        ("0-100000000", list(range(25))),
+        ("30-99999999,2-3", list(range(30, 55)) + [2, 3]),
+        ("0-23", list(range(24))),
+        ("5-7,1", [5, 6, 7, 1]),
+    ])
+    def test_parse_hours_expands_at_most_25_per_range(self, spec, expanded):
+        assert _parse_hours(spec) == tuple(expanded)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exit_1(self, cli_files, capsys, workers):

@@ -1,4 +1,5 @@
-"""Every module-level import in src/gridlock is used by its module.
+"""Every module-level import in src/gridlock is used by its module, and only
+`solvers` imports private scipy API.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -33,3 +34,25 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _private_scipy_imports(tree):
+    """Dotted names of private scipy modules or members an import reaches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        yield from (n for n in names if n.split(".")[0] == "scipy"
+                    and any(part.startswith("_") for part in n.split(".")))
+
+
+def test_only_solvers_imports_private_scipy():
+    # scipy may move or change a private module in any release; one
+    # importer keeps the breakage in one place, pinned by test_solvers
+    importers = {path.name: list(_private_scipy_imports(ast.parse(path.read_text())))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, found in importers.items() if found} == {"solvers.py"}, importers
+    assert importers["solvers.py"] == ["scipy.sparse._sparsetools.csr_matvec"]

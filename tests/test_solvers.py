@@ -123,11 +123,18 @@ class TestAbsorptionProbabilities:
         assert abs(got.sum() - 1.0) < 1e-9
 
     def test_iteration_cap(self):
-        c = new_ctmc(3, [(0, 1, 1.0), (1, 0, 1000.0), (1, 2, 1e-6)], 0)
+        # 0 <-> 1 leaks slowly into two absorbing states
+        c = new_ctmc(4, [(0, 1, 1.0), (1, 0, 1000.0), (1, 2, 1e-6), (1, 3, 1e-6)], 0)
         with pytest.raises(NonConvergence):
             absorption_probabilities(
                 c, bscc_decomposition(c), SolverConfig(max_iterations=3)
             )
+
+    def test_one_bscc_is_certain_without_sweeps(self):
+        # three sweeps would fall far short here, one BSCC needs none
+        c = new_ctmc(3, [(0, 1, 1.0), (1, 0, 1000.0), (1, 2, 1e-6)], 0)
+        got = absorption_probabilities(c, bscc_decomposition(c), SolverConfig(max_iterations=1))
+        assert got.tolist() == [1.0]
 
 
 class TestSteadyState:
@@ -173,6 +180,24 @@ class TestSteadyState:
     def test_nonconvergence_raised(self, cycle):
         with pytest.raises(NonConvergence):
             steady_state(cycle, SolverConfig(max_iterations=2, tolerance=1e-14))
+
+    def test_cap_between_stationarity_tests_is_exact(self):
+        # the per-iteration power test passes first at an iteration that
+        # is not a multiple of _STATIONARITY_CHECK; that cap must suffice
+        c = new_ctmc(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.2), (2, 1, 0.3)], 0)
+        pt, lam = solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)
+        x = np.full(3, 1 / 3)
+        for n in range(1, 1000):
+            x_new = pt @ x
+            x_new /= x_new.sum()
+            if lam * np.abs(x_new - x).max() < 0.5 * SolverConfig().tolerance:
+                break
+            x = x_new
+        assert n > solvers._STATIONARITY_CHECK and n % solvers._STATIONARITY_CHECK
+        pi = steady_state(c, SolverConfig(max_iterations=n))
+        np.testing.assert_allclose(pi.probs, steady_oracle(c), atol=1e-10)
+        with pytest.raises(NonConvergence, match=f"{n - 1}-iteration cap"):
+            steady_state(c, SolverConfig(max_iterations=n - 1))
 
 
 class TestTransient:
@@ -295,6 +320,50 @@ class TestStationarityStop:
         (k, hi), = steps
         assert k == hi
         assert tv(got, full_window_transient(c, 10.0, self.EPS)) <= self.EPS
+
+    @pytest.mark.parametrize("t", [0.05, 5.0, 20.0])
+    def test_in_place_steps_match_allocating_loop_bitwise(self, t):
+        # 0.05 min runs the whole window from step 0; 5 min stops inside
+        # the window and 20 min before its left edge
+        c = new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (1, 2, 120.0), (2, 0, 2.0), (2, 3, 1.0),
+                         (3, 2, 3.0)], 0)
+        pt, lam = solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)
+        mu = lam * t
+        lo = int(poisson.ppf(self.EPS / 4, mu)) if mu > 25 else 0
+        weights = poisson.pmf(np.arange(lo, int(poisson.ppf(1 - self.EPS / 4, mu)) + 1), mu)
+        hi = lo + len(weights) - 1
+        x0 = np.zeros(4)
+        x0[0] = 1.0
+        got, got_k = solvers._uniformize(pt, x0, weights, lo, self.EPS)
+        assert x0.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+        x, want, want_k = x0, np.zeros(4), hi
+        for k in range(hi):
+            if k >= lo:
+                want += weights[k - lo] * x
+            x_next = pt @ x
+            if (k + 1) % solvers._STATIONARITY_CHECK == 0:
+                if float(np.abs(x_next - x).sum()) * (hi - k) <= self.EPS:
+                    want += weights[max(k + 1 - lo, 0):].sum() * x_next
+                    want_k = k + 1
+                    break
+            x = x_next
+        else:
+            want += weights[-1] * x
+        assert got_k == want_k
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_step_kernel_equals_matmul_bitwise(self, index_dtype):
+        # pins the private scipy kernel behind solvers._step
+        rng = np.random.default_rng(7)
+        pt = sp.random(300, 300, density=0.05, format="csr", random_state=rng)
+        pt.indptr, pt.indices = pt.indptr.astype(index_dtype), pt.indices.astype(index_dtype)
+        x = rng.random(300) * 10.0 ** rng.integers(-12, 3, 300)
+        out = np.full(300, np.nan)
+        assert solvers._step(pt, x, out) is out
+        assert pt.indices.dtype == index_dtype
+        assert np.array_equal(out, pt @ x)
 
     @pytest.mark.parametrize(
         "transitions",
