@@ -6,7 +6,8 @@ Builds the four attack variants of the desk fleet (2 nuclear, 2 hydro,
 the calibrated horizon, writes CSV and gnuplot outputs, then reports the
 peak-hour blackout ordering, each variant's worst hour and the rank
 correlation between demand and no-attack over-demand probability.  If any
-cell fails, it prints one error line per failed cell instead and exits 1.
+cell fails, it prints one error line per failed cell instead and exits 1;
+a bad --workers or --horizon prints one error line and exits 1.
 
 Takes well under a minute on one core.
 """
@@ -40,12 +41,15 @@ def main(argv=None):
                         help="transient horizon in minutes")
     args = parser.parse_args(argv)
 
-    variants = make_attack_variants(desk_scenario())
     profile = desk_demand_profile()
-    plan = ExperimentPlan(variants=variants, horizon_minutes=args.horizon)
-
     started = time.perf_counter()
-    rows, failures = run_hourly_sweep(plan, profile, max_workers=args.workers)
+    try:
+        plan = ExperimentPlan(variants=make_attack_variants(desk_scenario()),
+                              horizon_minutes=args.horizon)
+        rows, failures = run_hourly_sweep(plan, profile, max_workers=args.workers)
+    except ValueError as e:  # a bad --horizon or --workers
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started
     if failures:
         print("\n".join(f"error: {f}" for f in failures), file=sys.stderr)

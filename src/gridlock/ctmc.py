@@ -14,7 +14,7 @@ instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -97,7 +97,7 @@ def new_ctmc(
     meta = None if state_meta is None else tuple(state_meta)
     if meta is not None and len(meta) != n_states:
         raise IndexOutOfRange("state_meta length must equal n_states")
-    describe = None if meta is None else (lambda: meta)
+    describe = None if meta is None else partial(tuple, meta)
     return ctmc_from_arrays(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels, describe)
 
 
@@ -137,10 +137,15 @@ def ctmc_from_arrays(
             i = int(np.argmax(bad))
             raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
 
-    frozen_labels = {name: frozenset(states) for name, states in (labels or {}).items()}
-    for name, states in frozen_labels.items():
-        if states and not 0 <= min(states) <= max(states) < n_states:
-            raise IndexOutOfRange(f"label {name!r} contains a state outside [0, {n_states})")
+    frozen_labels = {}
+    for name, states in (labels or {}).items():
+        given = list(states)
+        values = np.asarray(given)
+        with np.errstate(invalid="ignore"):
+            ints = values.astype(np.int64)
+        if ((ints != values) | (ints < 0) | (ints >= n_states)).any():
+            raise IndexOutOfRange(f"label {name!r} holds a state that is not an integer in [0, {n_states})")
+        frozen_labels[name] = frozenset(map(int, given))  # int(i) is i for a Python int
     bands = [frozen_labels[name] for name in CLASSIFICATION_LABELS if name in frozen_labels]
     if len(bands) == 3 and not sum(map(len, bands)) == len(frozenset().union(*bands)) == n_states:
         raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")

@@ -3,10 +3,11 @@
 Steady state on a reducible chain is defined as the absorption-weighted
 mixture of the stationary distributions of its bottom strongly connected
 components; transient states carry probability 0.  The weights come from
-sweeps of the embedded jump chain (none for one component) and each is
-solved by power iteration on its uniformized matrix.  Transient analysis
-uses uniformization with two-sided Poisson truncation and stops early
-once the iterate is provably stationary.
+steps of the jump chain with each component merged into one absorbing
+state (none for one component), and each component is solved by power
+iteration on its uniformized matrix.  Transient analysis uses
+uniformization with two-sided Poisson truncation and stops early once the
+iterate is provably stationary.
 """
 
 from __future__ import annotations
@@ -59,20 +60,14 @@ class BsccPartition:
 
 def bscc_decomposition(c: Ctmc) -> BsccPartition:
     """Split states into bottom SCCs (ordered by smallest member) and the rest."""
-    n_comp, comp = connected_components(
-        c.rate_matrix, directed=True, connection="strong"
-    )
+    n_comp, comp = connected_components(c.rate_matrix, directed=True, connection="strong")
     src_comp = comp[np.repeat(np.arange(c.n_states), np.diff(c.indptr))]
     is_bottom = np.ones(n_comp, dtype=bool)
     is_bottom[src_comp[src_comp != comp[c.indices]]] = False
 
-    # states grouped by component, ascending within each group
-    members = np.split(
-        np.argsort(comp, kind="stable"), np.cumsum(np.bincount(comp, minlength=n_comp))[:-1]
-    )
-    bottom = np.flatnonzero(is_bottom)
-    bottom = bottom[np.argsort([members[i][0] for i in bottom])]
-    return BsccPartition(tuple(members[i] for i in bottom), np.flatnonzero(~is_bottom[comp]))
+    bsccs = sorted((np.flatnonzero(comp == i) for i in np.flatnonzero(is_bottom)),
+                   key=lambda b: b[0])
+    return BsccPartition(tuple(bsccs), np.flatnonzero(~is_bottom[comp]))
 
 
 def absorption_probabilities(
@@ -80,43 +75,40 @@ def absorption_probabilities(
 ) -> np.ndarray:
     """Probability of eventually entering each BSCC, starting from c.initial.
 
-    Runs Jacobi-style sweeps of the embedded jump chain restricted to the
-    transient states.  After j sweeps the accumulator holds the exact
-    probability of absorption within j jumps, so the shortfall of its row
+    Steps a point mass at c.initial through the jump chain R/E of the
+    transient states, with each BSCC merged into one absorbing state
+    numbered after them.  After j steps the merged states hold the exact
+    probability of absorption within j jumps, so the shortfall of their
     sum from 1 bounds the remaining error and drives the stopping rule.
-    With one BSCC the answer is exactly 1 and no sweep runs.
+    With one BSCC the answer is exactly 1 and no step runs.
     """
     cfg = cfg or SolverConfig()
-    k = len(p.bsccs)
-    if k == 1:
+    if len(p.bsccs) == 1:
         return np.ones(1)
-    for i, b in enumerate(p.bsccs):
-        if c.initial in b:
-            out = np.zeros(k)
-            out[i] = 1.0
-            return out
 
     trans = p.transient_states
-    row_of = int(np.searchsorted(trans, c.initial))
-    # jump-chain rows R/E of the transient states; each has E > 0, as a
-    # state without exits is a BSCC of its own
-    rows = c.rate_matrix[trans]
-    jump_t = sp.csr_matrix((rows.data / np.repeat(c.exit_rates[trans], np.diff(rows.indptr)),
-                            rows.indices, rows.indptr), shape=rows.shape)
-    ptt = jump_t[:, trans].tocsr()
-    first_hit = np.zeros((len(trans), k))
+    n_t, k = len(trans), len(p.bsccs)
+    merged = np.empty(c.n_states, dtype=np.int64)
+    merged[trans] = np.arange(n_t)
     for i, b in enumerate(p.bsccs):
-        first_hit[:, i] = np.asarray(jump_t[:, b].sum(axis=1)).ravel()
+        merged[b] = n_t + i
+    # the jump chain R/E of the transient states (E > 0, as a state without
+    # exits is a BSCC of its own) over the merged columns, then one
+    # absorbing row per BSCC; transposed for _step
+    rows = c.rate_matrix[trans]
+    jump = sp.csr_matrix((rows.data / np.repeat(c.exit_rates[trans], np.diff(rows.indptr)),
+                          merged[rows.indices], rows.indptr), shape=(n_t, n_t + k))
+    pt = sp.vstack((jump, sp.eye(k, n_t + k, n_t))).T.tocsr()
 
-    h = np.zeros_like(first_hit)
+    x, y = np.zeros(n_t + k), np.empty(n_t + k)
+    x[merged[c.initial]] = 1.0
     for _ in range(cfg.max_iterations):
-        h = ptt @ h + first_hit
-        if 1.0 - h[row_of].sum() < cfg.tolerance:
-            return h[row_of].copy()
-    raise NonConvergence(
-        f"absorption probabilities did not converge within "
-        f"{cfg.max_iterations} sweeps (gap {1.0 - h[row_of].sum():.3e})"
-    )
+        x, y = _step(pt, x, y), x
+        gap = 1.0 - x[n_t:].sum()
+        if gap < cfg.tolerance:
+            return x[n_t:].copy()
+    raise NonConvergence(f"absorption probabilities did not converge within "
+                         f"{cfg.max_iterations} sweeps (gap {gap:.3e})")
 
 
 def steady_state(c: Ctmc, cfg: SolverConfig | None = None) -> Distribution:
@@ -175,10 +167,10 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
     """State distribution after t minutes, by uniformization.
 
     The error budget epsilon is split in two halves.  The Poisson window
-    drops at most epsilon/4 of mass on each side (for small Lambda*t
-    only the right tail, at most epsilon/2), and the result is
-    renormalized.  The power series then stops early once the iterate is
-    provably stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1
+    [ppf(epsilon/4), ppf(1 - epsilon/4)] drops at most epsilon/4 of mass
+    on each side, whatever Lambda*t, and the result is renormalized.  The
+    power series then stops early once the iterate is provably
+    stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1
     never increases with k, and handing the remaining Poisson mass to
     x_{k+1} costs at most d_k * (hi - k) / 2 in total variation.  The
     test runs every _STATIONARITY_CHECK steps and stops once
@@ -198,10 +190,7 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
 
     pt, lam = _uniformized_transpose(c.rate_matrix, c.exit_rates)
     mu = float(lam) * t  # a Python float overflows to inf without a warning
-    if mu > 25:
-        lo, hi = poisson.ppf(epsilon / 4, mu), poisson.ppf(1 - epsilon / 4, mu)
-    else:
-        lo, hi = 0, poisson.isf(epsilon / 2, mu)
+    lo, hi = poisson.ppf(epsilon / 4, mu), poisson.ppf(1 - epsilon / 4, mu)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         # scipy's Poisson quantiles turn NaN from about Lambda*t = 1e12
         raise NegativeTime(f"t = {t} min gives Lambda*t = {mu:.3g}, too large "

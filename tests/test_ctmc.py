@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestConstruction:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 0, {"bad": [7]})
+
+    @pytest.mark.parametrize("state", [0.5, 1.5, math.nan])
+    def test_rejects_non_integer_label_state(self, state, recwarn):
+        # a label on state 0.5 would build and then sum state 0
+        with pytest.raises(IndexOutOfRange, match="label 'x' holds a state that is not an integer"):
+            new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": [state]})
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("state", [1.0, np.int64(1), np.int32(1)], ids=["float", "int64", "int32"])
+    def test_label_states_are_stored_as_int(self, state):
+        c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": [state]})
+        assert c.label_states("x") == {1} and all(type(s) is int for s in c.label_states("x"))
+
+    def test_pickle_round_trip_with_descriptions(self):
+        c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 1, {"x": [0]}, state_meta=["up", "down"])
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and back.state_meta == ("up", "down")
 
     def test_classification_labels_must_partition(self):
         with pytest.raises(IndexOutOfRange):

@@ -657,6 +657,23 @@ def test_desk_script_names_every_failed_cell_and_exits_1(tmp_path, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--workers", "0"], "max_workers must be >= 1, got 0"),
+    (["--horizon", "0"], "horizon_minutes must be finite and > 0, got 0.0"),
+    (["--horizon", "nan"], "horizon_minutes must be finite and > 0, got nan"),
+], ids=["workers-0", "horizon-0", "horizon-nan"])
+def test_desk_script_rejects_bad_input_in_one_line(tmp_path, capsys, argv, message):
+    import runpy
+
+    script = Path(__file__).parents[1] / "scripts" / "run_desk_sweep.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # `gridlock inspect` stdout on the packaged reference fleet at hours 4 and 18.
 @pytest.mark.parametrize("hour", ["4", "18"])
 def test_full_fleet_inspect_matches_golden_bytes(capsys, hour):

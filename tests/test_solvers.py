@@ -11,6 +11,8 @@ from scipy.stats import poisson
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
 from gridlock import solvers
 from gridlock.ctmc import Distribution
+from gridlock.experiments import desk_demand_profile, desk_scenario, make_attack_variants
+from gridlock.grid import build_grid_ctmc
 from gridlock.solvers import (
     SolverConfig,
     absorption_probabilities,
@@ -130,6 +132,30 @@ class TestAbsorptionProbabilities:
                 c, bscc_decomposition(c), SolverConfig(max_iterations=3)
             )
 
+    def test_initial_state_in_a_bscc_is_one_hot_after_one_step(self):
+        # cycles {1, 2} and {3, 4} fed from 0; the chain starts in the second
+        c = new_ctmc(5, [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 4, 1.0),
+                         (4, 3, 1.0)], 4)
+        got = absorption_probabilities(c, bscc_decomposition(c), SolverConfig(max_iterations=1))
+        assert got.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("hour", [2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", ["ATTACK-H", "ATTACK-G"])
+    def test_matches_dense_solve_on_multi_bscc_desk_cells(self, variant, hour):
+        # the desk cells with two (ATTACK-H) or five (ATTACK-G) BSCCs
+        scen = dict(make_attack_variants(desk_scenario()))[variant]
+        c = build_grid_ctmc(scen, desk_demand_profile().mw_by_hour[hour])
+        p = bscc_decomposition(c)
+        trans = p.transient_states
+        assert len(p.bsccs) in (2, 5) and c.initial in trans
+        # h = P_tt h + b, with b[:, i] the one-jump probability into BSCC i
+        jump = c.rate_matrix[trans].toarray() / c.exit_rates[trans, None]
+        b = np.column_stack([jump[:, bs].sum(axis=1) for bs in p.bsccs])
+        h = np.linalg.solve(np.eye(len(trans)) - jump[:, trans], b)
+        # the steps stop once the mass still missing is below the tolerance
+        got = absorption_probabilities(c, p, SolverConfig(tolerance=1e-13))
+        np.testing.assert_allclose(got, h[np.searchsorted(trans, c.initial)], rtol=0, atol=1e-12)
+
     def test_one_bscc_is_certain_without_sweeps(self):
         # three sweeps would fall far short here, one BSCC needs none
         c = new_ctmc(3, [(0, 1, 1.0), (1, 0, 1000.0), (1, 2, 1e-6)], 0)
@@ -235,10 +261,20 @@ class TestTransient:
         np.testing.assert_allclose(pi.probs, [0.0, 1.0])
 
     def test_large_lambda_t_left_truncation(self):
-        # rates around 1200/min push Lambda*t far past the cutover
+        # rates around 1200/min push the window's left edge far from 0
         c = new_ctmc(2, [(0, 1, 1200.0), (1, 0, 1200.0)], 0)
         pi = transient(c, 60.0)
         np.testing.assert_allclose(pi.probs, [0.5, 0.5], atol=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-10])
+    @pytest.mark.parametrize("mu", [24.9, 25.0, 25.1])
+    def test_one_window_rule_around_lambda_t_25(self, mu, eps):
+        # at epsilon = 1e-10 the window's left edge leaves 0 near Lambda*t =
+        # 24.4; on a pure-birth line x P^k moves on with every jump, so the
+        # Poisson mass the window drops shows in the result (about epsilon/3)
+        c = new_ctmc(80, [(i, i + 1, 1.0) for i in range(79)], 0)
+        t = mu / (solvers._UNIF_SLACK * c.exit_rates.max())
+        assert tv(transient(c, t, eps).probs, transient_oracle(c, t)) <= eps
 
     def test_matches_oracle_on_stiff_chain(self):
         c = new_ctmc(
@@ -329,7 +365,7 @@ class TestStationarityStop:
                          (3, 2, 3.0)], 0)
         pt, lam = solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)
         mu = lam * t
-        lo = int(poisson.ppf(self.EPS / 4, mu)) if mu > 25 else 0
+        lo = int(poisson.ppf(self.EPS / 4, mu))
         weights = poisson.pmf(np.arange(lo, int(poisson.ppf(1 - self.EPS / 4, mu)) + 1), mu)
         hi = lo + len(weights) - 1
         x0 = np.zeros(4)
