@@ -141,9 +141,10 @@ def ctmc_from_arrays(
     for name, states in (labels or {}).items():
         given = list(states)
         values = np.asarray(given)
+        numeric = values.dtype.kind in "biuf"  # not text, None or ints past int64
         with np.errstate(invalid="ignore"):
-            ints = values.astype(np.int64)
-        if ((ints != values) | (ints < 0) | (ints >= n_states)).any():
+            ints = values.astype(np.int64) if numeric else values
+        if not numeric or ((ints != values) | (ints < 0) | (ints >= n_states)).any():
             raise IndexOutOfRange(f"label {name!r} holds a state that is not an integer in [0, {n_states})")
         frozen_labels[name] = frozenset(map(int, given))  # int(i) is i for a Python int
     bands = [frozen_labels[name] for name in CLASSIFICATION_LABELS if name in frozen_labels]

@@ -11,7 +11,7 @@ space in the tens of thousands where a per-unit encoding explodes.
 
 from __future__ import annotations
 
-from array import array
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
@@ -183,124 +183,143 @@ def initial_state(s: Scenario, base_mw: float) -> tuple[int, ...]:
     return counts + (DEMAND_LEVELS.index("normal"), 0)
 
 
-def _descriptions(names: tuple[str, ...], keys: list[tuple[int, ...]]) -> tuple[str, ...]:
-    """Each key as text: 'name=Aa/Ss/Oo' per class, the demand level and
-    'botnet-on' or 'botnet-off'."""
-    return tuple(
-        " ".join([*(f"{name}={a}a/{s}s/{o}o"
-                    for name, a, s, o in zip(names, k[0:-2:3], k[1:-2:3], k[2:-2:3])),
-                  DEMAND_LEVELS[k[-2]], "botnet-on" if k[-1] else "botnet-off"])
-        for k in keys
-    )
+def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Place values and radices of the count digits of a state code, as
+    columns: `codes // place % radix` has one row per digit.
+
+    A code is mixed radix, least significant first: j = 2 * level + botnet
+    (radix 6), then each class's offline and serving counts, each in
+    [0, count]; available units are count - serving - offline.  Codes are
+    int64 when all fit, else Python ints in object arrays.
+    """
+    radix = [c + 1 for c in counts for _ in "os"]
+    place = [6 * math.prod(radix[:i]) for i in range(len(radix) + 1)]
+    dtype = np.int64 if place[-1] < 2**63 else object
+    return np.array(place[:-1], dtype)[:, None], np.array(radix, dtype)[:, None]
+
+
+def _descriptions(names: tuple[str, ...], counts: list[int], codes: np.ndarray) -> tuple[str, ...]:
+    """Each state code as text: 'name=Aa/Ss/Oo' per class, the demand level
+    and 'botnet-on' or 'botnet-off'."""
+    place, radix = _layout(counts)
+    digits = (codes // place % radix).tolist()
+    parts = [[f"{name}={c - sv - o}a/{sv}s/{o}o" for sv, o in zip(digits[2 * k + 1], digits[2 * k])]
+             for k, (name, c) in enumerate(zip(names, counts))]
+    parts.append([f"{DEMAND_LEVELS[j // 2]} botnet-{'on' if j % 2 else 'off'}" for j in (codes % 6).tolist()])
+    return tuple(map(" ".join, zip(*parts)))
 
 
 def _rules(s: Scenario, base_mw: float):
-    """The demand, botnet, controller, trip and recovery rules over state
-    keys (laid out in `initial_state`).
+    """The demand, botnet, controller, trip and recovery rules over the state
+    codes of `_layout`, each a code delta under a validity mask.
 
-    Returns step(key) -> (band, [(successor key, rate), ...]) with moves in
-    the order demand, botnet, turn-on, turn-off, trips, recovery.  Rates,
-    priorities and the effective demand per (level, botnet) are set up once.
+    Returns (start, expand): the initial code in a one-element array, and
+    expand(codes) -> (band, blackout, parent, child, rate) for one BFS
+    level: each code's index in (overSupply, equilibrium, overDemand) and
+    blackout flag, then its moves in (parent, rule) order, with rules in
+    the order demand, botnet, turn-on or turn-off, trips, recovery.
     """
-    caps = [g.capacity_mw for g in s.classes]
-    priority = [s.class_index(name) for name in s.controller.priority]
-    on_order = [(3 * k, s.classes[k].t_start) for k in priority]
-    off_order = [(3 * k, s.classes[k]) for k in reversed(priority)]
-    trips = [(3 * k, g.t_trip) for k, g in enumerate(s.classes)]
-    recovers = [(3 * k, g.t_recover) for k, g in enumerate(s.classes) if g.t_recover is not None]
-    level_moves = (
-        ((1, 1.0 / s.demand.t_low_to_normal),),
-        ((0, 1.0 / s.demand.t_normal_to_low), (2, 1.0 / s.demand.t_normal_to_high)),
-        ((1, 1.0 / s.demand.t_high_to_normal),),
-    )
-    botnet = s.botnet
-    botnet_rates = (1.0 / botnet.t_off_to_on, 1.0 / botnet.t_on_to_off) if botnet.enabled else None
-    # effective demand: the hourly mean shifted by the level, plus the
-    # botnet spike when on; indexed by 2 * level + botnet
-    demand = []
-    for delta in (-1.0, 0.0, 1.0):
-        level = base_mw * (1.0 + delta * s.demand.delta_fraction)
-        demand += [level, level + s.botnet.spike_fraction * base_mw]
-    width = [s.controller.tolerance * dem for dem in demand]
+    counts = [g.count for g in s.classes]
+    place, radix = _layout(counts)
+    stride_o, stride_s = place[::2], place[1::2]
+    key = initial_state(s, base_mw)
+    start = np.array([2 * key[-2] + key[-1] + sum(map(mul, stride_o[:, 0].tolist(), key[2:-2:3]))
+                      + sum(map(mul, stride_s[:, 0].tolist(), key[1:-2:3]))], place.dtype)
+    count = np.array(counts, place.dtype)[:, None]
+    caps = np.array([g.capacity_mw for g in s.classes])[:, None]
+    on = np.array([s.class_index(name) for name in s.controller.priority])
+    off, recover = on[::-1], [k for k, g in enumerate(s.classes) if g.t_recover is not None]
+    # the per-class rules, one row per class: turn-on in priority order,
+    # turn-off in reverse priority order, trips, then recovery; each row's
+    # code delta, mean time and the row of its condition in `when` (short,
+    # short with the botnet on, always, spare and the class's guard)
+    delta = np.concatenate((stride_s[on], -stride_s[off], stride_o - stride_s, -stride_o[recover]))
+    t_move = np.array([[s.classes[k].t_start for k in on] + [s.classes[k].t_stop for k in off]
+                       + [g.t_trip for g in s.classes] + [s.classes[k].t_recover for k in recover]]).T
+    when_row = np.array([0] * len(on) + list(range(3, 3 + len(off))) + [1] * len(counts) + [2] * len(recover))
+    d, botnet = s.demand, s.botnet
+    # by j: each level's first demand move (to normal, to low, to normal),
+    # normal to high, the botnet toggle; and the effective demand, the
+    # hourly mean shifted by the level plus the botnet spike when on
+    head_valid = np.array([np.full(6, True), np.arange(6) // 2 == 1, np.full(6, botnet.enabled)])
+    head_delta = np.array([[2, 2, -2, -2, -2, -2], [2] * 6, [1, -1] * 3])
+    head_rate = np.array([np.repeat([1.0 / d.t_low_to_normal, 1.0 / d.t_normal_to_low, 1.0 / d.t_high_to_normal], 2),
+                          np.full(6, 1.0 / d.t_normal_to_high), [1.0 / botnet.t_off_to_on, 1.0 / botnet.t_on_to_off] * 3])
+    means = [base_mw * (1.0 + f * d.delta_fraction) for f in (-1.0, 0.0, 1.0)]
+    demand = np.array([[mw, mw + botnet.spike_fraction * base_mw] for mw in means]).ravel()
+    width, caps_off = s.controller.tolerance * demand, caps[off]
 
-    def step(key):
-        counts, lvl, on = key[:-2], key[-2], key[-1]
-        moves = [(counts + (new, on), rate) for new, rate in level_moves[lvl]]
-        if botnet_rates:
-            moves.append((counts + (lvl, 1 - on), botnet_rates[on]))
-        sup = sum(map(mul, caps, key[1:-2:3]))
-        dem = demand[2 * lvl + on]
-        if abs(sup - dem) <= width[2 * lvl + on]:
-            band = EQUILIBRIUM
-        elif sup < dem:
-            band = OVER_DEMAND
-            # highest-priority class with anything available starts one
-            for b, t_start in on_order:
-                avail = key[b]
-                if avail > 0:
-                    moves.append((key[:b] + (avail - 1, key[b + 1] + 1) + key[b + 2 :], avail / t_start))
-                    break
-            # under attack pressure every serving class trips
-            for b, t_trip in trips if on else ():
-                serv = key[b + 1]
-                if serv > 0:
-                    moves.append((key[: b + 1] + (serv - 1, key[b + 2] + 1) + key[b + 3 :], serv / t_trip))
-        else:
-            band = OVER_SUPPLY
-            # lowest-priority serving class whose shutdown keeps supply
-            # at or above demand stops one
-            for b, cls in off_order:
-                serv = key[b + 1]
-                if serv > 0 and sup - cls.capacity_mw >= dem:
-                    moves.append((key[:b] + (key[b] + 1, serv - 1) + key[b + 2 :], serv / cls.t_stop))
-                    break
-        for b, t_recover in recovers:
-            off = key[b + 2]
-            if off > 0:
-                moves.append((key[:b] + (key[b] + 1, key[b + 1], off - 1) + key[b + 3 :], off / t_recover))
-        return band, moves
+    def expand(x):
+        j = (x % 6).astype(np.intp)
+        digits = x // place % radix
+        serving, offline = digits[1::2], digits[::2]
+        sup = sum(caps * serving.astype(float))  # row by row, in class order
+        dem = demand[j]
+        band = np.where(abs(sup - dem) <= width[j], 1, np.where(sup < dem, 2, 0))
+        short, spare = band == 2, band == 0
+        units = np.concatenate(((count - serving - offline)[on], serving[off], serving, offline[recover]))
+        # short: the first class in priority with a unit available starts
+        # one, and under attack pressure every serving class trips; spare:
+        # the last class in priority whose shutdown keeps supply at or
+        # above demand stops one
+        when = np.concatenate(((short, short & (j % 2 == 1), j >= 0), spare & (sup - caps_off >= dem)))
+        ok = (units > 0) & when[when_row]
+        ok[: 2 * len(on)] &= np.cumsum(ok[: 2 * len(on)], axis=0) == 1
+        valid = np.concatenate((head_valid[:, j], ok))
+        child = np.concatenate((x + head_delta[:, j], x + delta))
+        rate = np.concatenate((head_rate[:, j], units / t_move))
+        parent, rule = np.nonzero(valid.T)
+        return band, short & (offline > 0).any(0), parent, child[rule, parent], rate[rule, parent]
 
-    return step
+    return start, expand
 
 
 def build_grid_ctmc(
     s: Scenario, base_mw: float, max_states: int = MAX_STATES
 ) -> Ctmc:
-    """Breadth-first compilation of a scenario at one hourly demand level.
+    """Breadth-first compilation of a scenario at one hourly demand level,
+    one BFS level of state codes at a time (`_rules`).
 
-    State indices follow discovery order, so two builds of the same
-    inputs are identical.  Labels: the classification partition plus
-    "blackout" for overDemand states with at least one unit offline.
-    State descriptions are built on the first read of `state_meta`.
+    New codes take the next index in (parent, rule) order, which is FIFO
+    discovery order, so two builds of the same inputs are identical.
+    Labels: the classification partition plus "blackout" for overDemand
+    states with at least one unit offline.  State descriptions are built
+    on the first read of `state_meta`.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    step = _rules(s, base_mw)
-    keys = [initial_state(s, base_mw)]
-    index = {keys[0]: 0}
-    src, dst, rates = array("q"), array("q"), array("d")
-    labels: dict[str, list[int]] = {OVER_SUPPLY: [], EQUILIBRIUM: [], OVER_DEMAND: [], BLACKOUT: []}
-    # keys grows while it is walked, so it is also the FIFO queue
-    for i, key in enumerate(keys):
-        band, moves = step(key)
-        labels[band].append(i)
-        if band == OVER_DEMAND and any(key[2:-2:3]):
-            labels[BLACKOUT].append(i)
-        for succ, rate in moves:
-            j = index.get(succ)
-            if j is None:
-                if len(keys) >= max_states:
-                    raise StateSpaceLimitExceeded(
-                        f"state space exceeds cap of {max_states} states"
-                    )
-                j = index[succ] = len(keys)
-                keys.append(succ)
-            src.append(i)
-            dst.append(j)
-            rates.append(rate)
-    del index  # freed before the assembly below
-    return ctmc_from_arrays(len(keys), *map(np.asarray, (src, dst, rates)), 0, labels,
-                            partial(_descriptions, tuple(g.name for g in s.classes), keys))
+    frontier, expand = _rules(s, base_mw)
+    # the visited codes in sorted runs, each with its state indices
+    runs, levels, n = [(frontier, np.zeros(1, np.int64))], [], 1
+    while len(frontier):
+        band, blackout, parent, child, rate = expand(frontier)
+        codes, first, inverse = np.unique(child, return_index=True, return_inverse=True)
+        index = np.full(len(codes), -1)
+        for run, run_index in runs:
+            pos = np.minimum(np.searchsorted(run, codes), len(run) - 1)
+            index = np.where(run[pos] == codes, run_index[pos], index)
+        new = index < 0
+        if n + np.count_nonzero(new) > max_states:
+            raise StateSpaceLimitExceeded(f"state space exceeds cap of {max_states} states")
+        # new codes are numbered in order of first appearance
+        fresh = np.flatnonzero(new)[np.argsort(first[new], kind="stable")]
+        index[fresh] = np.arange(n, n + len(fresh))
+        levels.append((frontier, parent + n - len(frontier), index[inverse], rate, band, blackout))
+        # merge until each run is over twice the next: a lookup searches
+        # O(log n) runs, and each code is merged O(log n) times
+        run = codes[new], index[new]
+        while runs and len(runs[-1][0]) <= 2 * len(run[0]):
+            merged, merged_index = map(np.concatenate, zip(runs.pop(), run))
+            order = np.argsort(merged, kind="stable")
+            run = merged[order], merged_index[order]
+        runs.append(run)
+        frontier, n = codes[fresh], n + len(fresh)
+    codes, src, dst, rates, band, blackout = map(np.concatenate, zip(*levels))
+    labels = {name: np.flatnonzero(band == i).tolist()
+              for i, name in enumerate((OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND))}
+    labels[BLACKOUT] = np.flatnonzero(blackout).tolist()
+    return ctmc_from_arrays(n, src, dst, rates, 0, labels, partial(
+        _descriptions, tuple(g.name for g in s.classes), [g.count for g in s.classes], codes))
 
 
 class StateSpaceStats(NamedTuple):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
-from scipy.stats import poisson
+from scipy.special import gammaln, gdtrib, pdtr, pdtrc, pdtrik, xlogy
 
 from .ctmc import Ctmc, Distribution
 from .errors import IndexOutOfRange, NegativeTime, NonConvergence
@@ -167,8 +167,10 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
     """State distribution after t minutes, by uniformization.
 
     The error budget epsilon is split in two halves.  The Poisson window
-    [ppf(epsilon/4), ppf(1 - epsilon/4)] drops at most epsilon/4 of mass
-    on each side, whatever Lambda*t, and the result is renormalized.  The
+    [lo, hi] drops at most epsilon/4 of mass on each side, whatever
+    Lambda*t: lo is the smallest k with P(N <= k) >= epsilon/4 and hi the
+    smallest with P(N > k) <= epsilon/4, each rounded from a continuous
+    inverse and then checked; the result is renormalized.  The
     power series then stops early once the iterate is provably
     stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1
     never increases with k, and handing the remaining Poisson mass to
@@ -190,13 +192,21 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
 
     pt, lam = _uniformized_transpose(c.rate_matrix, c.exit_rates)
     mu = float(lam) * t  # a Python float overflows to inf without a warning
-    lo, hi = poisson.ppf(epsilon / 4, mu), poisson.ppf(1 - epsilon / 4, mu)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        # scipy's Poisson quantiles turn NaN from about Lambda*t = 1e12
+    q = epsilon / 4
+    lo, hi = pdtrik(q, mu), gdtrib(1.0, q, mu) - 1.0  # P(N > k) = gdtr(1, k + 1, mu)
+    if math.isnan(lo) or math.isnan(hi):
+        # pdtrik turns NaN from about Lambda*t = 5e10
         raise NegativeTime(f"t = {t} min gives Lambda*t = {mu:.3g}, too large "
                            "for a finite Poisson window")
-    lo, hi = int(lo), int(hi)
-    weights = poisson.pmf(np.arange(lo, hi + 1), mu)
+    lo, hi = max(math.ceil(lo), 0), max(math.ceil(hi), 0)
+    if lo > 0 and pdtr(lo - 1, mu) >= q:
+        lo -= 1
+    while hi > 0 and pdtrc(hi - 1, mu) <= q:
+        hi -= 1
+    while pdtrc(hi, mu) > q:
+        hi += 1
+    k = np.arange(lo, hi + 1)
+    weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
 
     out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
     out /= out.sum()

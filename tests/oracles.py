@@ -5,9 +5,10 @@ exponential below is a plain scaling-and-squaring Taylor evaluation on
 dense arrays, good enough for the tiny chains the tests feed it; the grid
 models take their band test from the supply and demand rules written out
 here, not from the builder's.  The one exception is marked: `classify` and
-`enabled_transitions` wrap the builder's rule function so that rule-level
-tests can address it one GridState at a time.  `GridState` is the state
-type of the reference builders and the readable form of a builder key.
+`enabled_transitions` run the builder's rules on a one-state BFS level so
+that rule-level tests can address them one GridState at a time.
+`GridState` is the state type of the reference builders and the readable
+form of a builder key.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from gridlock.grid import (
     OVER_DEMAND,
     OVER_SUPPLY,
     Scenario,
+    _layout,
     _rules,
     initial_state,
 )
@@ -224,17 +226,32 @@ def _band(g: GridState, s: Scenario, base_mw: float) -> str:
     return OVER_DEMAND if sup < dem else OVER_SUPPLY
 
 
-# Not independent: the builder's own rule function, one GridState at a time.
+# Not independent: the builder's own rules, one GridState at a time.
+
+
+def _expand(g: GridState, s: Scenario, base_mw: float):
+    """grid._rules' expand on the one-state level [code of g]."""
+    code = 0
+    for a, sv, o in reversed(g.counts):  # the layout of grid._layout
+        code = (code * (a + sv + o + 1) + sv) * (a + sv + o + 1) + o
+    code = code * 6 + 2 * DEMAND_LEVELS.index(g.demand_level) + int(g.botnet_on)
+    return _rules(s, base_mw)[1](np.array([code]))
 
 
 def classify(g: GridState, s: Scenario, base_mw: float) -> str:
-    """The band grid._rules gives g."""
-    return _rules(s, base_mw)(g.key)[0]
+    """The band the builder's rules give g."""
+    return (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND)[_expand(g, s, base_mw)[0][0]]
 
 
 def enabled_transitions(g: GridState, s: Scenario, base_mw: float) -> list[tuple[GridState, float]]:
-    """The successors with rates that grid._rules gives g, in rule order."""
-    return [(GridState.of(k), rate) for k, rate in _rules(s, base_mw)(g.key)[1]]
+    """The successors with rates that the builder's rules give g, in rule order."""
+    *_, child, rate = _expand(g, s, base_mw)
+    counts = [cls.count for cls in s.classes]
+    place, radix = _layout(counts)
+    digits, j = (child // place % radix).T.tolist(), (child % 6).tolist()
+    return [(GridState([(c - d[2 * k + 1] - d[2 * k], d[2 * k + 1], d[2 * k]) for k, c in enumerate(counts)],
+                       DEMAND_LEVELS[jj // 2], bool(jj % 2)), float(r))
+            for d, jj, r in zip(digits, j, rate)]
 
 
 # -- explicit per-unit grid model ------------------------------------

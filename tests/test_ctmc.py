@@ -99,9 +99,10 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 0, {"bad": [7]})
 
-    @pytest.mark.parametrize("state", [0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("state", [0.5, 1.5, math.nan, "a", None, 10**30])
     def test_rejects_non_integer_label_state(self, state, recwarn):
-        # a label on state 0.5 would build and then sum state 0
+        # a label on state 0.5 would build and then sum state 0; text, None
+        # and ints past int64 fail numpy's cast, and must fail the same way
         with pytest.raises(IndexOutOfRange, match="label 'x' holds a state that is not an integer"):
             new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": [state]})
         assert not recwarn.list

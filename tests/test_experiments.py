@@ -938,6 +938,19 @@ class TestCli:
         assert "nan" not in captured.out + captured.err
         assert captured.err.startswith("error: tolerance must be in (0, 1)")
 
+    def test_tiny_transient_tolerance_solves_every_cell(self, cli_files, tmp_path):
+        # 1 - 1e-17 / 4 rounds to 1.0, so the Poisson window's right end
+        # comes from the upper tail; every cell solves, to the same 9 decimals
+        scen, dem = cli_files
+        outs = []
+        for tol in ("1e-10", "1e-17"):
+            out = tmp_path / f"r{tol}.csv"
+            code = self.run("check", "--scenario", str(scen), "--demand", str(dem),
+                            "--hours", "4,18", "--tolerance", tol, "--out", str(out))
+            assert code == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 7
+
     def test_loose_transient_tolerance_exits_1_with_one_error(self, cli_files, capsys):
         scen, dem = cli_files
         code = self.run(

@@ -1,5 +1,7 @@
 import hashlib
 import pickle
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gridlock.grid import (
     DemandProfile,
     GeneratorClass,
     Scenario,
+    _layout,
     build_grid_ctmc,
     initial_state,
     state_space_stats,
@@ -324,23 +327,9 @@ class TestStats:
         assert state_space_stats(c) == (2, 2, {})
 
     def test_recount_matches(self, scen):
-        from collections import deque
-
+        # the GridState-per-successor reference walks the chain again
         c = build_grid_ctmc(scen, 280.0)
-        start = initial_grid_state(scen, 280.0)
-        seen = {start}
-        queue = deque([start])
-        n_trans = 0
-        while queue:
-            g = queue.popleft()
-            for succ, _ in enabled_transitions(g, scen, 280.0):
-                n_trans += 1
-                if succ not in seen:
-                    seen.add(succ)
-                    queue.append(succ)
-        stats = state_space_stats(c)
-        assert stats.n_states == len(seen)
-        assert stats.n_transitions == n_trans
+        assert state_space_stats(c) == state_space_stats(grid_state_ctmc(scen, 280.0))
 
     def test_label_counts_partition(self, scen):
         stats = state_space_stats(build_grid_ctmc(scen, 300.0))
@@ -378,22 +367,17 @@ class TestNoAttackBlackout:
 
 
 def _exclusivity_violations(scen, base):
-    from collections import deque
-
-    start = initial_grid_state(scen, base)
-    seen = {start}
-    queue = deque([start])
-    bad = 0
-    while queue:
-        g = queue.popleft()
-        kinds = _moves_by_kind(g, scen, base)
-        if len(kinds["on"]) > 1 or len(kinds["off"]) > 1:
-            bad += 1
-        for succ, _ in enabled_transitions(g, scen, base):
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-    return bad, seen
+    """States of the built chain with more than one turn-on or more than
+    one turn-off move, and each state's per-class count triples."""
+    c = build_grid_ctmc(scen, base)
+    triples = np.array([[[int(n) for n in re.findall(r"\d+", part.split("=")[1])] for part in meta.split()[:-2]]
+                        for meta in c.state_meta])
+    src = np.repeat(np.arange(c.n_states), np.diff(c.indptr))
+    step = triples[c.indices] - triples[src]
+    bad = np.zeros(c.n_states, bool)
+    for move in ((-1, 1, 0), (1, -1, 0)):  # turn-on, turn-off
+        bad |= np.bincount(src[(step == move).all(-1).any(-1)], minlength=c.n_states) > 1
+    return int(bad.sum()), triples
 
 
 @pytest.mark.parametrize(
@@ -402,11 +386,9 @@ def _exclusivity_violations(scen, base):
 )
 def test_priority_exclusivity_and_count_conservation(priority):
     scen = make_scenario(priority=priority)
-    bad, seen = _exclusivity_violations(scen, 290.0)
+    bad, triples = _exclusivity_violations(scen, 290.0)
     assert bad == 0
-    for g in seen:
-        for cls, triple in zip(scen.classes, g.counts):
-            assert sum(triple) == cls.count
+    assert (triples.sum(-1) == [cls.count for cls in scen.classes]).all()
 
 
 @st.composite
@@ -516,3 +498,28 @@ def test_build_matches_pinned_digest(fleet, variant, hour, n_states, n_trans, di
     stats = state_space_stats(c)
     assert (stats.n_states, stats.n_transitions) == (n_states, n_trans)
     assert _chain_digest(c) == digest
+
+
+def _counts_at(count):
+    """The reference fleet's variants, every class `count` units, and the
+    demand at hour 4."""
+    scen = default_scenario()
+    scen = replace(scen, classes=tuple(replace(g, count=count) for g in scen.classes))
+    return dict(make_attack_variants(scen)), default_demand_profile().mw_by_hour[4]
+
+
+# 6 * 1074**6 < 2**63 <= 6 * 1075**6: state codes of three classes of 1073
+# units fit int64, and from 1074 units on they are Python ints
+@pytest.mark.parametrize("count,dtype", [(1073, np.int64), (1074, object), (10**19, object)])
+def test_huge_counts_build_on_python_int_codes(count, dtype):
+    variants, mw = _counts_at(count)
+    assert _layout([count] * 3)[0].dtype == dtype
+    c = build_grid_ctmc(variants["NO-ATTACK"], mw)
+    assert c.n_states == 6
+    assert c == grid_state_ctmc(variants["NO-ATTACK"], mw)
+
+
+def test_huge_counts_hit_the_state_cap():
+    variants, mw = _counts_at(10**19)
+    with pytest.raises(StateSpaceLimitExceeded, match=r"^state space exceeds cap of 200000 states$"):
+        build_grid_ctmc(variants["ATTACK-N"], mw, max_states=200000)

@@ -1,5 +1,6 @@
-"""Every module-level import in src/gridlock is used by its module, and only
-`solvers` imports private scipy API.
+"""Every module-level import in src/gridlock is used by its module, only
+`solvers` imports private scipy API, and importing the CLI leaves out
+`scipy.stats`.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -7,6 +8,9 @@ the module's code refers to it.  `__init__` re-exports its imports and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gridlock"
@@ -56,3 +60,13 @@ def test_only_solvers_imports_private_scipy():
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name for name, found in importers.items() if found} == {"solvers.py"}, importers
     assert importers["solvers.py"] == ["scipy.sparse._sparsetools.csr_matvec"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 1 s and 36 MiB of every CLI call and pool
+    # worker; the Poisson window needs only scipy.special
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                                     os.environ.get("PYTHONPATH")])))
+    code = "import sys, gridlock.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

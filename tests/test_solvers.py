@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from scipy.special import pdtr, pdtrc
 from scipy.stats import poisson
 
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
@@ -276,6 +277,33 @@ class TestTransient:
         t = mu / (solvers._UNIF_SLACK * c.exit_rates.max())
         assert tv(transient(c, t, eps).probs, transient_oracle(c, t)) <= eps
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize("rate", [0.05, 2.0, 24.5, 1000.0, 54000.0])
+    def test_window_matches_scipy_stats(self, window, rate, eps):
+        # the window and its weights equal scipy.stats' Poisson ppf and
+        # pmf, bit for bit, at the tolerances the benchmarks and goldens use
+        c = new_ctmc(2, [(0, 1, rate), (1, 0, rate)], 0)
+        transient(c, 1.0, eps)
+        mu = float(solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)[1])
+        lo, weights = window[-1]
+        assert lo == poisson.ppf(eps / 4, mu)
+        assert lo + len(weights) - 1 == poisson.ppf(1 - eps / 4, mu)
+        assert weights.tobytes() == poisson.pmf(np.arange(lo, lo + len(weights)), mu).tobytes()
+
+    @pytest.mark.parametrize("rate", [2.0, 3650.0])
+    def test_tiny_epsilon_has_a_finite_window(self, window, rate):
+        # 1 - 1e-17 / 4 rounds to 1.0, so a right end taken from the lower
+        # tail is infinite; the upper tail gives the smallest hi with
+        # P(N > hi) <= eps / 4
+        eps, c = 1e-17, new_ctmc(2, [(0, 1, rate), (1, 0, rate)], 0)
+        got = transient(c, 1.0, eps).probs
+        mu = float(solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)[1])
+        lo, weights = window[-1]
+        hi = lo + len(weights) - 1
+        assert (lo == 0 or pdtr(lo - 1, mu) < eps / 4) and eps / 4 <= pdtr(lo, mu)
+        assert pdtrc(hi, mu) <= eps / 4 < pdtrc(hi - 1, mu)
+        np.testing.assert_allclose(got, transient_oracle(c, 1.0), atol=1e-9)
+
     def test_matches_oracle_on_stiff_chain(self):
         c = new_ctmc(
             3, [(0, 1, 0.50), (1, 0, 0.50), (1, 2, 1200.0), (2, 0, 0.25)], 0
@@ -314,6 +342,20 @@ def steps(monkeypatch):
         out, k = inner(pt, x, weights, lo, epsilon)
         calls.append((k, lo + len(weights) - 1))
         return out, k
+
+    monkeypatch.setattr(solvers, "_uniformize", spy)
+    return calls
+
+
+@pytest.fixture
+def window(monkeypatch):
+    """Records (lo, weights) of each uniformization."""
+    calls = []
+    inner = solvers._uniformize
+
+    def spy(pt, x, weights, lo, epsilon):
+        calls.append((lo, weights))
+        return inner(pt, x, weights, lo, epsilon)
 
     monkeypatch.setattr(solvers, "_uniformize", spy)
     return calls
