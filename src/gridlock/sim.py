@@ -8,6 +8,12 @@ independent of execution order, and the vectorized batch runner below
 reproduces a plain per-path loop bit for bit (the scalar sampler in
 tests/oracles.py; both take their logarithms through numpy, since libm's
 log differs in the last ulp).
+
+The batch keeps its live trials in contiguous arrays and compacts them
+each round, as trials cross the horizon.  A jump's successor is the first
+outgoing transition whose running rate sum exceeds v * E(s) for the unit
+draw v, else the last one; the batch finds it by a branch-free binary
+search over per-chain tables padded to a power-of-two width.
 """
 
 from __future__ import annotations
@@ -39,7 +45,11 @@ def _draw(keys: np.ndarray, counter: int) -> np.ndarray:
 
 
 def _to_unit(bits: np.ndarray) -> np.ndarray:
-    """Map uint64 draws to doubles strictly inside (0, 1)."""
+    """Map uint64 draws to doubles in (0, 1].
+
+    The top 53 bits plus one half, times 2**-53: the largest draw rounds up
+    to exactly 1.0, so a successor threshold v * E(s) can reach E(s).
+    """
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
@@ -77,14 +87,16 @@ class LabelEstimate:
 
 
 class _Compiled:
-    """Per-chain tables the samplers index into.
+    """Per-chain tables the sampler indexes into.
 
-    cum_rates rows hold the running sum of outgoing rates padded with
-    +inf; the successor for unit draw v is the first column whose
-    cumulative rate exceeds v * E(s), in both the scalar and the
-    vectorized sampler.  The rates are scattered into zero-padded rows
-    first: a row's cumsum is a left-to-right accumulation, so the padding
-    after a row's rates leaves their running sums bit for bit unchanged.
+    Row s of cum_rates holds the running sums of s's outgoing rates in
+    target order, padded with +inf to `width`, the smallest power of two
+    that holds the widest row; row s of targets holds the matching
+    targets, padded with the row's last real target (an absorbing state's
+    row with the state itself).  The rates are scattered into zero-padded
+    rows first: a row's cumsum is a left-to-right accumulation, so the
+    padding after a row's rates leaves their running sums bit for bit
+    unchanged.
     """
 
     def __init__(self, c: Ctmc):
@@ -92,15 +104,39 @@ class _Compiled:
         self.initial = c.initial
         self.exits = c.exit_rates
         counts = np.diff(m.indptr)
-        width = max(int(counts.max()), 1)
+        self.width = 1 << (max(int(counts.max()), 1) - 1).bit_length()
         rows = np.repeat(np.arange(c.n_states), counts)
         cols = np.arange(m.nnz) - np.repeat(m.indptr[:-1], counts)
-        padded = np.zeros((c.n_states, width))
+        padded = np.zeros((c.n_states, self.width))
         padded[rows, cols] = m.data
         self.cum_rates = np.cumsum(padded, axis=1)
-        self.cum_rates[np.arange(width) >= counts[:, None]] = np.inf
-        self.targets = np.full((c.n_states, width), -1, dtype=np.int64)
+        self.cum_rates[np.arange(self.width) >= counts[:, None]] = np.inf
+        last = np.arange(c.n_states)
+        moving = counts > 0
+        last[moving] = m.indices[m.indptr[1:][moving] - 1]
+        self.targets = np.repeat(last[:, None], self.width, axis=1)
         self.targets[rows, cols] = m.indices
+
+    def successors(self, src: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+        """Per source state, the target of the first column whose cumulative
+        rate exceeds the threshold, else of the row's last real column.
+
+        A branch-free binary search: the step of size h (width/2, ..., 1)
+        moves column c to c + h when the entry in column c + h - 1 is at or
+        below the threshold.  Rows are nondecreasing, so the column ends
+        on the first entry above the threshold, or on the last column if
+        none is.  A threshold at or above a row's last running sum (a unit
+        draw of 1.0, or an exit rate that sums to more than the running
+        sum) so ends on a pad or on the last real column, and both hold the
+        row's last real target.
+        """
+        cum = self.cum_rates.ravel()
+        pos = src * self.width
+        half = self.width >> 1
+        while half:
+            pos += (np.take(cum[half - 1:], pos) <= threshold) * half
+            half >>= 1
+        return np.take(self.targets, pos)
 
 
 @dataclass(frozen=True)
@@ -130,9 +166,9 @@ def estimate_label_metrics(
     if not 0 < horizon < math.inf:
         raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
     names = (labels,) if isinstance(labels, str) else tuple(labels)
-    in_label = np.zeros((len(names), c.n_states), dtype=bool)
-    for row, name in zip(in_label, names):
-        row[np.fromiter(c.label_states(name), dtype=np.int64)] = True
+    in_label = np.zeros((c.n_states, len(names)))
+    for col, name in enumerate(names):
+        in_label[np.fromiter(c.label_states(name), dtype=np.int64), col] = 1.0
 
     comp = _Compiled(c)
     # one row per label, so each label's statistics run over contiguous
@@ -141,9 +177,8 @@ def estimate_label_metrics(
     occupancy = np.empty((len(names), trials), dtype=np.float64)
     for lo in range(0, trials, _CHUNK):
         hi = min(lo + _CHUNK, trials)
-        flags, occ = _run_chunk(comp, in_label, horizon, _trial_keys(seed, np.arange(lo, hi)))
-        at_horizon[:, lo:hi] = flags
-        occupancy[:, lo:hi] = occ
+        _run_chunk(comp, in_label, horizon, _trial_keys(seed, np.arange(lo, hi)),
+                   at_horizon[:, lo:hi], occupancy[:, lo:hi])
 
     seed &= 0xFFFFFFFFFFFFFFFF
     estimates = tuple(
@@ -174,42 +209,57 @@ def _estimate(label: str, at_horizon: np.ndarray, occupancy: np.ndarray, seed: i
 
 
 def _run_chunk(
-    comp: _Compiled, in_label: np.ndarray, horizon: float, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    comp: _Compiled,
+    in_label: np.ndarray,
+    horizon: float,
+    keys: np.ndarray,
+    at_horizon: np.ndarray,
+    occupancy: np.ndarray,
+) -> None:
     """All trials of one chunk, advanced one jump per round.
 
-    in_label is an (labels, states) mask; the results are (labels, trials)
-    flags at the horizon and occupancies.  Per trial this performs exactly
-    the operations of a one-path loop (draw 2j picks the sojourn, draw
-    2j+1 the successor) in the same order, which is what makes the batch
-    bitwise-comparable to that loop.  A trial in an absorbing state draws
-    an infinite sojourn, so it crosses the horizon like any other.
+    in_label is a (states, labels) table of 0.0 and 1.0; the chunk's flags
+    at the horizon and occupancies go to the (labels, trials) arrays
+    at_horizon and occupancy.  The live trials sit in contiguous arrays,
+    label times as (trials, labels) rows, and each round moves the trials
+    that crossed the horizon out to the results and compacts the rest.
+    Per trial this performs exactly the operations of a one-path loop
+    (draw 2j picks the sojourn, draw 2j+1 the successor) in the same
+    order, which is what makes the batch bitwise-comparable to that loop.
+    A trial in an absorbing state draws an infinite sojourn, so it crosses
+    the horizon like any other.
     """
     m = len(keys)
+    final = np.empty(m, dtype=np.int64)
+    trial = np.arange(m)
     state = np.full(m, comp.initial, dtype=np.int64)
     t = np.zeros(m)
-    label_time = np.zeros((len(in_label), m))
+    label_time = np.zeros((m, in_label.shape[1]))
     total_time = np.zeros(m)
-    alive = np.arange(m)
 
     j = 0
-    while alive.size:
-        u = _to_unit(_draw(keys[alive], 2 * j))
+    while trial.size:
+        exits = comp.exits[state]
+        u = _to_unit(_draw(keys, 2 * j))
         with np.errstate(divide="ignore"):
-            end = t[alive] + (-np.log(u)) / comp.exits[state[alive]]
+            end = t + (-np.log(u)) / exits
         crossed = end > horizon
-        seg = np.where(crossed, horizon, end) - t[alive]
-        label_time[:, alive] += seg * in_label[:, state[alive]]
-        total_time[alive] += seg
+        seg = np.where(crossed, horizon, end) - t
+        label_time += np.take(in_label, state, axis=0) * seg[:, None]
+        total_time += seg
 
-        movers = alive[~crossed]
-        if movers.size:
-            v = _to_unit(_draw(keys[movers], 2 * j + 1))
-            src = state[movers]
-            col = np.argmax(comp.cum_rates[src] > (v * comp.exits[src])[:, None], axis=1)
-            state[movers] = comp.targets[src, col]
-            t[movers] = end[~crossed]
-        alive = movers
+        if crossed.any():
+            done = np.flatnonzero(crossed)
+            final[trial[done]] = state[done]
+            occupancy[:, trial[done]] = (label_time[done] / total_time[done, None]).T
+            live = np.flatnonzero(~crossed)
+            trial, keys, state, exits, end, total_time = (
+                np.take(a, live) for a in (trial, keys, state, exits, end, total_time))
+            label_time = np.take(label_time, live, axis=0)
+        if trial.size:
+            v = _to_unit(_draw(keys, 2 * j + 1))
+            state = comp.successors(state, v * exits)
+        t = end
         j += 1
 
-    return in_label[:, state], label_time / total_time
+    at_horizon[:] = in_label[final].T > 0.0

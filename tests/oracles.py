@@ -32,7 +32,7 @@ from gridlock.grid import (
     _rules,
     initial_state,
 )
-from gridlock.sim import _Compiled, _draw, _to_unit
+from gridlock.sim import _draw, _to_unit
 
 
 def dense_expm(a: np.ndarray) -> np.ndarray:
@@ -109,9 +109,11 @@ def steady_oracle(c: Ctmc) -> np.ndarray:
 
 # -- scalar path sampler ----------------------------------------------
 #
-# One trajectory at a time, on the same counter-based draws and compiled
-# tables as sim._run_chunk: draw 2j gives the j-th sojourn, draw 2j+1 the
-# j-th successor.  estimate_label_metrics must agree with it bit for bit.
+# One trajectory at a time, on the same counter-based draws as
+# sim._run_chunk: draw 2j gives the j-th sojourn, draw 2j+1 the j-th
+# successor.  The successor rule is written out here over the chain's
+# CSR rows (`successor`), not taken from sim's tables.
+# estimate_label_metrics must agree with it bit for bit.
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,29 @@ class Path:
         return self.entries[-1][0]
 
 
+def successor(c: Ctmc, s: int, threshold: float) -> int:
+    """The target of the first transition of s, in target order, whose
+    running rate sum exceeds the threshold, else of its last transition."""
+    running = 0.0
+    for k in range(c.indptr[s], c.indptr[s + 1]):
+        running += c.data[k]
+        if running > threshold:
+            break
+    return int(c.indices[k])
+
+
 def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
     """Sample one trajectory; deterministic in (chain, horizon, seed)."""
     if not 0 < horizon < math.inf:
         raise NegativeTime(f"horizon must be finite and > 0, got {horizon}")
-    comp = _Compiled(c)
+    exits = c.exit_rates
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     entries = [(c.initial, 0.0)]
     s = c.initial
     t = 0.0
     for j in range(1 << 62):
-        e = comp.exits[s]
+        e = exits[s]
         if e == 0.0:
             break
         u = float(_to_unit(_draw(key, 2 * j)))
@@ -152,8 +165,7 @@ def simulate_path(c: Ctmc, horizon: float, seed: int) -> Path:
         if end > horizon:
             break
         v = float(_to_unit(_draw(key, 2 * j + 1)))
-        row = comp.cum_rates[s]
-        s = int(comp.targets[s, int(np.argmax(row > v * e))])
+        s = successor(c, s, v * e)
         t = end
         entries.append((s, t))
     return Path(tuple(entries), horizon)

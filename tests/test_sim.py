@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlock import NegativeTime, UnknownLabel, new_ctmc
-from gridlock.sim import LabelEstimates, _Compiled, derive_trial_seed, estimate_label_metrics
+from gridlock import NegativeTime, UnknownLabel, new_ctmc, sim
+from gridlock.cli import REPORT_LABELS
+from gridlock.experiments import desk_demand_profile, desk_scenario
+from gridlock.grid import build_grid_ctmc
+from gridlock.sim import (
+    LabelEstimates,
+    _Compiled,
+    _to_unit,
+    derive_trial_seed,
+    estimate_label_metrics,
+)
 from gridlock.solvers import label_probability, transient
 
-from oracles import Path, simulate_path
+from oracles import Path, simulate_path, successor
 
 
 @pytest.fixture
@@ -78,18 +87,18 @@ def _metrics_from_path(path, label_states, horizon):
     return path.final_state in label_states, label_t / total_t
 
 
-def _assert_batch_matches_loop(chain, label, horizon, trials, master):
-    est = estimate_label_metrics(chain, label, horizon, trials, master)
+def _assert_batch_matches_loop(chain, labels, horizon, trials, master):
+    """Every label's estimate equals the one-path loop's, bit for bit."""
+    names = (labels,) if isinstance(labels, str) else labels
+    res = estimate_label_metrics(chain, labels, horizon, trials, master)
+    estimates = (res,) if isinstance(labels, str) else res.estimates
 
-    states = chain.label_states(label)
-    flags, occs = [], []
-    for i in range(trials):
-        p = simulate_path(chain, horizon, derive_trial_seed(master, i))
-        f, o = _metrics_from_path(p, states, horizon)
-        flags.append(f)
-        occs.append(o)
-    assert est.point_probability == sum(flags) / trials
-    assert est.occupancy == float(np.asarray(occs).sum()) / trials
+    paths = [simulate_path(chain, horizon, derive_trial_seed(master, i)) for i in range(trials)]
+    for name, est in zip(names, estimates, strict=True):
+        states = chain.label_states(name)
+        flags, occs = zip(*(_metrics_from_path(p, states, horizon) for p in paths))
+        assert est.point_probability == sum(flags) / trials
+        assert est.occupancy == float(np.asarray(occs).sum()) / trials
 
 
 class TestBatchMatchesLoop:
@@ -114,11 +123,21 @@ class TestBatchMatchesLoop:
         master = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
         _assert_batch_matches_loop(chain, label, horizon, 100, master)
 
-    def test_chunk_boundaries_do_not_matter(self, decay):
-        # trials above one chunk; rerun must be identical
-        a = estimate_label_metrics(decay, "done", 2.0, 20000, 5)
-        b = estimate_label_metrics(decay, "done", 2.0, 20000, 5)
-        assert a == b
+    def test_bitwise_agreement_on_the_desk_chain(self):
+        # the chain `gridlock simulate` samples for the desk preset at hour
+        # 12, whose widest rows (8 transitions) take every search step
+        chain = build_grid_ctmc(desk_scenario(), desk_demand_profile().mw_by_hour[12])
+        assert _Compiled(chain).width == 8
+        _assert_batch_matches_loop(chain, REPORT_LABELS, 2.0, 300, 20261019)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, stiff_loop, chunk):
+        # 5000 trials fill one default chunk; smaller chunks split them, so
+        # compaction within a chunk must not depend on where chunks end
+        labels = ("busy", "all")
+        default = estimate_label_metrics(stiff_loop, labels, 3.0, 5000, 5)
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        assert estimate_label_metrics(stiff_loop, labels, 3.0, 5000, 5) == default
 
 
 class TestOnePassForManyLabels:
@@ -164,13 +183,16 @@ class TestOnePassForManyLabels:
 def _compiled_by_loop(c):
     """_Compiled's tables built one state at a time."""
     m = c.rate_matrix
-    width = max(int(np.diff(m.indptr).max()), 1)
+    width = 1
+    while width < np.diff(m.indptr).max(initial=1):
+        width *= 2
     cum_rates = np.full((c.n_states, width), np.inf)
-    targets = np.full((c.n_states, width), -1, dtype=np.int64)
+    targets = np.empty((c.n_states, width), dtype=np.int64)
     for s in range(c.n_states):
         lo, hi = m.indptr[s], m.indptr[s + 1]
         cum_rates[s, : hi - lo] = np.cumsum(m.data[lo:hi])
         targets[s, : hi - lo] = m.indices[lo:hi]
+        targets[s, hi - lo :] = m.indices[hi - 1] if hi > lo else s
     return cum_rates, targets
 
 
@@ -182,6 +204,69 @@ def test_compiled_tables_match_a_per_state_loop(data):
     cum_rates, targets = _compiled_by_loop(chain)
     assert comp.cum_rates.tobytes() == cum_rates.tobytes()
     assert np.array_equal(comp.targets, targets)
+
+
+@st.composite
+def wide_chains(draw):
+    """Chains with rows of 0 to 17 transitions; a rate far below the running
+    sum before it repeats that sum, so rows hold equal running sums."""
+    widest = draw(st.integers(min_value=1, max_value=17))
+    n = widest + 1
+    rate = st.sampled_from([0.25, 1.0, 3.0, 1e-20, 1e20])
+    transitions = []
+    for s in range(n):
+        others = [t for t in range(n) if t != s]
+        k = widest if s == 0 else draw(st.integers(min_value=0, max_value=widest))
+        transitions += [(s, t, draw(rate)) for t in draw(st.permutations(others))[:k]]
+    return new_ctmc(n, transitions, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_successor_search_matches_the_first_exceeding_rule(data):
+    chain = data.draw(wide_chains())
+    src, thresholds = [], []
+    for s in np.flatnonzero(np.diff(chain.indptr)):
+        lo, hi = chain.indptr[s], chain.indptr[s + 1]
+        cum = np.cumsum(chain.data[lo:hi])
+        # every running sum (a tie), the exit rate (a unit draw of 1.0), the
+        # smallest unit draw and one in between
+        drawn = data.draw(st.floats(min_value=0.0, max_value=1.0))
+        for threshold in (*cum, chain.exit_rates[s], 2.0**-54 * chain.exit_rates[s],
+                          drawn * chain.exit_rates[s]):
+            src.append(s)
+            thresholds.append(threshold)
+    got = _Compiled(chain).successors(np.array(src), np.array(thresholds))
+    assert got.tolist() == [successor(chain, s, x) for s, x in zip(src, thresholds)]
+
+
+class TestUnitDrawOfOne:
+    # (2**53 - 0.5) * 2**-53 rounds up, so the largest draw maps to 1.0 and
+    # the successor threshold v * E(s) equals E(s)
+    def test_largest_draw_is_one(self):
+        bits = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert _to_unit(bits).tolist() == [2.0**-54, 1.0]
+
+    def test_threshold_at_exit_rate_takes_the_last_transition(self):
+        # state 0's row is full width and its last running sum equals E(0);
+        # state 1's row is padded
+        c = new_ctmc(3, [(0, 1, 0.1), (0, 2, 0.2), (1, 0, 1.0)], 0)
+        comp = _Compiled(c)
+        assert comp.width == 2
+        src = np.array([0, 1])
+        assert comp.successors(src, c.exit_rates[src]).tolist() == [2, 0]
+        assert [successor(c, s, c.exit_rates[s]) for s in src] == [2, 0]
+
+    def test_exit_rate_above_the_last_running_sum(self):
+        # the exit rates are summed by scipy, not left to right, and can
+        # exceed a row's last running sum
+        chain = build_grid_ctmc(desk_scenario(), desk_demand_profile().mw_by_hour[12])
+        comp = _Compiled(chain)
+        last = comp.cum_rates[np.arange(chain.n_states), np.diff(chain.indptr) - 1]
+        src = np.flatnonzero(chain.exit_rates > last)
+        assert src.size
+        got = comp.successors(src, chain.exit_rates[src])
+        assert got.tolist() == [int(chain.indices[chain.indptr[s + 1] - 1]) for s in src]
 
 
 class TestEstimates:
