@@ -5,10 +5,10 @@ A chain is a finite state set, strictly positive transition rates
 named label sets.  Absorbing states simply have no outgoing entries;
 self-loops are rejected because they have no effect on CTMC dynamics.
 The rates are stored once, as CSR arrays with targets ascending within
-each row.  Everything else (rate and generator matrices, exit rates, the
-``transitions`` mapping, state descriptions) is derived and cached, lazily
-but for the exit rates, which construction checks to be finite; ``Ctmc``
-instances are immutable and safe to share between threads.
+each row, and each label as an ascending int64 array.  Everything else
+(matrices, exit rates, the ``transitions`` mapping, state descriptions)
+is derived and cached, lazily but for the exit rates, which construction
+checks to be finite; instances are immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class Ctmc:
     indices: np.ndarray
     data: np.ndarray
     initial: int
-    labels: Mapping[str, frozenset[int]] = field(default_factory=dict)
+    label_arrays: Mapping[str, np.ndarray] = field(default_factory=dict)
     describe: Callable[[], Sequence[str]] | None = field(default=None, repr=False)
 
     def __eq__(self, other):
@@ -66,6 +66,11 @@ class Ctmc:
         src = np.repeat(np.arange(self.n_states), np.diff(self.indptr)).tolist()
         return MappingProxyType(dict(zip(zip(src, self.indices.tolist()), self.data.tolist())))
 
+    @property
+    def labels(self) -> Mapping[str, frozenset[int]]:
+        """Read-only ``name -> frozenset`` view of `label_arrays`; uncached, so a chain still pickles."""
+        return MappingProxyType({k: frozenset(a.tolist()) for k, a in self.label_arrays.items()})
+
     @cached_property
     def rate_matrix(self) -> sp.csr_matrix:
         """R as a CSR matrix; R[s, s'] is the transition rate s -> s'."""
@@ -81,9 +86,9 @@ class Ctmc:
         """Infinitesimal generator Q: off-diagonal R, diagonal -E(s)."""
         return (self.rate_matrix - sp.diags(self.exit_rates)).tocsr()
 
-    def label_states(self, label: str) -> frozenset[int]:
+    def label_states(self, label: str) -> np.ndarray:
         try:
-            return self.labels[label]
+            return self.label_arrays[label]
         except KeyError:
             raise UnknownLabel(f"label {label!r} not defined") from None
 
@@ -137,24 +142,25 @@ def ctmc_from_arrays(
             i = int(np.argmax(bad))
             raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
 
-    frozen_labels = {}
+    label_arrays = {}
     for name, states in (labels or {}).items():
-        given = list(states)
-        values = np.asarray(given)
-        numeric = values.dtype.kind in "biuf"  # not text, None or ints past int64
+        values = np.asarray(states if isinstance(states, np.ndarray) else list(states))
+        numeric = values.ndim == 1 and values.dtype.kind in "iuf"  # not bool, text, None or past int64
         with np.errstate(invalid="ignore"):
-            ints = values.astype(np.int64) if numeric else values
+            ints = values.astype(np.int64) if numeric else values  # a copy of our own
         if not numeric or ((ints != values) | (ints < 0) | (ints >= n_states)).any():
             raise IndexOutOfRange(f"label {name!r} holds a state that is not an integer in [0, {n_states})")
-        frozen_labels[name] = frozenset(map(int, given))  # int(i) is i for a Python int
-    bands = [frozen_labels[name] for name in CLASSIFICATION_LABELS if name in frozen_labels]
-    if len(bands) == 3 and not sum(map(len, bands)) == len(frozenset().union(*bands)) == n_states:
+        ints = ints if (np.diff(ints) > 0).all() else np.flatnonzero(np.bincount(ints, minlength=n_states))
+        ints.flags.writeable = False
+        label_arrays[name] = ints
+    bands = [label_arrays[name] for name in CLASSIFICATION_LABELS if name in label_arrays]
+    if len(bands) == 3 and not (np.bincount(np.concatenate(bands), minlength=n_states) == 1).all():
         raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")
 
     index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
     chain = Ctmc(n_states, indptr.astype(index_dtype), dst[order].astype(index_dtype),
-                 rates[order], initial, frozen_labels, describe)
+                 rates[order], initial, label_arrays, describe)
     with np.errstate(over="ignore"):  # finite rates can still sum past the float range
         overflow = ~np.isfinite(chain.exit_rates)
     if overflow.any():

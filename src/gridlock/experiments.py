@@ -184,14 +184,13 @@ _Outcome = ResultRow | Exception
 
 def _chain_key(chain: Ctmc) -> bytes:
     """sha256 over all that the solvers and the simulator read of a chain:
-    size, initial state, CSR arrays with their dtypes and the sorted label
-    sets.  `state_meta` is left out."""
+    size, initial state, CSR arrays with their dtypes and the label arrays
+    (ascending), by name.  `state_meta` is left out."""
     h = hashlib.sha256(np.array([chain.n_states, chain.initial], dtype=np.int64))
     for a in (chain.indptr, chain.indices, chain.data):
         h.update(a.dtype.str.encode())
         h.update(np.ascontiguousarray(a))
-    for name in sorted(chain.labels):
-        states = np.sort(np.fromiter(chain.labels[name], dtype=np.int64))
+    for name, states in sorted(chain.label_arrays.items()):
         h.update(f"{name}\0{len(states)}\0".encode())
         h.update(states)
     return h.digest()

@@ -315,9 +315,9 @@ def build_grid_ctmc(
         runs.append(run)
         frontier, n = codes[fresh], n + len(fresh)
     codes, src, dst, rates, band, blackout = map(np.concatenate, zip(*levels))
-    labels = {name: np.flatnonzero(band == i).tolist()
+    labels = {name: np.flatnonzero(band == i)
               for i, name in enumerate((OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND))}
-    labels[BLACKOUT] = np.flatnonzero(blackout).tolist()
+    labels[BLACKOUT] = np.flatnonzero(blackout)
     return ctmc_from_arrays(n, src, dst, rates, 0, labels, partial(
         _descriptions, tuple(g.name for g in s.classes), [g.count for g in s.classes], codes))
 
@@ -333,5 +333,5 @@ def state_space_stats(c: Ctmc) -> StateSpaceStats:
     return StateSpaceStats(
         n_states=c.n_states,
         n_transitions=c.rate_matrix.nnz,
-        label_counts={name: len(states) for name, states in c.labels.items()},
+        label_counts={name: len(states) for name, states in c.label_arrays.items()},
     )

@@ -168,7 +168,7 @@ def estimate_label_metrics(
     names = (labels,) if isinstance(labels, str) else tuple(labels)
     in_label = np.zeros((c.n_states, len(names)))
     for col, name in enumerate(names):
-        in_label[np.fromiter(c.label_states(name), dtype=np.int64), col] = 1.0
+        in_label[c.label_states(name), col] = 1.0
 
     comp = _Compiled(c)
     # one row per label, so each label's statistics run over contiguous

@@ -265,5 +265,4 @@ def label_probability(d: Distribution, c: Ctmc, label: str) -> float:
         raise IndexOutOfRange(
             f"distribution has {len(d)} entries for a {c.n_states}-state chain"
         )
-    idx = np.fromiter(sorted(states), dtype=np.int64)
-    return float(d.probs[idx].sum())
+    return float(d.probs[states].sum())

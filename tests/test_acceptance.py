@@ -245,17 +245,16 @@ def _structural_violations(c, counts, expect_no_blackout):
     if row_err >= 1e-12:
         bad.append(f"generator row sum {row_err:.1e}")
 
-    states = frozenset(range(c.n_states))
-    cover = [c.label_states(lab) for lab in EXCLUSIVE_LABELS]
-    if frozenset().union(*cover) != states:
+    # how many exclusive labels hold each state: exactly one
+    hits = np.bincount(np.concatenate([c.label_states(lab) for lab in EXCLUSIVE_LABELS]),
+                       minlength=c.n_states)
+    if (hits == 0).any():
         bad.append("labels do not cover the state space")
-    for i, a in enumerate(cover):
-        for b in cover[i + 1:]:
-            if a & b:
-                bad.append("exclusive labels overlap")
-    if not c.label_states(BLACKOUT) <= c.label_states(OVER_DEMAND):
+    if (hits > 1).any():
+        bad.append("exclusive labels overlap")
+    if not np.isin(c.label_states(BLACKOUT), c.label_states(OVER_DEMAND)).all():
         bad.append("blackout outside overDemand")
-    if expect_no_blackout and c.label_states(BLACKOUT):
+    if expect_no_blackout and c.label_states(BLACKOUT).size:
         bad.append("blackout state in a no-attack model")
 
     for meta in c.state_meta:

@@ -43,6 +43,13 @@ def slow_unit_attacked(slow_unit):
     return new_ctmc(3, trans, 0, slow_unit.labels)
 
 
+def _assert_label_array(states, expected):
+    """A label is a read-only int64 array holding exactly `expected`, in order."""
+    assert isinstance(states, np.ndarray) and states.dtype == np.int64 and states.ndim == 1
+    assert not states.flags.writeable
+    assert states.tolist() == expected
+
+
 class TestConstruction:
     def test_accepts_valid_chain(self, two_state):
         assert two_state.n_states == 2
@@ -99,18 +106,41 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 0, {"bad": [7]})
 
-    @pytest.mark.parametrize("state", [0.5, 1.5, math.nan, "a", None, 10**30])
-    def test_rejects_non_integer_label_state(self, state, recwarn):
-        # a label on state 0.5 would build and then sum state 0; text, None
-        # and ints past int64 fail numpy's cast, and must fail the same way
+    @pytest.mark.parametrize("states", [
+        [0.5], [1.5], [math.nan], ["a"], [None], [10**30], [True],
+        np.array([False, True]), [[0, 1]], np.array([[0, 1]]),
+    ], ids=["0.5", "1.5", "nan", "text", "None", "10**30", "True", "mask", "nested", "2-d"])
+    def test_rejects_non_integer_label_state(self, states, recwarn):
+        # a label on state 0.5 would build and then sum state 0, and a
+        # boolean mask would build the states its True/False values cast
+        # to; text, None, ints past int64 and nested lists fail numpy's
+        # cast or shape, and must fail the same way
         with pytest.raises(IndexOutOfRange, match="label 'x' holds a state that is not an integer"):
-            new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": [state]})
+            new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": states})
         assert not recwarn.list
 
     @pytest.mark.parametrize("state", [1.0, np.int64(1), np.int32(1)], ids=["float", "int64", "int32"])
     def test_label_states_are_stored_as_int(self, state):
         c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": [state]})
-        assert c.label_states("x") == {1} and all(type(s) is int for s in c.label_states("x"))
+        _assert_label_array(c.label_states("x"), [1])
+
+    @pytest.mark.parametrize("states", [
+        [3, 0, 2], {0, 2, 3}, (s for s in (2, 3, 0)), np.array([3, 2, 0], dtype=np.int32),
+        [0.0, 2.0, 3.0], np.array([3, 0, 2, 3, 0, 0]), [0, 2, 3],
+    ], ids=["list", "set", "generator", "int32", "float", "unsorted-duplicates", "sorted"])
+    def test_label_states_are_one_sorted_int64_array(self, states):
+        trans = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
+        c = new_ctmc(4, trans, 0, labels={"x": states, "empty": []})
+        _assert_label_array(c.label_states("x"), [0, 2, 3])
+        _assert_label_array(c.label_states("empty"), [])
+        assert c.labels == {"x": frozenset({0, 2, 3}), "empty": frozenset()}
+
+    def test_label_array_is_a_copy(self):
+        # the build hands its own arrays over; the chain must not share them
+        given = np.array([0, 1])
+        c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, labels={"x": given})
+        given[0] = 1
+        _assert_label_array(c.label_states("x"), [0, 1])
 
     def test_pickle_round_trip_with_descriptions(self):
         c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 1, {"x": [0]}, state_meta=["up", "down"])
@@ -133,7 +163,7 @@ class TestConstruction:
             0,
             {"overSupply": [0], "equilibrium": [1], "overDemand": [2]},
         )
-        assert c.label_states("equilibrium") == frozenset([1])
+        _assert_label_array(c.label_states("equilibrium"), [1])
 
     def test_unknown_label(self, two_state):
         with pytest.raises(UnknownLabel):

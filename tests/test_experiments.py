@@ -485,6 +485,13 @@ class TestChainKey:
     def test_what_the_solvers_read_counts(self, other):
         assert experiments._chain_key(_keyed_chain()) != experiments._chain_key(other)
 
+    @pytest.mark.parametrize("labels", [
+        {"b": [2, 1, 2, 1], "a": [0, 0]},
+        {"a": {0}, "b": np.array([2, 1], dtype=np.int32)},
+    ], ids=["unsorted-duplicates", "set-int32"])
+    def test_label_input_form_does_not_count(self, labels):
+        assert experiments._chain_key(_keyed_chain()) == experiments._chain_key(_keyed_chain(labels=labels))
+
 
 def fail_every_job(*_):
     raise RuntimeError("worker lost")

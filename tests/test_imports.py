@@ -1,6 +1,6 @@
 """Every module-level import in src/gridlock is used by its module, only
-`solvers` imports private scipy API, and importing the CLI leaves out
-`scipy.stats`.
+`solvers` imports private scipy API, importing the CLI leaves out
+`scipy.stats`, and no module reads the `Ctmc.labels` frozenset view.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -70,3 +70,12 @@ def test_cli_import_leaves_out_scipy_stats():
     code = "import sys, gridlock.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_reads_the_labels_view():
+    # the program reads label sets as the sorted int64 arrays of
+    # `label_arrays`; the frozenset view is for outside callers only
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "labels"]
+    assert not readers, f"reads .labels: {readers}"

@@ -18,6 +18,7 @@ from gridlock.sim import (
 )
 from gridlock.solvers import label_probability, transient
 
+import oracles
 from oracles import Path, simulate_path, successor
 
 
@@ -70,7 +71,7 @@ class TestPath:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Path(((0, 0.0), (1, 0.0)), 1.0)
+            Path(((0, 0.0), (1, 0.5), (0, 0.25)), 1.0)
         with pytest.raises(ValueError):
             Path(((0, 0.5),), 1.0)
 
@@ -267,6 +268,20 @@ class TestUnitDrawOfOne:
         assert src.size
         got = comp.successors(src, chain.exit_rates[src])
         assert got.tolist() == [int(chain.indices[chain.indptr[s + 1] - 1]) for s in src]
+
+    def test_zero_length_sojourn(self, monkeypatch, stiff_loop):
+        # draw 0 of every trial is 2**64 - 1, so u = 1.0, -log(u) = 0 and
+        # the first jump leaves state 0 at t = 0 after a zero-length segment
+        real = sim._draw
+
+        def draw(keys, counter):
+            bits = real(keys, counter)
+            return bits | np.uint64(2**64 - 1) if counter == 0 else bits
+
+        monkeypatch.setattr(sim, "_draw", draw)
+        monkeypatch.setattr(oracles, "_draw", draw)
+        assert simulate_path(stiff_loop, 3.0, derive_trial_seed(7, 0)).entries[:2] == ((0, 0.0), (1, 0.0))
+        _assert_batch_matches_loop(stiff_loop, ("busy", "all"), 3.0, 200, 7)
 
 
 class TestEstimates:
