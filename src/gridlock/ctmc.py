@@ -8,13 +8,15 @@ The rates are stored once, as CSR arrays with targets ascending within
 each row, and each label as an ascending int64 array.  Everything else
 (matrices, exit rates, the ``transitions`` mapping, state descriptions)
 is derived and cached, lazily but for the exit rates, which construction
-checks to be finite; instances are immutable and thread-safe.
+checks to be finite.  Instances are immutable, their arrays read-only, and
+thread-safe; a pickle holds only the defining fields and loads through
+`ctmc_from_arrays`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -45,12 +47,10 @@ class Ctmc:
     label_arrays: Mapping[str, np.ndarray] = field(default_factory=dict)
     describe: Callable[[], Sequence[str]] | None = field(default=None, repr=False)
 
-    def __eq__(self, other):
-        fields = ("n_states", "initial", "labels", "state_meta")
-        return isinstance(other, Ctmc) and all(
-            getattr(self, f) == getattr(other, f) for f in fields
-        ) and all(map(np.array_equal, (self.indptr, self.indices, self.data),
-                      (other.indptr, other.indices, other.data)))
+    def __reduce__(self):
+        src = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+        return ctmc_from_arrays, (self.n_states, src, self.indices, self.data, self.initial,
+                                  self.label_arrays, self.describe)
 
     # -- derived views (cached; safe on a frozen dataclass because
     #    cached_property writes straight to __dict__) ------------------
@@ -68,7 +68,7 @@ class Ctmc:
 
     @property
     def labels(self) -> Mapping[str, frozenset[int]]:
-        """Read-only ``name -> frozenset`` view of `label_arrays`; uncached, so a chain still pickles."""
+        """Read-only ``name -> frozenset`` view of `label_arrays`."""
         return MappingProxyType({k: frozenset(a.tolist()) for k, a in self.label_arrays.items()})
 
     @cached_property
@@ -95,15 +95,11 @@ class Ctmc:
 
 def new_ctmc(
     n_states: int, transitions: Iterable[tuple[int, int, float]], initial: int,
-    labels: Mapping[str, Iterable[int]] | None = None, state_meta: Iterable[str] | None = None,
+    labels: Mapping[str, Iterable[int]] | None = None,
 ) -> Ctmc:
     """Validated constructor from (source, target, rate) triples."""
     t = np.array(list(transitions), dtype=float).reshape(-1, 3)
-    meta = None if state_meta is None else tuple(state_meta)
-    if meta is not None and len(meta) != n_states:
-        raise IndexOutOfRange("state_meta length must equal n_states")
-    describe = None if meta is None else partial(tuple, meta)
-    return ctmc_from_arrays(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels, describe)
+    return ctmc_from_arrays(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels)
 
 
 def ctmc_from_arrays(
@@ -159,8 +155,10 @@ def ctmc_from_arrays(
 
     index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
-    chain = Ctmc(n_states, indptr.astype(index_dtype), dst[order].astype(index_dtype),
-                 rates[order], initial, label_arrays, describe)
+    arrays = indptr.astype(index_dtype), dst[order].astype(index_dtype), rates[order]
+    for a in arrays:
+        a.flags.writeable = False
+    chain = Ctmc(n_states, *arrays, initial, label_arrays, describe)
     with np.errstate(over="ignore"):  # finite rates can still sum past the float range
         overflow = ~np.isfinite(chain.exit_rates)
     if overflow.any():
@@ -188,6 +186,3 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.probs)
-
-    def __getitem__(self, s: int) -> float:
-        return float(self.probs[s])

@@ -157,13 +157,10 @@ class DemandProfile:
                 raise ValueError(f"hour {h}: demand must be > 0, got {mw!r}")
 
 
-def initial_state(s: Scenario, base_mw: float) -> tuple[int, ...]:
-    """The key of the start state: whole units go serving in priority order
-    until supply covers base_mw, at demand level normal with the botnet off.
-
-    A state key is the flat int tuple (a0, s0, o0, a1, s1, o1, ..., level,
-    botnet): each class's available, serving and offline counts in class
-    order, the level's index in DEMAND_LEVELS, and botnet 0 (off) or 1 (on).
+def initial_state(s: Scenario, base_mw: float) -> int:
+    """The code (see `_layout`) of the start state: whole units go serving
+    in priority order until supply covers base_mw, none offline, at demand
+    level normal with the botnet off.
     """
     if base_mw > s.total_capacity_mw:
         raise InsufficientCapacity(
@@ -179,8 +176,9 @@ def initial_state(s: Scenario, base_mw: float) -> tuple[int, ...]:
             acc += cls.capacity_mw
         if acc >= base_mw:
             break
-    counts = sum(((g.count - serving[g.name], serving[g.name], 0) for g in s.classes), ())
-    return counts + (DEMAND_LEVELS.index("normal"), 0)
+    place, _ = _layout([g.count for g in s.classes])
+    return 2 * DEMAND_LEVELS.index("normal") + sum(
+        map(mul, place[1::2, 0].tolist(), (serving[g.name] for g in s.classes)))
 
 
 def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -222,9 +220,7 @@ def _rules(s: Scenario, base_mw: float):
     counts = [g.count for g in s.classes]
     place, radix = _layout(counts)
     stride_o, stride_s = place[::2], place[1::2]
-    key = initial_state(s, base_mw)
-    start = np.array([2 * key[-2] + key[-1] + sum(map(mul, stride_o[:, 0].tolist(), key[2:-2:3]))
-                      + sum(map(mul, stride_s[:, 0].tolist(), key[1:-2:3]))], place.dtype)
+    start = np.array([initial_state(s, base_mw)], place.dtype)
     count = np.array(counts, place.dtype)[:, None]
     caps = np.array([g.capacity_mw for g in s.classes])[:, None]
     on = np.array([s.class_index(name) for name in s.controller.priority])

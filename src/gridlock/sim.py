@@ -75,7 +75,6 @@ class LabelEstimate:
     occupancy: float
     occupancy_standard_error: float
     trials: int
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.point_probability <= 1.0:
@@ -144,7 +143,6 @@ class LabelEstimates:
     """Estimates for several labels, all scored on one set of paths."""
 
     trials: int
-    seed: int
     estimates: tuple[LabelEstimate, ...]
 
 
@@ -180,16 +178,15 @@ def estimate_label_metrics(
         _run_chunk(comp, in_label, horizon, _trial_keys(seed, np.arange(lo, hi)),
                    at_horizon[:, lo:hi], occupancy[:, lo:hi])
 
-    seed &= 0xFFFFFFFFFFFFFFFF
     estimates = tuple(
-        _estimate(name, flags, occ, seed) for name, flags, occ in zip(names, at_horizon, occupancy)
+        _estimate(name, flags, occ) for name, flags, occ in zip(names, at_horizon, occupancy)
     )
     if isinstance(labels, str):
         return estimates[0]
-    return LabelEstimates(trials, seed, estimates)
+    return LabelEstimates(trials, estimates)
 
 
-def _estimate(label: str, at_horizon: np.ndarray, occupancy: np.ndarray, seed: int) -> LabelEstimate:
+def _estimate(label: str, at_horizon: np.ndarray, occupancy: np.ndarray) -> LabelEstimate:
     trials = len(at_horizon)
     p = float(at_horizon.sum()) / trials
     point_se = math.sqrt(p * (1.0 - p) / trials)
@@ -204,7 +201,6 @@ def _estimate(label: str, at_horizon: np.ndarray, occupancy: np.ndarray, seed: i
         occupancy=occ_mean,
         occupancy_standard_error=occ_se,
         trials=trials,
-        seed=seed,
     )
 
 

@@ -8,7 +8,7 @@ here, not from the builder's.  The one exception is marked: `classify` and
 `enabled_transitions` run the builder's rules on a one-state BFS level so
 that rule-level tests can address them one GridState at a time.
 `GridState` is the state type of the reference builders and the readable
-form of a builder key.
+form of a builder state code.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from gridlock.ctmc import Ctmc, new_ctmc
+from gridlock.ctmc import Ctmc, ctmc_from_arrays, new_ctmc
 from gridlock.errors import NegativeTime
 from gridlock.grid import (
     BLACKOUT,
@@ -28,7 +29,6 @@ from gridlock.grid import (
     OVER_DEMAND,
     OVER_SUPPLY,
     Scenario,
-    _layout,
     _rules,
     initial_state,
 )
@@ -194,15 +194,26 @@ class GridState:
             if len(triple) != 3 or any(c < 0 for c in triple):
                 raise ValueError(f"bad count triple {triple!r}")
 
-    @classmethod
-    def of(cls, key: tuple[int, ...]) -> GridState:
-        """The state a builder key (see grid.initial_state) stands for."""
-        counts = tuple(zip(key[0:-2:3], key[1:-2:3], key[2:-2:3]))
-        return cls(counts, DEMAND_LEVELS[key[-2]], bool(key[-1]))
+    # A builder state code (grid._layout), written out: mixed radix, least
+    # significant first, 2 * level + botnet (radix 6), then each class's
+    # offline and serving counts (radix count + 1).
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        return sum(self.counts, ()) + (DEMAND_LEVELS.index(self.demand_level), int(self.botnet_on))
+    @classmethod
+    def decode(cls, code: int, s: Scenario) -> GridState:
+        """The state a builder code stands for."""
+        code, j = divmod(code, 6)
+        counts = []
+        for g in s.classes:
+            code, o = divmod(code, g.count + 1)
+            code, sv = divmod(code, g.count + 1)
+            counts.append((g.count - sv - o, sv, o))
+        return cls(counts, DEMAND_LEVELS[j // 2], bool(j % 2))
+
+    def code(self) -> int:
+        code = 0
+        for a, sv, o in reversed(self.counts):
+            code = (code * (a + sv + o + 1) + sv) * (a + sv + o + 1) + o
+        return code * 6 + 2 * DEMAND_LEVELS.index(self.demand_level) + int(self.botnet_on)
 
     def describe(self, scenario: Scenario) -> str:
         parts = [
@@ -215,7 +226,7 @@ class GridState:
 
 
 def initial_grid_state(s: Scenario, base_mw: float) -> GridState:
-    return GridState.of(initial_state(s, base_mw))
+    return GridState.decode(initial_state(s, base_mw), s)
 
 
 def supply(g: GridState, s: Scenario) -> float:
@@ -245,11 +256,7 @@ def _band(g: GridState, s: Scenario, base_mw: float) -> str:
 
 def _expand(g: GridState, s: Scenario, base_mw: float):
     """grid._rules' expand on the one-state level [code of g]."""
-    code = 0
-    for a, sv, o in reversed(g.counts):  # the layout of grid._layout
-        code = (code * (a + sv + o + 1) + sv) * (a + sv + o + 1) + o
-    code = code * 6 + 2 * DEMAND_LEVELS.index(g.demand_level) + int(g.botnet_on)
-    return _rules(s, base_mw)[1](np.array([code]))
+    return _rules(s, base_mw)[1](np.array([g.code()]))
 
 
 def classify(g: GridState, s: Scenario, base_mw: float) -> str:
@@ -260,12 +267,7 @@ def classify(g: GridState, s: Scenario, base_mw: float) -> str:
 def enabled_transitions(g: GridState, s: Scenario, base_mw: float) -> list[tuple[GridState, float]]:
     """The successors with rates that the builder's rules give g, in rule order."""
     *_, child, rate = _expand(g, s, base_mw)
-    counts = [cls.count for cls in s.classes]
-    place, radix = _layout(counts)
-    digits, j = (child // place % radix).T.tolist(), (child % 6).tolist()
-    return [(GridState([(c - d[2 * k + 1] - d[2 * k], d[2 * k + 1], d[2 * k]) for k, c in enumerate(counts)],
-                       DEMAND_LEVELS[jj // 2], bool(jj % 2)), float(r))
-            for d, jj, r in zip(digits, j, rate)]
+    return [(GridState.decode(code, s), r) for code, r in zip(child.tolist(), rate.tolist())]
 
 
 # -- explicit per-unit grid model ------------------------------------
@@ -443,4 +445,6 @@ def grid_state_ctmc(s: Scenario, base_mw: float):
                 order.append(succ)
                 queue.append(succ)
             transitions.append((i, index[succ], rate))
-    return new_ctmc(len(order), transitions, 0, labels, [g.describe(s) for g in order])
+    src, dst, rates = np.array(transitions, dtype=float).reshape(-1, 3).T
+    return ctmc_from_arrays(len(order), src, dst, rates, 0, labels,
+                            partial(tuple, [g.describe(s) for g in order]))

@@ -1,5 +1,6 @@
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from gridlock import (
     UnknownLabel,
     new_ctmc,
 )
-from gridlock.ctmc import Distribution
+from gridlock.ctmc import Distribution, ctmc_from_arrays
+from gridlock.experiments import _chain_key, desk_demand_profile, desk_scenario, make_attack_variants
+from gridlock.grid import build_grid_ctmc
 
 
 @pytest.fixture
@@ -143,9 +146,15 @@ class TestConstruction:
         _assert_label_array(c.label_states("x"), [0, 1])
 
     def test_pickle_round_trip_with_descriptions(self):
-        c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 1, {"x": [0]}, state_meta=["up", "down"])
+        c = ctmc_from_arrays(2, [0, 1], [1, 0], [1.0, 2.0], 1, {"x": [0]}, partial(tuple, ["up", "down"]))
         back = pickle.loads(pickle.dumps(c))
-        assert back == c and back.state_meta == ("up", "down")
+        assert _chain_key(back) == _chain_key(c) and back.state_meta == ("up", "down")
+
+    @pytest.mark.parametrize("name", ["indptr", "indices", "data"])
+    def test_csr_arrays_are_read_only(self, two_state, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(two_state, name)[0] = 0
+        assert two_state.exit_rates.tolist() == [2.0, 1.0]
 
     def test_classification_labels_must_partition(self):
         with pytest.raises(IndexOutOfRange):
@@ -168,6 +177,27 @@ class TestConstruction:
     def test_unknown_label(self, two_state):
         with pytest.raises(UnknownLabel):
             two_state.label_states("nosuch")
+
+
+def _desk_attack_chain():
+    scen = dict(make_attack_variants(desk_scenario()))["ATTACK-H"]
+    return build_grid_ctmc(scen, desk_demand_profile().mw_by_hour[12])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: new_ctmc(3, [(0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0)], 1, {"x": [2, 0], "y": []}),
+    _desk_attack_chain,
+], ids=["new_ctmc", "built"])
+def test_pickle_after_reading_the_cached_views(make):
+    # the cached views sit in the instance dict; a pickle holds only the
+    # defining fields and loads through the validating constructor
+    c = make()
+    views = c.transitions, c.rate_matrix, c.state_meta
+    back = pickle.loads(pickle.dumps(c))
+    assert _chain_key(back) == _chain_key(c) and back.state_meta == views[2]
+    assert back.transitions == views[0]
+    for a in (back.indptr, back.indices, back.data, *back.label_arrays.values()):
+        assert not a.flags.writeable
 
 
 class TestExitRates:
@@ -247,7 +277,7 @@ def test_generator_rows_sum_zero(chain):
 class TestDistribution:
     def test_valid(self):
         d = Distribution(np.array([0.25, 0.75]))
-        assert d[1] == 0.75 and len(d) == 2
+        assert d.probs[1] == 0.75 and len(d) == 2
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

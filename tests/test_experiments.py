@@ -5,6 +5,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from gridlock.experiments import (
     run_hourly_sweep,
 )
 from gridlock.cli import _exit_code, _parse_hours
-from gridlock.ctmc import new_ctmc
+from gridlock.ctmc import ctmc_from_arrays, new_ctmc
 from gridlock.grid import (
     Botnet,
     Controller,
@@ -465,8 +466,8 @@ def log_calls(monkeypatch, tmp_path, name, record=lambda *a, **k: ""):
 
 
 def _keyed_chain(rates=(1.0, 2.0, 3.0), initial=0, labels=None, meta=("x", "y", "z")):
-    return new_ctmc(3, [(0, 1, rates[0]), (1, 2, rates[1]), (2, 0, rates[2])], initial,
-                    labels or {"a": [0], "b": [1, 2]}, meta)
+    return ctmc_from_arrays(3, [0, 1, 2], [1, 2, 0], rates, initial,
+                            labels or {"a": [0], "b": [1, 2]}, partial(tuple, meta))
 
 
 class TestChainKey:

@@ -1,6 +1,7 @@
 """Every module-level import in src/gridlock is used by its module, only
 `solvers` imports private scipy API, importing the CLI leaves out
-`scipy.stats`, and no module reads the `Ctmc.labels` frozenset view.
+`scipy.stats`, and no module reads the `Ctmc.labels` or `Ctmc.transitions`
+view.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -74,8 +75,9 @@ def test_cli_import_leaves_out_scipy_stats():
 
 def test_no_module_reads_the_labels_view():
     # the program reads label sets as the sorted int64 arrays of
-    # `label_arrays`; the frozenset view is for outside callers only
+    # `label_arrays` and rates as the CSR arrays; the frozenset and
+    # (source, target) -> rate views are for outside callers only
     readers = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "labels"]
-    assert not readers, f"reads .labels: {readers}"
+               if isinstance(node, ast.Attribute) and node.attr in ("labels", "transitions")]
+    assert not readers, f"reads .labels or .transitions: {readers}"
