@@ -24,7 +24,7 @@ from .experiments import (
     make_attack_variants,
     run_hourly_sweep,
 )
-from .grid import MAX_STATES, build_grid_ctmc, state_space_stats
+from .grid import MAX_STATES, build_grid_ctmc, describe_state, initial_state, state_space_stats
 from .scenario_io import (
     default_demand_profile,
     default_scenario,
@@ -145,14 +145,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_inspect(args) -> int:
     scenario, profile = _load_inputs(args)
-    chain = build_grid_ctmc(scenario, profile.mw_by_hour[args.hour],
-                            max_states=args.max_states)
+    base_mw = profile.mw_by_hour[args.hour]
+    chain = build_grid_ctmc(scenario, base_mw, max_states=args.max_states)
     stats = state_space_stats(chain)
     print(f"states {stats.n_states}")
     print(f"transitions {stats.n_transitions}")
     for label in sorted(stats.label_counts):
         print(f"label {label}: {stats.label_counts[label]}")
-    print(f"initial {chain.state_meta[chain.initial]}")
+    print(f"initial {describe_state(scenario, initial_state(scenario, base_mw))}")
     return 0
 
 

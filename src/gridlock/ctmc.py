@@ -6,19 +6,20 @@ named label sets.  Absorbing states simply have no outgoing entries;
 self-loops are rejected because they have no effect on CTMC dynamics.
 The rates are stored once, as CSR arrays with targets ascending within
 each row, and each label as an ascending int64 array.  Everything else
-(matrices, exit rates, the ``transitions`` mapping, state descriptions)
-is derived and cached, lazily but for the exit rates, which construction
-checks to be finite.  Instances are immutable, their arrays read-only, and
-thread-safe; a pickle holds only the defining fields and loads through
-`ctmc_from_arrays`.
+(matrices, exit rates, the ``transitions`` mapping) is derived and cached,
+lazily but for the exit rates, which construction checks to be finite.
+`Ctmc(...)` is the one constructor and validates all of its input.
+Instances are immutable (no attribute can be set, the label map and every
+array are read-only) and thread-safe; a pickle holds only the defining
+fields and loads through the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,31 +35,83 @@ from .errors import (
 CLASSIFICATION_LABELS = ("overSupply", "equilibrium", "overDemand")
 
 
-@dataclass(frozen=True, eq=False)
 class Ctmc:
-    """Labeled CTMC with CSR rates, in events per minute; built by `new_ctmc`
-    or `ctmc_from_arrays`.  `describe` runs on the first read of `state_meta`."""
+    """Labeled CTMC from parallel source, target and rate arrays, rates in
+    events per minute.  It holds `n_states`, the CSR arrays `indptr`,
+    `indices` and `data`, `initial` and the `label_arrays` map.
 
-    n_states: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    initial: int
-    label_arrays: Mapping[str, np.ndarray] = field(default_factory=dict)
-    describe: Callable[[], Sequence[str]] | None = field(default=None, repr=False)
+    Duplicate (source, target) pairs are rejected rather than summed, so
+    that model-construction bugs surface instead of silently merging.
+    """
+
+    def __init__(
+        self, n_states: int, src: np.ndarray, dst: np.ndarray, rates: np.ndarray, initial: int,
+        labels: Mapping[str, Iterable[int]] | None = None,
+    ):
+        if not (0 <= initial < n_states and initial == int(initial)):
+            raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
+        initial = int(initial)
+        src_in, dst_in = np.asarray(src), np.asarray(dst)
+        rates = np.asarray(rates, dtype=float)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here
+            src, dst = src_in.astype(np.int64), dst_in.astype(np.int64)
+        fractional = (src != src_in) | (dst != dst_in)
+        if fractional.any():
+            i = int(np.argmax(fractional))
+            raise IndexOutOfRange(f"transition ({src_in[i]}, {dst_in[i]}, rate {float(rates[i])!r}) "
+                                  "has a state index that is not an integer")
+        key = src * n_states + dst
+        order = np.argsort(key, kind="stable")
+        duplicate = np.zeros(len(key), dtype=bool)
+        duplicate[order[1:]] = np.diff(key[order]) == 0
+        for error, what, bad in (
+            (IndexOutOfRange, "out of range", (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)),
+            (SelfLoop, "a self-loop", src == dst),
+            (NonPositiveRate, "not positive and finite", ~(np.isfinite(rates) & (rates > 0))),
+            (DuplicateTransition, "a duplicate", duplicate),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
+
+        label_arrays = {}
+        for name, states in (labels or {}).items():
+            values = np.asarray(states if isinstance(states, np.ndarray) else list(states))
+            numeric = values.ndim == 1 and values.dtype.kind in "iuf"  # not bool, text, None or past int64
+            with np.errstate(invalid="ignore"):
+                ints = values.astype(np.int64) if numeric else values  # a copy of our own
+            if not numeric or ((ints != values) | (ints < 0) | (ints >= n_states)).any():
+                raise IndexOutOfRange(f"label {name!r} holds a state that is not an integer in [0, {n_states})")
+            ints = ints if (np.diff(ints) > 0).all() else np.flatnonzero(np.bincount(ints, minlength=n_states))
+            ints.flags.writeable = False
+            label_arrays[name] = ints
+        bands = [label_arrays[name] for name in CLASSIFICATION_LABELS if name in label_arrays]
+        if len(bands) == 3 and not (np.bincount(np.concatenate(bands), minlength=n_states) == 1).all():
+            raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")
+
+        index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states)))).astype(index_dtype)
+        indices, data = dst[order].astype(index_dtype), rates[order]
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
+        # straight into the instance dict, past __setattr__, as cached_property does
+        vars(self).update(n_states=n_states, indptr=indptr, indices=indices, data=data,
+                          initial=initial, label_arrays=MappingProxyType(label_arrays))
+        with np.errstate(over="ignore"):  # finite rates can still sum past the float range
+            overflow = ~np.isfinite(self.exit_rates)
+        if overflow.any():
+            raise NonPositiveRate(f"state {np.argmax(overflow)} has exit rate inf, not finite")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a Ctmc is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         src = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
-        return ctmc_from_arrays, (self.n_states, src, self.indices, self.data, self.initial,
-                                  self.label_arrays, self.describe)
+        return Ctmc, (self.n_states, src, self.indices, self.data, self.initial, dict(self.label_arrays))
 
-    # -- derived views (cached; safe on a frozen dataclass because
-    #    cached_property writes straight to __dict__) ------------------
-
-    @cached_property
-    def state_meta(self) -> tuple[str, ...] | None:
-        """One description per state, or None."""
-        return None if self.describe is None else tuple(self.describe())
+    # -- derived views (cached) -----------------------------------------
 
     @cached_property
     def transitions(self) -> Mapping[tuple[int, int], float]:
@@ -97,73 +150,9 @@ def new_ctmc(
     n_states: int, transitions: Iterable[tuple[int, int, float]], initial: int,
     labels: Mapping[str, Iterable[int]] | None = None,
 ) -> Ctmc:
-    """Validated constructor from (source, target, rate) triples."""
+    """`Ctmc` from (source, target, rate) triples."""
     t = np.array(list(transitions), dtype=float).reshape(-1, 3)
-    return ctmc_from_arrays(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels)
-
-
-def ctmc_from_arrays(
-    n_states: int, src: np.ndarray, dst: np.ndarray, rates: np.ndarray, initial: int,
-    labels: Mapping[str, Iterable[int]] | None = None,
-    describe: Callable[[], Sequence[str]] | None = None,
-) -> Ctmc:
-    """Validated constructor from parallel source, target and rate arrays.
-
-    Duplicate (source, target) pairs are rejected rather than summed, so
-    that model-construction bugs surface instead of silently merging.
-    """
-    if not (0 <= initial < n_states and initial == int(initial)):
-        raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
-    initial = int(initial)
-    src_in, dst_in = np.asarray(src), np.asarray(dst)
-    rates = np.asarray(rates, dtype=float)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here
-        src, dst = src_in.astype(np.int64), dst_in.astype(np.int64)
-    fractional = (src != src_in) | (dst != dst_in)
-    if fractional.any():
-        i = int(np.argmax(fractional))
-        raise IndexOutOfRange(f"transition ({src_in[i]}, {dst_in[i]}, rate {float(rates[i])!r}) "
-                              "has a state index that is not an integer")
-    key = src * n_states + dst
-    order = np.argsort(key, kind="stable")
-    duplicate = np.zeros(len(key), dtype=bool)
-    duplicate[order[1:]] = np.diff(key[order]) == 0
-    for error, what, bad in (
-        (IndexOutOfRange, "out of range", (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)),
-        (SelfLoop, "a self-loop", src == dst),
-        (NonPositiveRate, "not positive and finite", ~(np.isfinite(rates) & (rates > 0))),
-        (DuplicateTransition, "a duplicate", duplicate),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
-
-    label_arrays = {}
-    for name, states in (labels or {}).items():
-        values = np.asarray(states if isinstance(states, np.ndarray) else list(states))
-        numeric = values.ndim == 1 and values.dtype.kind in "iuf"  # not bool, text, None or past int64
-        with np.errstate(invalid="ignore"):
-            ints = values.astype(np.int64) if numeric else values  # a copy of our own
-        if not numeric or ((ints != values) | (ints < 0) | (ints >= n_states)).any():
-            raise IndexOutOfRange(f"label {name!r} holds a state that is not an integer in [0, {n_states})")
-        ints = ints if (np.diff(ints) > 0).all() else np.flatnonzero(np.bincount(ints, minlength=n_states))
-        ints.flags.writeable = False
-        label_arrays[name] = ints
-    bands = [label_arrays[name] for name in CLASSIFICATION_LABELS if name in label_arrays]
-    if len(bands) == 3 and not (np.bincount(np.concatenate(bands), minlength=n_states) == 1).all():
-        raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")
-
-    index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states))))
-    arrays = indptr.astype(index_dtype), dst[order].astype(index_dtype), rates[order]
-    for a in arrays:
-        a.flags.writeable = False
-    chain = Ctmc(n_states, *arrays, initial, label_arrays, describe)
-    with np.errstate(over="ignore"):  # finite rates can still sum past the float range
-        overflow = ~np.isfinite(chain.exit_rates)
-    if overflow.any():
-        raise NonPositiveRate(f"state {np.argmax(overflow)} has exit rate inf, not finite")
-    return chain
+    return Ctmc(n_states, t[:, 0], t[:, 1], t[:, 2], initial, labels)
 
 
 @dataclass(frozen=True)

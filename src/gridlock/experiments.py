@@ -28,7 +28,7 @@ from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import derive_trial_seed, estimate_label_metrics
-from .solvers import SolverConfig, label_probability, steady_state, transient
+from .solvers import SolverConfig, _integer, label_probability, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -79,7 +79,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "hours", tuple(self.hours))
+        object.__setattr__(self, "hours", tuple(_integer("hour", h) for h in self.hours))
         if not self.variants:
             raise ValueError("plan needs at least one variant")
         if not self.hours:
@@ -100,7 +100,9 @@ class ExperimentPlan:
             raise ValueError(
                 f"horizon_minutes must be finite and > 0, got {self.horizon_minutes}"
             )
+        object.__setattr__(self, "sim_seed", _integer("sim_seed", self.sim_seed))
         if self.sim_trials is not None:
+            object.__setattr__(self, "sim_trials", _integer("sim_trials", self.sim_trials))
             if self.sim_trials < 1:
                 raise ValueError("sim_trials must be >= 1")
             if self.mode != "transient":
@@ -185,7 +187,7 @@ _Outcome = ResultRow | Exception
 def _chain_key(chain: Ctmc) -> bytes:
     """sha256 over all that the solvers and the simulator read of a chain:
     size, initial state, CSR arrays with their dtypes and the label arrays
-    (ascending), by name.  `state_meta` is left out."""
+    (ascending), by name: everything a `Ctmc` holds."""
     h = hashlib.sha256(np.array([chain.n_states, chain.initial], dtype=np.int64))
     for a in (chain.indptr, chain.indices, chain.data):
         h.update(a.dtype.str.encode())

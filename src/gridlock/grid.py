@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import Ctmc, ctmc_from_arrays
+from .ctmc import Ctmc
 from .errors import InsufficientCapacity, StateSpaceLimitExceeded
 
 DEMAND_LEVELS = ("low", "normal", "high")
@@ -162,6 +161,7 @@ def initial_state(s: Scenario, base_mw: float) -> int:
     in priority order until supply covers base_mw, none offline, at demand
     level normal with the botnet off.
     """
+    _positive("demand", base_mw)
     if base_mw > s.total_capacity_mw:
         raise InsufficientCapacity(
             f"base demand {base_mw} MW exceeds fleet capacity "
@@ -196,15 +196,15 @@ def _layout(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(place[:-1], dtype)[:, None], np.array(radix, dtype)[:, None]
 
 
-def _descriptions(names: tuple[str, ...], counts: list[int], codes: np.ndarray) -> tuple[str, ...]:
-    """Each state code as text: 'name=Aa/Ss/Oo' per class, the demand level
-    and 'botnet-on' or 'botnet-off'."""
-    place, radix = _layout(counts)
-    digits = (codes // place % radix).tolist()
-    parts = [[f"{name}={c - sv - o}a/{sv}s/{o}o" for sv, o in zip(digits[2 * k + 1], digits[2 * k])]
-             for k, (name, c) in enumerate(zip(names, counts))]
-    parts.append([f"{DEMAND_LEVELS[j // 2]} botnet-{'on' if j % 2 else 'off'}" for j in (codes % 6).tolist()])
-    return tuple(map(" ".join, zip(*parts)))
+def describe_state(s: Scenario, code: int) -> str:
+    """A state code (see `_layout`) as text: 'name=Aa/Ss/Oo' per class,
+    the demand level and 'botnet-on' or 'botnet-off'."""
+    place, radix = _layout([g.count for g in s.classes])
+    digits = (code // place % radix).ravel().tolist()
+    parts = [f"{g.name}={g.count - sv - o}a/{sv}s/{o}o"
+             for g, o, sv in zip(s.classes, digits[::2], digits[1::2])]
+    parts.append(f"{DEMAND_LEVELS[code % 6 // 2]} botnet-{'on' if code % 2 else 'off'}")
+    return " ".join(parts)
 
 
 def _rules(s: Scenario, base_mw: float):
@@ -278,9 +278,9 @@ def build_grid_ctmc(
 
     New codes take the next index in (parent, rule) order, which is FIFO
     discovery order, so two builds of the same inputs are identical.
-    Labels: the classification partition plus "blackout" for overDemand
-    states with at least one unit offline.  State descriptions are built
-    on the first read of `state_meta`.
+    State 0 is the start state, whose code is `initial_state`.  Labels:
+    the classification partition plus "blackout" for overDemand states
+    with at least one unit offline.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
@@ -300,7 +300,7 @@ def build_grid_ctmc(
         # new codes are numbered in order of first appearance
         fresh = np.flatnonzero(new)[np.argsort(first[new], kind="stable")]
         index[fresh] = np.arange(n, n + len(fresh))
-        levels.append((frontier, parent + n - len(frontier), index[inverse], rate, band, blackout))
+        levels.append((parent + n - len(frontier), index[inverse], rate, band, blackout))
         # merge until each run is over twice the next: a lookup searches
         # O(log n) runs, and each code is merged O(log n) times
         run = codes[new], index[new]
@@ -310,12 +310,11 @@ def build_grid_ctmc(
             run = merged[order], merged_index[order]
         runs.append(run)
         frontier, n = codes[fresh], n + len(fresh)
-    codes, src, dst, rates, band, blackout = map(np.concatenate, zip(*levels))
+    src, dst, rates, band, blackout = map(np.concatenate, zip(*levels))
     labels = {name: np.flatnonzero(band == i)
               for i, name in enumerate((OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND))}
     labels[BLACKOUT] = np.flatnonzero(blackout)
-    return ctmc_from_arrays(n, src, dst, rates, 0, labels, partial(
-        _descriptions, tuple(g.name for g in s.classes), [g.count for g in s.classes], codes))
+    return Ctmc(n, src, dst, rates, 0, labels)
 
 
 class StateSpaceStats(NamedTuple):

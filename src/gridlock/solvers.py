@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,6 +34,13 @@ _UNIF_SLACK = 1.02
 _STATIONARITY_CHECK = 32
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a value of another type is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping parameters of the steady-state iterations."""
@@ -45,6 +53,7 @@ class SolverConfig:
         # sweep means anything
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance!r}")
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from gridlock.ctmc import Ctmc, ctmc_from_arrays, new_ctmc
+from gridlock.ctmc import Ctmc, new_ctmc
 from gridlock.errors import NegativeTime
 from gridlock.grid import (
     BLACKOUT,
@@ -425,7 +424,9 @@ def _grid_moves(g: GridState, s: Scenario, base_mw: float):
     return band, out
 
 
-def grid_state_ctmc(s: Scenario, base_mw: float):
+def grid_state_ctmc(s: Scenario, base_mw: float) -> tuple[Ctmc, list[GridState]]:
+    """The chain of a scenario at one hourly demand, one GridState per
+    successor, and its states in discovery order."""
     start = initial_grid_state(s, base_mw)
     index = {start: 0}
     order = [start]
@@ -446,5 +447,4 @@ def grid_state_ctmc(s: Scenario, base_mw: float):
                 queue.append(succ)
             transitions.append((i, index[succ], rate))
     src, dst, rates = np.array(transitions, dtype=float).reshape(-1, 3).T
-    return ctmc_from_arrays(len(order), src, dst, rates, 0, labels,
-                            partial(tuple, [g.describe(s) for g in order]))
+    return Ctmc(len(order), src, dst, rates, 0, labels), order

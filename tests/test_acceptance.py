@@ -23,6 +23,7 @@ from gridlock.cli import main as cli_main
 from gridlock.ctmc import new_ctmc
 from gridlock.experiments import (
     REPORT_LABELS,
+    _chain_key,
     desk_demand_profile,
     desk_scenario,
     make_attack_variants,
@@ -38,6 +39,7 @@ from gridlock.grid import (
     GeneratorClass,
     Scenario,
     build_grid_ctmc,
+    describe_state,
 )
 from gridlock.scenario_io import (
     default_scenario,
@@ -49,7 +51,7 @@ from gridlock.scenario_io import (
 from gridlock.sim import derive_trial_seed, estimate_label_metrics
 from gridlock.solvers import label_probability, steady_state, transient
 
-from oracles import per_unit_ctmc, transient_oracle
+from oracles import grid_state_ctmc, per_unit_ctmc, transient_oracle
 
 SEC = 1.0 / 60.0
 EXCLUSIVE_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND)
@@ -238,7 +240,7 @@ def test_criterion_5_desk_sweep_findings(desk_transient_sweep):
 _META_RE = re.compile(r"(\w+)=(\d+)a/(\d+)s/(\d+)o")
 
 
-def _structural_violations(c, counts, expect_no_blackout):
+def _structural_violations(c, descriptions, counts, expect_no_blackout):
     bad = []
     q = c.generator_matrix()
     row_err = float(np.abs(np.asarray(q.sum(axis=1))).max())
@@ -257,7 +259,7 @@ def _structural_violations(c, counts, expect_no_blackout):
     if expect_no_blackout and c.label_states(BLACKOUT).size:
         bad.append("blackout state in a no-attack model")
 
-    for meta in c.state_meta:
+    for meta in descriptions:
         for name, a, s, o in _META_RE.findall(meta):
             if int(a) + int(s) + int(o) != counts[name]:
                 bad.append(f"count leak in {meta!r}")
@@ -286,7 +288,13 @@ def test_criterion_6_structural_invariants():
         c = build_grid_ctmc(scen, base)
         checked_states += c.n_states
         counts = {g.name: g.count for g in scen.classes}
-        bad = _structural_violations(c, counts, not scen.botnet.enabled)
+        # the chain holds no state codes: the GridState reference gives
+        # them, once it is shown to have built the same chain
+        ref, order = grid_state_ctmc(scen, base)
+        if _chain_key(c) != _chain_key(ref):
+            problems.append(f"{tag}: differs from the GridState reference")
+        descriptions = [describe_state(scen, g.code()) for g in order]
+        bad = _structural_violations(c, descriptions, counts, not scen.botnet.enabled)
         problems.extend(f"{tag}: {msg}" for msg in bad)
 
     ok = not problems

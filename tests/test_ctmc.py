@@ -1,6 +1,7 @@
+import dataclasses
 import math
+import operator
 import pickle
-from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gridlock import (
     UnknownLabel,
     new_ctmc,
 )
-from gridlock.ctmc import Distribution, ctmc_from_arrays
+from gridlock.ctmc import Distribution
 from gridlock.experiments import _chain_key, desk_demand_profile, desk_scenario, make_attack_variants
 from gridlock.grid import build_grid_ctmc
 
@@ -145,10 +146,35 @@ class TestConstruction:
         given[0] = 1
         _assert_label_array(c.label_states("x"), [0, 1])
 
-    def test_pickle_round_trip_with_descriptions(self):
-        c = ctmc_from_arrays(2, [0, 1], [1, 0], [1.0, 2.0], 1, {"x": [0]}, partial(tuple, ["up", "down"]))
+    def test_pickle_round_trip(self):
+        c = Ctmc(2, [0, 1], [1, 0], [1.0, 2.0], 1, {"x": [0]})
         back = pickle.loads(pickle.dumps(c))
-        assert _chain_key(back) == _chain_key(c) and back.state_meta == ("up", "down")
+        assert _chain_key(back) == _chain_key(c)
+
+    @pytest.mark.parametrize("args,error", [
+        ((2, [0, 1], [1, 0], [1.0, -2.0], 0), NonPositiveRate),
+        ((2, [0, 1], [1, 0], [1.0, 2.0], 0.5), IndexOutOfRange),
+        ((2, [0, 1], [1, 0], [1.0, 2.0], 5), IndexOutOfRange),
+        ((2, [0, 1], [0, 0], [1.0, 2.0], 0), SelfLoop),
+    ], ids=["negative-rate", "fractional-initial", "initial-out-of-range", "self-loop"])
+    def test_the_constructor_validates(self, args, error):
+        with pytest.raises(error):
+            Ctmc(*args)
+
+    @pytest.mark.parametrize("change,error", [
+        (lambda c: setattr(c, "initial", 1), AttributeError),
+        (lambda c: setattr(c, "indptr", c.indptr.astype(np.int64)), AttributeError),
+        (lambda c: delattr(c, "initial"), AttributeError),
+        (lambda c: operator.setitem(c.label_arrays, "x", np.array([1])), TypeError),
+        (lambda c: dataclasses.replace(c, initial=5), TypeError),
+    ], ids=["setattr", "setattr-array", "delattr", "label-map", "replace"])
+    def test_a_chain_cannot_be_changed(self, change, error):
+        # Ctmc(...) is the one way to make a chain, and it validates
+        c = Ctmc(2, [0, 1], [1, 0], [1.0, 2.0], 0, {"x": [0]})
+        key = _chain_key(c)
+        with pytest.raises(error):
+            change(c)
+        assert _chain_key(c) == key and c.initial == 0
 
     @pytest.mark.parametrize("name", ["indptr", "indices", "data"])
     def test_csr_arrays_are_read_only(self, two_state, name):
@@ -192,9 +218,9 @@ def test_pickle_after_reading_the_cached_views(make):
     # the cached views sit in the instance dict; a pickle holds only the
     # defining fields and loads through the validating constructor
     c = make()
-    views = c.transitions, c.rate_matrix, c.state_meta
+    views = c.transitions, c.rate_matrix
     back = pickle.loads(pickle.dumps(c))
-    assert _chain_key(back) == _chain_key(c) and back.state_meta == views[2]
+    assert _chain_key(back) == _chain_key(c)
     assert back.transitions == views[0]
     for a in (back.indptr, back.indices, back.data, *back.label_arrays.values()):
         assert not a.flags.writeable

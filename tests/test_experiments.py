@@ -4,9 +4,8 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
-from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from gridlock.experiments import (
     run_hourly_sweep,
 )
 from gridlock.cli import _exit_code, _parse_hours
-from gridlock.ctmc import ctmc_from_arrays, new_ctmc
+from gridlock.ctmc import Ctmc, new_ctmc
 from gridlock.grid import (
     Botnet,
     Controller,
@@ -229,6 +228,24 @@ class TestPlanValidation:
         ExperimentPlan(
             variants=(("X", tiny_scenario()),), mode="steady", solver=SolverConfig(tolerance=0.5)
         )
+
+    @pytest.mark.parametrize("value", [np.int64(4), np.uint8(4), True, np.True_, 4.0, 2.5, "4"],
+                             ids=["int64", "uint8", "True", "np.True_", "4.0", "2.5", "text"])
+    @pytest.mark.parametrize("name,make", [
+        ("hour", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(v,)).hours[0]),
+        ("sim_trials", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), sim_trials=v).sim_trials),
+        ("sim_seed", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), sim_seed=v).sim_seed),
+        ("max_iterations", lambda v: SolverConfig(max_iterations=v).max_iterations),
+    ], ids=["hours", "sim_trials", "sim_seed", "max_iterations"])
+    def test_counts_are_integers(self, name, make, value):
+        # a bool hour used to write a 'True' CSV row, and a float count
+        # to fail every cell with a bare TypeError
+        if isinstance(value, np.integer):
+            stored = make(value)
+            assert stored == 4 and type(stored) is int
+        else:
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+                make(value)
 
     def test_rejects_bad_trials_and_max_states(self):
         with pytest.raises(ValueError):
@@ -465,23 +482,25 @@ def log_calls(monkeypatch, tmp_path, name, record=lambda *a, **k: ""):
     return lambda: log.read_text().splitlines() if log.exists() else []
 
 
-def _keyed_chain(rates=(1.0, 2.0, 3.0), initial=0, labels=None, meta=("x", "y", "z")):
-    return ctmc_from_arrays(3, [0, 1, 2], [1, 2, 0], rates, initial,
-                            labels or {"a": [0], "b": [1, 2]}, partial(tuple, meta))
+def _keyed_chain(rates=(1.0, 2.0, 3.0), initial=0, labels=None):
+    return Ctmc(3, [0, 1, 2], [1, 2, 0], rates, initial, labels or {"a": [0], "b": [1, 2]})
+
+
+def _int64_indexed(c):
+    """The fields `_chain_key` reads of c, with int64 CSR index arrays; a
+    chain of this size always gets int32 ones."""
+    return SimpleNamespace(n_states=c.n_states, indptr=c.indptr.astype(np.int64),
+                           indices=c.indices.astype(np.int64), data=c.data,
+                           initial=c.initial, label_arrays=c.label_arrays)
 
 
 class TestChainKey:
-    def test_descriptions_do_not_count(self):
-        assert (experiments._chain_key(_keyed_chain())
-                == experiments._chain_key(_keyed_chain(meta=("u", "v", "w"))))
-
     @pytest.mark.parametrize("other", [
         _keyed_chain(rates=(1.0, 2.5, 3.0)),
         _keyed_chain(initial=1),
         _keyed_chain(labels={"a": [0, 1], "b": [2]}),
         _keyed_chain(labels={"a": [0], "c": [1, 2]}),
-        replace(_keyed_chain(), indptr=_keyed_chain().indptr.astype(np.int64),
-                indices=_keyed_chain().indices.astype(np.int64)),
+        _int64_indexed(_keyed_chain()),
     ], ids=["rate", "initial", "label-states", "label-name", "index-dtype"])
     def test_what_the_solvers_read_counts(self, other):
         assert experiments._chain_key(_keyed_chain()) != experiments._chain_key(other)

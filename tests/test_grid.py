@@ -18,6 +18,7 @@ from gridlock.grid import (
     Scenario,
     _layout,
     build_grid_ctmc,
+    describe_state,
     initial_state,
     state_space_stats,
 )
@@ -40,10 +41,13 @@ from oracles import (
 SEC = 1.0 / 60.0
 
 
-def _same_chain(a, b):
-    """Equal in all that the solvers read (the sweep's chain key) and in
-    the state descriptions."""
-    return _chain_key(a) == _chain_key(b) and a.state_meta == b.state_meta
+def _builder_descriptions(c, scen, base):
+    """`describe_state` of each state of a built chain, in index order.  The
+    chain holds no state codes, so they come from the GridState reference,
+    after checking that it built the same chain."""
+    ref, order = grid_state_ctmc(scen, base)
+    assert _chain_key(c) == _chain_key(ref)
+    return [describe_state(scen, g.code()) for g in order]
 
 
 def reference_fleet():
@@ -202,6 +206,14 @@ class TestInitialState:
         g = initial_grid_state(scen, 320.0)
         assert supply(g, scen) == 320.0
 
+    @pytest.mark.parametrize("base", [float("nan"), 0.0, -5.0], ids=["nan", "zero", "negative"])
+    def test_base_demand_must_be_positive(self, scen, base):
+        # a chain at such a demand used to build and solve to one band
+        # with probability 1
+        for build in (initial_state, build_grid_ctmc):
+            with pytest.raises(ValueError, match=r"^demand must be > 0, got "):
+                build(scen, base)
+
     def test_priority_order_respected(self):
         scen = make_scenario(priority=("gas", "nuclear", "hydro"))
         g = initial_grid_state(scen, 65.0)
@@ -320,11 +332,11 @@ class TestBuild:
     def test_determinism(self, scen):
         a = build_grid_ctmc(scen, 250.0)
         b = build_grid_ctmc(scen, 250.0)
-        assert _same_chain(a, b)
+        assert _chain_key(a) == _chain_key(b)
 
     def test_pickle_round_trip(self, scen):
         c = build_grid_ctmc(scen, 250.0)
-        assert _same_chain(pickle.loads(pickle.dumps(c)), c)
+        assert _chain_key(pickle.loads(pickle.dumps(c))) == _chain_key(c)
 
     def test_insufficient_capacity_propagates(self, scen):
         with pytest.raises(InsufficientCapacity):
@@ -339,7 +351,7 @@ class TestStats:
     def test_recount_matches(self, scen):
         # the GridState-per-successor reference walks the chain again
         c = build_grid_ctmc(scen, 280.0)
-        assert state_space_stats(c) == state_space_stats(grid_state_ctmc(scen, 280.0))
+        assert state_space_stats(c) == state_space_stats(grid_state_ctmc(scen, 280.0)[0])
 
     def test_label_counts_partition(self, scen):
         stats = state_space_stats(build_grid_ctmc(scen, 300.0))
@@ -381,7 +393,7 @@ def _exclusivity_violations(scen, base):
     one turn-off move, and each state's per-class count triples."""
     c = build_grid_ctmc(scen, base)
     triples = np.array([[[int(n) for n in re.findall(r"\d+", part.split("=")[1])] for part in meta.split()[:-2]]
-                        for meta in c.state_meta])
+                        for meta in _builder_descriptions(c, scen, base)])
     src = np.repeat(np.arange(c.n_states), np.diff(c.indptr))
     step = triples[c.indices] - triples[src]
     bad = np.zeros(c.n_states, bool)
@@ -450,7 +462,7 @@ def test_random_scenarios_build_clean(scen_base):
         + stats.label_counts["overDemand"]
         == stats.n_states
     )
-    assert _same_chain(c, build_grid_ctmc(scen, base))
+    assert _chain_key(c) == _chain_key(build_grid_ctmc(scen, base))
     if not scen.botnet.enabled:
         assert stats.label_counts["blackout"] == 0
 
@@ -461,13 +473,16 @@ def test_build_matches_grid_state_reference(scen_base):
     # bit for bit: CSR arrays, labels and descriptions
     scen, base = scen_base
     c = build_grid_ctmc(scen, base)
-    ref = grid_state_ctmc(scen, base)
-    assert _same_chain(c, ref)
+    ref, order = grid_state_ctmc(scen, base)
+    assert _chain_key(c) == _chain_key(ref)
     assert c.rate_matrix.data.tobytes() == ref.rate_matrix.data.tobytes()
+    assert order[0].code() == initial_state(scen, base)
+    assert [describe_state(scen, g.code()) for g in order] == [g.describe(scen) for g in order]
 
 
-def _chain_digest(c):
-    """sha256 over the CSR rate arrays, the sorted label sets and state_meta."""
+def _chain_digest(c, descriptions):
+    """sha256 over the CSR rate arrays, the sorted label sets and the state
+    descriptions."""
     h = hashlib.sha256()
     m = c.rate_matrix
     for a in (m.indptr, m.indices, m.data):
@@ -476,7 +491,7 @@ def _chain_digest(c):
     for name in sorted(c.labels):
         h.update(name.encode())
         h.update(np.array(sorted(c.labels[name]), dtype=np.int64).tobytes())
-    h.update("\n".join(c.state_meta).encode())
+    h.update("\n".join(descriptions).encode())
     return h.hexdigest()
 
 
@@ -504,10 +519,11 @@ def test_build_matches_pinned_digest(fleet, variant, hour, n_states, n_trans, di
         scen, profile = default_scenario(), default_demand_profile()
     else:
         scen, profile = desk_scenario(), desk_demand_profile()
-    c = build_grid_ctmc(dict(make_attack_variants(scen))[variant], profile.mw_by_hour[hour])
+    scen, base = dict(make_attack_variants(scen))[variant], profile.mw_by_hour[hour]
+    c = build_grid_ctmc(scen, base)
     stats = state_space_stats(c)
     assert (stats.n_states, stats.n_transitions) == (n_states, n_trans)
-    assert _chain_digest(c) == digest
+    assert _chain_digest(c, _builder_descriptions(c, scen, base)) == digest
 
 
 def _counts_at(count):
@@ -524,9 +540,12 @@ def _counts_at(count):
 def test_huge_counts_build_on_python_int_codes(count, dtype):
     variants, mw = _counts_at(count)
     assert _layout([count] * 3)[0].dtype == dtype
-    c = build_grid_ctmc(variants["NO-ATTACK"], mw)
+    scen = variants["NO-ATTACK"]
+    c = build_grid_ctmc(scen, mw)
     assert c.n_states == 6
-    assert _same_chain(c, grid_state_ctmc(variants["NO-ATTACK"], mw))
+    ref, order = grid_state_ctmc(scen, mw)
+    assert _chain_key(c) == _chain_key(ref)
+    assert [describe_state(scen, g.code()) for g in order] == [g.describe(scen) for g in order]
 
 
 def test_huge_counts_hit_the_state_cap():
