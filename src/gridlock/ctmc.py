@@ -48,6 +48,8 @@ class Ctmc:
         self, n_states: int, src: np.ndarray, dst: np.ndarray, rates: np.ndarray, initial: int,
         labels: Mapping[str, Iterable[int]] | None = None,
     ):
+        if vars(self):  # a second call would leave the cached views stale
+            raise AttributeError("a Ctmc is immutable: __init__ cannot run again")
         if not (0 <= initial < n_states and initial == int(initial)):
             raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
         initial = int(initial)

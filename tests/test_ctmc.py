@@ -176,6 +176,17 @@ class TestConstruction:
             change(c)
         assert _chain_key(c) == key and c.initial == 0
 
+    def test_init_cannot_run_again(self):
+        c = new_ctmc(2, [(0, 1, 1.0), (1, 0, 2.0)], 0, {"x": [0]})
+        views = c.exit_rates, c.rate_matrix, c.transitions
+        fields = dict(vars(c))
+        with pytest.raises(AttributeError, match="immutable"):
+            c.__init__(2, [0], [1], [5.0], 1)
+        assert vars(c) == fields
+        assert (c.exit_rates, c.rate_matrix, c.transitions) == views
+        assert c.data.tolist() == [1.0, 2.0] and c.initial == 0
+        assert c.exit_rates.tolist() == [1.0, 2.0] and c.rate_matrix.toarray().tolist() == [[0, 1], [2, 0]]
+
     @pytest.mark.parametrize("name", ["indptr", "indices", "data"])
     def test_csr_arrays_are_read_only(self, two_state, name):
         with pytest.raises(ValueError, match="read-only"):

@@ -517,6 +517,53 @@ def fail_every_job(*_):
     raise RuntimeError("worker lost")
 
 
+class Lumped(Exception):
+    pass
+
+
+class TestLumpGate:
+    """`_solve` lumps a transient chain exactly when Lambda*t >=
+    LUMP_MIN_LAMBDA_T: never a desk cell, always a full-fleet attack cell."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        lumped = []
+
+        def record(chain):
+            lumped.append(chain.n_states)
+            raise Lumped  # skips the solve; the spy has seen the chain
+
+        monkeypatch.setattr(experiments, "lump", record)
+        return lumped
+
+    def test_desk_cells_are_never_lumped(self, monkeypatch):
+        lumped = self.spy(monkeypatch)
+        plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
+                              horizon_minutes=DESK_HORIZON_MINUTES)
+        assert len(sweep_rows(plan, desk_demand_profile())) == 96
+        assert lumped == []
+
+    def test_full_fleet_attack_cells_are_always_lumped(self, monkeypatch):
+        lumped = self.spy(monkeypatch)
+        variants = make_attack_variants(default_scenario())
+        plan = ExperimentPlan(variants=tuple(variants))
+        profile = default_demand_profile()
+        rows, failures = run_hourly_sweep(plan, profile)
+        # the spy fails every cell whose chain it sees; the 6-12-state
+        # NO-ATTACK chains pass the gate at some hours, at 1.02 x 60 min x
+        # their fastest exit
+        fast = [h for h in range(24) if 61.2 * build_grid_ctmc(variants[0][1], profile.mw_by_hour[h])
+                .exit_rates.max() >= experiments.LUMP_MIN_LAMBDA_T]
+        assert 0 < len(fast) < 24
+        assert [(r.scenario, r.hour) for r in rows] == [("NO-ATTACK", h) for h in range(24) if h not in fast]
+        assert [(f.variant, f.hour) for f in failures] == [
+            (v, h) for v in ("ATTACK-G", "ATTACK-H", "ATTACK-N") for h in range(24)
+        ] + [("NO-ATTACK", h) for h in fast]
+        assert all(isinstance(f.error, Lumped) for f in failures)
+        # once per distinct chain: ATTACK-H and ATTACK-N share hour 18's
+        assert len(lumped) < 72 + len(fast) and 21072 in lumped and 8190 in lumped
+
+
 class TestSharedChains:
     def test_lost_pool_job_fails_every_sharing_cell(self, monkeypatch):
         monkeypatch.setattr(experiments, "_solve_shared", fail_every_job)

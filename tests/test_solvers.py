@@ -12,13 +12,15 @@ from scipy.stats import poisson
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
 from gridlock import solvers
 from gridlock.ctmc import Distribution
-from gridlock.experiments import desk_demand_profile, desk_scenario, make_attack_variants
+from gridlock.experiments import _chain_key, desk_demand_profile, desk_scenario, make_attack_variants
 from gridlock.grid import build_grid_ctmc
+from gridlock.scenario_io import default_demand_profile, default_scenario
 from gridlock.solvers import (
     SolverConfig,
     absorption_probabilities,
     bscc_decomposition,
     label_probability,
+    lump,
     steady_state,
     transient,
 )
@@ -485,6 +487,69 @@ class TestLabelProbability:
             label_probability(Distribution(np.array([1.0, 0.0])), c, "x")
 
 
+class TestLump:
+    # states 1 and 2 enter the labelled state 0 at the same rate, state 3
+    # at another
+    STAR = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 0, 3.0), (2, 0, 3.0), (3, 0, 5.0)]
+
+    def test_merges_states_with_equal_rates_into_each_block(self):
+        c = new_ctmc(4, self.STAR, 3, {"x": [0], "y": [3]})
+        q = lump(c)
+        # blocks {0}, {1, 2}, {3}, numbered by smallest member
+        assert q.n_states == 3 and q.initial == 2
+        assert dict(q.transitions) == {(0, 1): 2.0, (0, 2): 1.0, (1, 0): 3.0, (2, 0): 5.0}
+        assert {k: v.tolist() for k, v in q.label_arrays.items()} == {"x": [0], "y": [2]}
+
+    def test_rates_add_in_ascending_order(self):
+        # 1 and 2 send 0.1, 0.2 and 0.3 into the block {3, 4, 5} in
+        # opposite target order, and their sum depends on the order
+        assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+        rates = [0.1, 0.2, 0.3]
+        c = new_ctmc(6, [(0, 1, 1.0), (0, 2, 1.0), (3, 0, 1.0), (4, 0, 1.0), (5, 0, 1.0)]
+                     + [(1, 3 + i, r) for i, r in enumerate(rates)]
+                     + [(2, 5 - i, r) for i, r in enumerate(rates)], 0, {"x": [0], "t": [3, 4, 5]})
+        q = lump(c)
+        assert q.n_states == 3 and q.transitions[(1, 2)] == pytest.approx(0.6)
+
+    def test_a_label_keeps_states_apart(self):
+        assert lump(new_ctmc(4, self.STAR, 0, {"x": [0]})).n_states == 3
+        c = new_ctmc(4, self.STAR, 0, {"x": [0], "y": [2]})
+        assert _chain_key(lump(c)) == _chain_key(c)
+
+    def test_rates_within_a_block_do_not_count(self):
+        # 1 <-> 2 at different rates: no transition of the quotient
+        c = new_ctmc(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 4.0), (2, 1, 7.0), (1, 0, 3.0), (2, 0, 3.0)],
+                     0, {"x": [0]})
+        q = lump(c)
+        assert q.n_states == 2 and dict(q.transitions) == {(0, 1): 3.0, (1, 0): 3.0}
+
+    def test_a_chain_without_transitions_lumps_by_labels(self):
+        q = lump(new_ctmc(4, [], 3, {"x": [1, 2]}))
+        assert (q.n_states, q.initial, q.label_arrays["x"].tolist()) == (2, 0, [1])
+
+    def test_nothing_to_merge_gives_the_same_chain(self):
+        # blocks numbered by smallest member keep every state's number
+        c = build_grid_ctmc(make_attack_variants(default_scenario())[0][1],
+                            default_demand_profile().mw_by_hour[18])
+        assert _chain_key(lump(c)) == _chain_key(c)
+
+    def test_a_hash_collision_returns_the_chain(self, monkeypatch):
+        # every signature collides: 1, 2 and 3 share a block, which the
+        # exact check refuses
+        c = new_ctmc(4, self.STAR, 0, {"x": [0]})
+        monkeypatch.setattr(solvers, "_hash", lambda block, sums: np.zeros(len(sums), np.uint64))
+        assert lump(c) is c
+
+    def test_full_hour_18_attack_chain(self):
+        scen = make_attack_variants(default_scenario())[1][1]
+        c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18])
+        q = lump(c)
+        assert (c.n_states, len(c.data)) == (8190, 41554)
+        assert (q.n_states, len(q.data)) == (757, 3850)
+        assert _chain_key(lump(q)) == _chain_key(q)
+        assert q.exit_rates.max() == c.exit_rates.max()
+
+
 # -- randomized structural properties --------------------------------
 
 
@@ -621,3 +686,49 @@ def test_transient_converges_to_steady_state(chain):
     horizon = 50.0 / chain.exit_rates.min()
     late = transient(chain, horizon).probs
     assert np.abs(late - steady_state(chain).probs).max() < 1e-4
+
+
+@st.composite
+def expanded_chains(draw):
+    """(n, chain): a random chain of n states, each cloned 1-3 times with
+    the base state's labels.  Every clone splits each rate of its state
+    into halves and quarters over the target's clones, and clones of one
+    state may move among themselves, so the clones of each state form an
+    ordinary-lumpable partition.  Rates are multiples of 1/4, so that every
+    sum of them is exact whatever its order."""
+    base = draw(st.one_of(irreducible_chains(), reducible_chains()))
+    n = base.n_states
+    quarter = st.integers(min_value=1, max_value=400).map(lambda k: k / 4)
+    copies = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    start = np.concatenate(([0], np.cumsum(copies))).tolist()
+    clones = [list(range(start[s], start[s + 1])) for s in range(n)]
+    trans = {}
+    for (s, d) in base.transitions:
+        rate = draw(quarter)
+        for i in clones[s]:
+            parts = [rate]
+            for _ in range(draw(st.integers(min_value=0, max_value=copies[d] - 1))):
+                part = parts.pop(draw(st.integers(min_value=0, max_value=len(parts) - 1)))
+                parts += [part / 2, part / 2]
+            trans.update({(i, j): p for j, p in zip(draw(st.permutations(clones[d])), parts)})
+    for s in range(n):
+        pairs = st.tuples(st.sampled_from(clones[s]), st.sampled_from(clones[s]))
+        trans.update({(i, j): draw(quarter) for i, j in draw(st.lists(pairs, max_size=2)) if i != j})
+    labels = {name: [i for s in draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+                     for i in clones[s]] for name in ("a", "b")}
+    initial = draw(st.sampled_from(clones[base.initial]))
+    return n, new_ctmc(start[-1], [(i, j, r) for (i, j), r in trans.items()], initial, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expanded_chains(), st.floats(min_value=0.0, max_value=2.0), st.sampled_from([1e-6, 1e-10]))
+def test_lumped_transient_matches_expm_oracle(expanded, t, epsilon):
+    n, chain = expanded
+    q = lump(chain)
+    assert q.n_states <= n
+    assert _chain_key(lump(q)) == _chain_key(q)
+    got = transient(q, t, epsilon)
+    exact = transient_oracle(chain, t)
+    for label in ("a", "b"):
+        want = exact[chain.label_states(label)].sum()
+        assert abs(label_probability(got, q, label) - want) <= epsilon + 1e-12
