@@ -28,18 +28,13 @@ from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import derive_trial_seed, estimate_label_metrics
-from .solvers import _UNIF_SLACK, SolverConfig, _integer, label_probability, lump, steady_state, transient
+from .solvers import SolverConfig, _integer, label_probability, lump, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
 # Family-wise false-alarm rate of the simulation cross-check; it is split
 # by Sidak over every (cell, label) test of a plan.
 SIM_FAMILY_ALPHA = 1e-3
-
-# Lambda*t from which a transient cell is solved on its lumped chain: a full
-# attack cell (55 202) then solves at hour 18 in 0.15 s, not 1.1 s; the desk
-# chains (<= 4 304) would pay 0.25 s to save 0.28 s (shared 2-core Xeon).
-LUMP_MIN_LAMBDA_T = 16_384
 
 # Desk-scale preset: the reference fleet shrunk to 2 nuclear / 2 hydro /
 # 3 gas units (150 MW).  The demand scale and horizon are calibrated, not
@@ -216,8 +211,7 @@ def _solve(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float]:
     if plan.mode == "steady":
         dist = steady_state(chain, plan.solver)
     else:
-        if float(_UNIF_SLACK * chain.exit_rates.max()) * plan.horizon_minutes >= LUMP_MIN_LAMBDA_T:
-            chain = lump(chain)  # Lambda*t as `transient` computes it
+        chain = lump(chain)
         dist = transient(chain, plan.horizon_minutes, epsilon=plan.solver.tolerance)
     return {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
 

@@ -82,13 +82,15 @@ def sweep_rows(plan, profile, **kw):
 def break_hour_12_attack_rows(monkeypatch):
     """Make ResultRow raise ValueError on the 6-state attack chains of the
     tiny sweep (hour 12).  Forked pool workers inherit the patch."""
-    real = experiments.label_probability
+    real = experiments._solve
 
-    def skewed(dist, chain, label):
-        p = real(dist, chain, label)
-        return p + 0.5 if chain.n_states == 6 and label == OVER_SUPPLY else p
+    def skewed(chain, plan):
+        probs = real(chain, plan)
+        if chain.n_states == 6:  # the chain as built; its lumped chain has 1 state
+            probs[OVER_SUPPLY] += 0.5
+        return probs
 
-    monkeypatch.setattr(experiments, "label_probability", skewed)
+    monkeypatch.setattr(experiments, "_solve", skewed)
 
 
 class TestMakeAttackVariants:
@@ -521,9 +523,8 @@ class Lumped(Exception):
     pass
 
 
-class TestLumpGate:
-    """`_solve` lumps a transient chain exactly when Lambda*t >=
-    LUMP_MIN_LAMBDA_T: never a desk cell, always a full-fleet attack cell."""
+class TestTransientLumping:
+    """`_solve` lumps every transient chain and no steady one."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -536,32 +537,24 @@ class TestLumpGate:
         monkeypatch.setattr(experiments, "lump", record)
         return lumped
 
-    def test_desk_cells_are_never_lumped(self, monkeypatch):
+    @pytest.mark.parametrize("variants, profile, hours, states", [
+        (make_attack_variants(desk_scenario()), desk_demand_profile(), tuple(range(24)), 1062),
+        (make_attack_variants(default_scenario()), default_demand_profile(), (4, 18), 8190),
+    ], ids=["desk", "full"])
+    def test_every_transient_cell_is_lumped(self, monkeypatch, variants, profile, hours, states):
         lumped = self.spy(monkeypatch)
-        plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
-                              horizon_minutes=DESK_HORIZON_MINUTES)
+        rows, failures = run_hourly_sweep(ExperimentPlan(variants=tuple(variants), hours=hours), profile)
+        assert rows == []
+        assert len(failures) == 4 * len(hours)
+        assert all(isinstance(f.error, Lumped) for f in failures)
+        # cells that share a chain share one solve
+        assert 0 < len(lumped) <= len(failures) and states in lumped
+
+    def test_steady_cells_are_never_lumped(self, monkeypatch):
+        lumped = self.spy(monkeypatch)
+        plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())), mode="steady")
         assert len(sweep_rows(plan, desk_demand_profile())) == 96
         assert lumped == []
-
-    def test_full_fleet_attack_cells_are_always_lumped(self, monkeypatch):
-        lumped = self.spy(monkeypatch)
-        variants = make_attack_variants(default_scenario())
-        plan = ExperimentPlan(variants=tuple(variants))
-        profile = default_demand_profile()
-        rows, failures = run_hourly_sweep(plan, profile)
-        # the spy fails every cell whose chain it sees; the 6-12-state
-        # NO-ATTACK chains pass the gate at some hours, at 1.02 x 60 min x
-        # their fastest exit
-        fast = [h for h in range(24) if 61.2 * build_grid_ctmc(variants[0][1], profile.mw_by_hour[h])
-                .exit_rates.max() >= experiments.LUMP_MIN_LAMBDA_T]
-        assert 0 < len(fast) < 24
-        assert [(r.scenario, r.hour) for r in rows] == [("NO-ATTACK", h) for h in range(24) if h not in fast]
-        assert [(f.variant, f.hour) for f in failures] == [
-            (v, h) for v in ("ATTACK-G", "ATTACK-H", "ATTACK-N") for h in range(24)
-        ] + [("NO-ATTACK", h) for h in fast]
-        assert all(isinstance(f.error, Lumped) for f in failures)
-        # once per distinct chain: ATTACK-H and ATTACK-N share hour 18's
-        assert len(lumped) < 72 + len(fast) and 21072 in lumped and 8190 in lumped
 
 
 class TestSharedChains:
