@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,15 +70,10 @@ def transient_oracle(c: Ctmc, t: float) -> np.ndarray:
     return pi0 @ dense_expm(dense_generator(c) * t)
 
 
-def steady_oracle(c: Ctmc) -> np.ndarray:
-    """Long-run distribution from c.initial, computed densely and independently.
-
-    BSCCs come from a dense reachability closure; each one's stationary
-    vector solves pi Q_BB = 0 with sum(pi) = 1, and the BSCCs are weighted
-    by a dense solve of the absorption equations -Q_TT h = Q_TB 1.
-    """
-    n = c.n_states
-    q = dense_generator(c)
+def _bscc_split(q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """(BSCCs, transient states) of a dense generator, from a dense
+    reachability closure."""
+    n = len(q)
     reach = (q != 0) | np.eye(n, dtype=bool)
     for _ in range(max(1, int(np.ceil(np.log2(n))))):
         reach = (reach.astype(int) @ reach.astype(int)) > 0
@@ -87,8 +83,19 @@ def steady_oracle(c: Ctmc) -> np.ndarray:
         if reach[members, i].all() and not any(i in b for b in bsccs):
             bsccs.append(members)
     trans = np.array([i for i in range(n) if not any(i in b for b in bsccs)], dtype=int)
+    return bsccs, trans
 
-    pi = np.zeros(n)
+
+def steady_oracle(c: Ctmc) -> np.ndarray:
+    """Long-run distribution from c.initial, computed densely and independently.
+
+    BSCCs come from a dense reachability closure; each one's stationary
+    vector solves pi Q_BB = 0 with sum(pi) = 1, and the BSCCs are weighted
+    by a dense solve of the absorption equations -Q_TT h = Q_TB 1.
+    """
+    q = dense_generator(c)
+    bsccs, trans = _bscc_split(q)
+    pi = np.zeros(c.n_states)
     for b in bsccs:
         if c.initial in b:
             weight = 1.0
@@ -103,6 +110,54 @@ def steady_oracle(c: Ctmc) -> np.ndarray:
         rhs[-1] = 1.0
         local = np.linalg.lstsq(a, rhs, rcond=None)[0]
         pi[b] = weight * local
+    return pi
+
+
+def _gauss_jordan(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """x with a x = b, exactly, for a nonsingular square a and the columns of b."""
+    n = len(a)
+    m = [row + rhs for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            if r != col and (f := m[r][col]) != 0:
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def exact_steady_oracle(c: Ctmc) -> list[Fraction]:
+    """Long-run distribution from c.initial in rational arithmetic, exact
+    for the rates as the floats hold them; for chains of at most 40 states.
+
+    As `steady_oracle`, but each BSCC's system pi Q_BB = 0, sum(pi) = 1
+    (the last balance equation replaced by the sum) and the absorption
+    system -Q_TT h = Q_TB 1 are solved by Gauss-Jordan over Fractions.
+    """
+    if c.n_states > 40:
+        raise ValueError(f"exact oracle is for <= 40 states, got {c.n_states}")
+    n = c.n_states
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for (src, dst), rate in c.transitions.items():
+        q[src][dst] += Fraction(rate)
+        q[src][src] -= Fraction(rate)
+    bsccs, trans = _bscc_split(dense_generator(c))
+    t_at = {s: i for i, s in enumerate(trans.tolist())}
+    if c.initial in t_at:
+        h = _gauss_jordan([[-q[i][j] for j in trans] for i in trans],
+                          [[sum((q[i][j] for j in b), Fraction(0)) for b in bsccs] for i in trans])
+        weights = h[t_at[c.initial]]
+    else:
+        weights = [Fraction(int(c.initial in b)) for b in bsccs]
+
+    pi = [Fraction(0)] * n
+    for w, b in zip(weights, bsccs):
+        b = b.tolist()
+        a = [[q[j][i] for j in b] for i in b[:-1]] + [[Fraction(1)] * len(b)]
+        local = _gauss_jordan(a, [[Fraction(0)]] * (len(b) - 1) + [[Fraction(1)]])
+        for s, (v,) in zip(b, local):
+            pi[s] = w * v
     return pi
 
 

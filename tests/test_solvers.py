@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,15 @@ from scipy.stats import poisson
 from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
 from gridlock import solvers
 from gridlock.ctmc import Distribution
-from gridlock.experiments import _chain_key, desk_demand_profile, desk_scenario, make_attack_variants
+from gridlock.experiments import (
+    REPORT_LABELS,
+    ExperimentPlan,
+    _chain_key,
+    desk_demand_profile,
+    desk_scenario,
+    make_attack_variants,
+    run_hourly_sweep,
+)
 from gridlock.grid import build_grid_ctmc
 from gridlock.scenario_io import default_demand_profile, default_scenario
 from gridlock.solvers import (
@@ -25,12 +35,18 @@ from gridlock.solvers import (
     transient,
 )
 
-from oracles import dense_generator, steady_oracle, transient_oracle
+from oracles import dense_generator, exact_steady_oracle, steady_oracle, transient_oracle
 
 
 @pytest.fixture
 def cycle():
     return new_ctmc(2, [(0, 1, 2.0), (1, 0, 1.0)], 0)
+
+
+@pytest.fixture
+def bipartite():
+    # the jump chain alternates between state 1 and the set {0, 2}
+    return new_ctmc(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.2), (2, 1, 0.3)], 0)
 
 
 @pytest.fixture
@@ -206,20 +222,28 @@ class TestSteadyState:
         residual = np.abs(pi.probs @ dense_generator(c)).max()
         assert residual < cfg.tolerance
 
-    def test_nonconvergence_raised(self, cycle):
+    def test_nonconvergence_raised(self, bipartite):
+        # the 2-state cycle's jump chain is stationary from the start, so it
+        # would converge; this one's jump chain is not
         with pytest.raises(NonConvergence):
-            steady_state(cycle, SolverConfig(max_iterations=2, tolerance=1e-14))
+            steady_state(bipartite, SolverConfig(max_iterations=2, tolerance=1e-14))
 
-    def test_cap_between_stationarity_tests_is_exact(self):
+    def test_cap_between_stationarity_tests_is_exact(self, bipartite):
         # the per-iteration power test passes first at an iteration that
-        # is not a multiple of _STATIONARITY_CHECK; that cap must suffice
-        c = new_ctmc(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.2), (2, 1, 0.3)], 0)
-        pt, lam = solvers._uniformized_transpose(c.rate_matrix, c.exit_rates)
+        # is not a multiple of _STATIONARITY_CHECK; that cap must suffice.
+        # The power method steps the jump chain with slack,
+        # P = I + D^-1 Q / alpha.
+        c = bipartite
+        r, exits = c.rate_matrix, c.exit_rates
+        jump = sp.csr_matrix((r.data / np.repeat(exits, np.diff(r.indptr)), r.indices, r.indptr),
+                             shape=r.shape)
+        pt, alpha = solvers._uniformized_transpose(jump, np.ones(3))
+        assert alpha == solvers._UNIF_SLACK
         x = np.full(3, 1 / 3)
         for n in range(1, 1000):
             x_new = pt @ x
             x_new /= x_new.sum()
-            if lam * np.abs(x_new - x).max() < 0.5 * SolverConfig().tolerance:
+            if alpha * np.abs(x_new - x).max() < 0.5 * SolverConfig().tolerance * (x / exits).sum():
                 break
             x = x_new
         assert n > solvers._STATIONARITY_CHECK and n % solvers._STATIONARITY_CHECK
@@ -227,6 +251,47 @@ class TestSteadyState:
         np.testing.assert_allclose(pi.probs, steady_oracle(c), atol=1e-10)
         with pytest.raises(NonConvergence, match=f"{n - 1}-iteration cap"):
             steady_state(c, SolverConfig(max_iterations=n - 1))
+
+
+class TestStiffSteadyState:
+    """Steady solves of stiff grid chains: steps, size and accuracy."""
+
+    @staticmethod
+    def _attack_n(base, hour):
+        scen = dict(make_attack_variants(base))["ATTACK-N"]
+        return build_grid_ctmc(scen, default_demand_profile().mw_by_hour[hour])
+
+    def test_full_hour_18_attack_bscc_within_128_steps(self):
+        c = self._attack_n(default_scenario(), 18)
+        (bscc,) = bscc_decomposition(c).bsccs
+        assert len(bscc) == 126
+        assert c.exit_rates[bscc].max() / c.exit_rates[bscc].min() > 200
+        pi = steady_state(c, SolverConfig(max_iterations=128))
+        assert np.abs(c.generator_matrix().T @ pi.probs).max() < SolverConfig().tolerance
+
+    def test_52920_state_bscc(self):
+        # every t_recover = 20 min makes every state recurrent
+        base = default_scenario()
+        c = self._attack_n(replace(base, classes=tuple(replace(g, t_recover=20.0)
+                                                       for g in base.classes)), 18)
+        assert [len(b) for b in bscc_decomposition(c).bsccs] == [52920]
+        pi = steady_state(c)
+        assert np.abs(c.generator_matrix().T @ pi.probs).max() < 1e-10
+
+    @pytest.mark.parametrize("fleet", ["full", "desk"])
+    def test_no_attack_cells_within_1e_10_of_exact(self, fleet):
+        scen, profile = ((default_scenario(), default_demand_profile()) if fleet == "full"
+                         else (desk_scenario(), desk_demand_profile()))
+        variants = make_attack_variants(scen)[:1]
+        rows, failures = run_hourly_sweep(ExperimentPlan(variants, mode="steady"), profile)
+        assert failures == [] and len(rows) == 24
+        for row in rows:
+            c = build_grid_ctmc(variants[0][1], profile.mw_by_hour[row.hour])
+            pi = exact_steady_oracle(c)
+            got = (row.p_over_supply, row.p_equilibrium, row.p_over_demand, row.p_blackout)
+            for label, value in zip(REPORT_LABELS, got):
+                want = sum((pi[s] for s in c.label_states(label).tolist()), Fraction(0))
+                assert abs(value - float(want)) < 1e-10, (row.hour, label, value, want)
 
 
 class TestTransient:
@@ -553,11 +618,15 @@ class TestLump:
 # -- randomized structural properties --------------------------------
 
 
+MILD_RATES = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
+# log-uniform over six decades, 1e-3 to 1e3
+STIFF_RATES = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
 @st.composite
-def irreducible_chains(draw):
+def irreducible_chains(draw, rate=MILD_RATES):
     """Random chain over a guaranteed Hamiltonian cycle, so one BSCC."""
     n = draw(st.integers(min_value=2, max_value=6))
-    rate = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
     trans = {(i, (i + 1) % n): draw(rate) for i in range(n)}
     extras = draw(
         st.lists(
@@ -584,11 +653,10 @@ def test_steady_state_is_distribution(chain):
 
 
 @st.composite
-def reducible_chains(draw):
+def reducible_chains(draw, rate=MILD_RATES):
     """Random chain with 2-3 BSCCs of 1-3 states each, fed from 1-3
     transient states; the start state enters two different BSCCs, so the
     result mixes their stationary vectors."""
-    rate = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
     sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3))
     n_trans = draw(st.integers(min_value=1, max_value=3))
     n = n_trans + sum(sizes)
@@ -631,6 +699,17 @@ def reducible_chains(draw):
 @given(st.one_of(irreducible_chains(), reducible_chains()))
 def test_steady_state_matches_dense_oracle(chain):
     got = steady_state(chain).probs
+    assert np.abs(got - steady_oracle(chain)).max() < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(irreducible_chains(STIFF_RATES), reducible_chains(STIFF_RATES)))
+def test_steady_state_matches_dense_oracle_on_stiff_chains(chain):
+    # the default tolerance bounds the balance residual by 1e-10; with rates
+    # down to 1e-3 that still lets entries err by about 5e-8, so the 1e-8
+    # comparison asks for a residual ten times smaller
+    steady_state(chain)
+    got = steady_state(chain, SolverConfig(tolerance=1e-11)).probs
     assert np.abs(got - steady_oracle(chain)).max() < 1e-8
 
 
