@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -33,6 +34,13 @@ from .errors import (
 )
 
 CLASSIFICATION_LABELS = ("overSupply", "equilibrium", "overDemand")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a value of another type is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Ctmc:

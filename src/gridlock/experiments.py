@@ -22,13 +22,13 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from scipy.special import betaincinv
 
-from .ctmc import Ctmc
+from .ctmc import Ctmc, _integer
 from .errors import GridlockError
 from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile, Scenario
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import derive_trial_seed, estimate_label_metrics
-from .solvers import SolverConfig, _integer, label_probability, lump, steady_state, transient
+from .solvers import SolverConfig, label_probability, lump, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -107,6 +107,7 @@ class ExperimentPlan:
                 raise ValueError("sim_trials must be >= 1")
             if self.mode != "transient":
                 raise ValueError("simulation cross-check needs transient mode")
+        object.__setattr__(self, "max_states", _integer("max_states", self.max_states))
         if self.max_states < 1:
             raise ValueError(f"max_states must be >= 1, got {self.max_states}")
 
@@ -347,6 +348,7 @@ def run_hourly_sweep(
     `progress(done, total)` is called after each finished cell.  The pool
     gets at most one worker per cell; with one worker, cells run here.
     """
+    max_workers = _integer("max_workers", max_workers)
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cells = [(name, scen, hour, profile.mw_by_hour[hour])

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import Ctmc
+from .ctmc import Ctmc, _integer
 from .errors import InsufficientCapacity, StateSpaceLimitExceeded
 
 DEMAND_LEVELS = ("low", "normal", "high")
@@ -270,6 +270,53 @@ def _rules(s: Scenario, base_mw: float):
     return start, expand
 
 
+def _table_numbering(size: int, start: np.ndarray):
+    """number(child, n) -> (indices, fresh) over a dense table of every
+    code in [0, size): the state index of each child, and its new codes in
+    order of first appearance, numbered from n."""
+    table = np.full(size, -1, np.int32)  # -1 while unvisited
+    table[start] = 0
+
+    def number(child, n):
+        new = child[table[child] < 0]
+        fresh = new[np.sort(np.unique(new, return_index=True)[1])]
+        table[fresh] = np.arange(n, n + len(fresh), dtype=np.int32)
+        return table[child], fresh
+
+    return number
+
+
+def _run_numbering(start: np.ndarray):
+    """`_table_numbering` for any code space: the visited codes sit in
+    sorted runs, each with its state indices."""
+    runs = [(start, np.zeros(1, np.int64))]
+
+    def number(child, n):
+        codes, first, inverse = np.unique(child, return_index=True, return_inverse=True)
+        index = np.full(len(codes), -1)
+        for run, run_index in runs:
+            pos = np.minimum(np.searchsorted(run, codes), len(run) - 1)
+            index = np.where(run[pos] == codes, run_index[pos], index)
+        new = index < 0
+        fresh = np.flatnonzero(new)[np.argsort(first[new], kind="stable")]
+        index[fresh] = np.arange(n, n + len(fresh))
+        # merge until each run is over twice the next: a lookup searches
+        # O(log n) runs, and each code is merged O(log n) times
+        run = codes[new], index[new]
+        while runs and len(runs[-1][0]) <= 2 * len(run[0]):
+            merged, merged_index = map(np.concatenate, zip(runs.pop(), run))
+            order = np.argsort(merged, kind="stable")
+            run = merged[order], merged_index[order]
+        runs.append(run)
+        return index[inverse], codes[fresh]
+
+    return number
+
+
+# the largest code space numbered through a dense table (8 MiB of int32)
+_TABLE_CODES = 2**21
+
+
 def build_grid_ctmc(
     s: Scenario, base_mw: float, max_states: int = MAX_STATES
 ) -> Ctmc:
@@ -282,34 +329,22 @@ def build_grid_ctmc(
     the classification partition plus "blackout" for overDemand states
     with at least one unit offline.
     """
+    max_states = _integer("max_states", max_states)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     frontier, expand = _rules(s, base_mw)
-    # the visited codes in sorted runs, each with its state indices
-    runs, levels, n = [(frontier, np.zeros(1, np.int64))], [], 1
+    size = 6 * math.prod((g.count + 1) ** 2 for g in s.classes)
+    number = (_table_numbering(size, frontier) if size <= _TABLE_CODES
+              else _run_numbering(frontier))
+    levels, n = [], 1
     while len(frontier):
         band, blackout, parent, child, rate = expand(frontier)
-        codes, first, inverse = np.unique(child, return_index=True, return_inverse=True)
-        index = np.full(len(codes), -1)
-        for run, run_index in runs:
-            pos = np.minimum(np.searchsorted(run, codes), len(run) - 1)
-            index = np.where(run[pos] == codes, run_index[pos], index)
-        new = index < 0
-        if n + np.count_nonzero(new) > max_states:
+        index, fresh = number(child, n)
+        if n + len(fresh) > max_states:
             raise StateSpaceLimitExceeded(f"state space exceeds cap of {max_states} states")
-        # new codes are numbered in order of first appearance
-        fresh = np.flatnonzero(new)[np.argsort(first[new], kind="stable")]
-        index[fresh] = np.arange(n, n + len(fresh))
-        levels.append((parent + n - len(frontier), index[inverse], rate, band, blackout))
-        # merge until each run is over twice the next: a lookup searches
-        # O(log n) runs, and each code is merged O(log n) times
-        run = codes[new], index[new]
-        while runs and len(runs[-1][0]) <= 2 * len(run[0]):
-            merged, merged_index = map(np.concatenate, zip(runs.pop(), run))
-            order = np.argsort(merged, kind="stable")
-            run = merged[order], merged_index[order]
-        runs.append(run)
-        frontier, n = codes[fresh], n + len(fresh)
+        levels.append((parent + n - len(frontier), index, rate, band, blackout))
+        frontier, n = fresh, n + len(fresh)
+    del number  # frees the table before the chain is assembled
     src, dst, rates, band, blackout = map(np.concatenate, zip(*levels))
     labels = {name: np.flatnonzero(band == i)
               for i, name in enumerate((OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND))}

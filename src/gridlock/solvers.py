@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +26,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.special import gammaln, gdtrib, pdtr, pdtrc, pdtrik, xlogy
 
-from .ctmc import Ctmc, Distribution
+from .ctmc import Ctmc, Distribution, _integer
 from .errors import IndexOutOfRange, NegativeTime, NonConvergence
 
 # Uniformization rate is strictly above the max exit rate so the
@@ -37,13 +36,6 @@ _UNIF_SLACK = 1.02
 # Steps between stationarity tests in the uniformization and power
 # loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a value of another type is rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

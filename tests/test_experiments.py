@@ -231,14 +231,15 @@ class TestPlanValidation:
             variants=(("X", tiny_scenario()),), mode="steady", solver=SolverConfig(tolerance=0.5)
         )
 
-    @pytest.mark.parametrize("value", [np.int64(4), np.uint8(4), True, np.True_, 4.0, 2.5, "4"],
-                             ids=["int64", "uint8", "True", "np.True_", "4.0", "2.5", "text"])
+    @pytest.mark.parametrize("value", [np.int64(4), np.uint8(4), True, np.True_, 4.0, 2.5, math.nan, "4"],
+                             ids=["int64", "uint8", "True", "np.True_", "4.0", "2.5", "nan", "text"])
     @pytest.mark.parametrize("name,make", [
         ("hour", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(v,)).hours[0]),
         ("sim_trials", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), sim_trials=v).sim_trials),
         ("sim_seed", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), sim_seed=v).sim_seed),
         ("max_iterations", lambda v: SolverConfig(max_iterations=v).max_iterations),
-    ], ids=["hours", "sim_trials", "sim_seed", "max_iterations"])
+        ("max_states", lambda v: ExperimentPlan(variants=(("X", tiny_scenario()),), max_states=v).max_states),
+    ], ids=["hours", "sim_trials", "sim_seed", "max_iterations", "max_states"])
     def test_counts_are_integers(self, name, make, value):
         # a bool hour used to write a 'True' CSV row, and a float count
         # to fail every cell with a bare TypeError
@@ -440,6 +441,24 @@ class TestSweep:
         plan = ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(12,))
         with pytest.raises(ValueError, match="max_workers must be >= 1"):
             run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [True, 2.0, 2.5, math.nan, "2"],
+                             ids=["True", "2.0", "2.5", "nan", "text"])
+    def test_rejects_non_integer_workers_before_building(self, monkeypatch, workers):
+        # a float count used to fail in the executor with a bare TypeError,
+        # and NaN to run serially
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a chain")
+
+        monkeypatch.setattr(experiments, "build_grid_ctmc", no_build)
+        plan = ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(12,))
+        with pytest.raises(ValueError, match=rf"^max_workers must be an integer, got {workers!r}$"):
+            run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
+
+    def test_integer_workers_of_numpy_type_run(self):
+        plan = ExperimentPlan(variants=(("X", tiny_scenario()),), hours=(12,))
+        rows, failures = run_hourly_sweep(plan, tiny_profile(), max_workers=np.int64(1))
+        assert len(rows) == 1 and not failures
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_program_fault_names_its_cell(self, monkeypatch, workers):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import pickle
 import re
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlock import InsufficientCapacity, StateSpaceLimitExceeded
+from gridlock import InsufficientCapacity, StateSpaceLimitExceeded, grid
 from gridlock.grid import (
     Botnet,
     Controller,
@@ -495,6 +496,21 @@ def _chain_digest(c, descriptions):
     return h.hexdigest()
 
 
+def _cell(fleet, variant, hour):
+    """(scenario, base demand) of one sweep cell of the reference or desk fleet."""
+    if fleet == "full":
+        scen, profile = default_scenario(), default_demand_profile()
+    else:
+        scen, profile = desk_scenario(), desk_demand_profile()
+    return dict(make_attack_variants(scen))[variant], profile.mw_by_hour[hour]
+
+
+PINNED_CELLS = [("full", "ATTACK-N", 4), ("full", "ATTACK-N", 18), ("full", "NO-ATTACK", 18),
+                ("desk", "ATTACK-G", 16), ("desk", "ATTACK-H", 8), ("desk", "NO-ATTACK", 12)]
+DESK_CELLS = [("desk", variant, hour) for variant in ("NO-ATTACK", "ATTACK-G", "ATTACK-N", "ATTACK-H")
+              for hour in range(24)]
+
+
 # Digests written by the GridState-per-successor builder; a build that
 # changes the discovery order, a rate bit, a label or a description fails.
 @pytest.mark.parametrize(
@@ -515,11 +531,7 @@ def _chain_digest(c, descriptions):
     ],
 )
 def test_build_matches_pinned_digest(fleet, variant, hour, n_states, n_trans, digest):
-    if fleet == "full":
-        scen, profile = default_scenario(), default_demand_profile()
-    else:
-        scen, profile = desk_scenario(), desk_demand_profile()
-    scen, base = dict(make_attack_variants(scen))[variant], profile.mw_by_hour[hour]
+    scen, base = _cell(fleet, variant, hour)
     c = build_grid_ctmc(scen, base)
     stats = state_space_stats(c)
     assert (stats.n_states, stats.n_transitions) == (n_states, n_trans)
@@ -552,3 +564,53 @@ def test_huge_counts_hit_the_state_cap():
     variants, mw = _counts_at(10**19)
     with pytest.raises(StateSpaceLimitExceeded, match=r"^state space exceeds cap of 200000 states$"):
         build_grid_ctmc(variants["ATTACK-N"], mw, max_states=200000)
+
+
+def _force_runs(monkeypatch):
+    """Number every code space through the sorted runs."""
+    monkeypatch.setattr(grid, "_TABLE_CODES", 0)
+
+
+@pytest.mark.parametrize("fleet,variant,hour", PINNED_CELLS + DESK_CELLS)
+def test_table_and_runs_build_the_same_chain(monkeypatch, fleet, variant, hour):
+    scen, base = _cell(fleet, variant, hour)
+    table = build_grid_ctmc(scen, base)
+    _force_runs(monkeypatch)
+    assert _chain_key(build_grid_ctmc(scen, base)) == _chain_key(table)
+
+
+@pytest.mark.parametrize("runs", [False, True], ids=["table", "runs"])
+def test_both_numberings_hit_the_cap_alike(monkeypatch, runs):
+    if runs:
+        _force_runs(monkeypatch)
+    scen, base = _cell("full", "ATTACK-N", 18)
+    with pytest.raises(StateSpaceLimitExceeded, match=r"^state space exceeds cap of 100 states$"):
+        build_grid_ctmc(scen, base, max_states=100)
+    assert build_grid_ctmc(scen, base, max_states=8190).n_states == 8190
+    with pytest.raises(StateSpaceLimitExceeded, match=r"^state space exceeds cap of 8189 states$"):
+        build_grid_ctmc(scen, base, max_states=8189)
+
+
+@pytest.mark.parametrize("spare,path", [(0, "table"), (-1, "runs")])
+def test_table_bound_includes_the_whole_code_space(monkeypatch, spare, path):
+    # the reference fleet has 6 * (5 * 6 * 7)**2 = 264 600 codes
+    def refused(*args):
+        raise AssertionError("numbered through the other path")
+
+    monkeypatch.setattr(grid, "_TABLE_CODES", 264_600 + spare)
+    monkeypatch.setattr(grid, "_run_numbering" if path == "table" else "_table_numbering", refused)
+    assert build_grid_ctmc(*_cell("full", "NO-ATTACK", 18)).n_states == 6
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, 100.0, True, "100"], ids=["nan", "2.5", "100.0", "True", "text"])
+def test_max_states_must_be_an_integer(value):
+    # NaN used to switch the cap off, and 2.5 or True to read as a cap
+    scen, base = _cell("desk", "ATTACK-H", 18)
+    with pytest.raises(ValueError, match=rf"^max_states must be an integer, got {value!r}$"):
+        build_grid_ctmc(scen, base, max_states=value)
+
+
+def test_max_states_of_numpy_integer_type_caps():
+    scen, base = _cell("desk", "ATTACK-H", 18)
+    with pytest.raises(StateSpaceLimitExceeded, match=r"^state space exceeds cap of 100 states$"):
+        build_grid_ctmc(scen, base, max_states=np.int64(100))
