@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--tolerance", type=float, default=SolverConfig.tolerance,
                        help="steady mode: target for the absorption gap and for the "
                             "balance residual max|pi Q|, in (0, 1); transient mode: "
-                            "total-variation error budget of uniformization, in (0, 1e-3]")
+                            "total-variation error budget of the transient solve, in (0, 1e-3]")
     check.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
                        help="steady mode: cap on absorption sweeps and on power "
                             "iterations per BSCC")

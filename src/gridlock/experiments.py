@@ -240,7 +240,7 @@ def _finish_cell(
         tests = len(plan.variants) * len(plan.hours) * len(REPORT_LABELS)
         alpha = -math.expm1(math.log1p(-SIM_FAMILY_ALPHA) / tests)
         # the solver's value is itself known only to within its tolerance,
-        # the total-variation bound of uniformization
+        # the total-variation bound of the transient solve
         slack = plan.solver.tolerance
         n = sim.trials
         for est in sim.estimates:

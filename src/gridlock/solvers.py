@@ -12,7 +12,8 @@ Accuracy is that residual, not an absolute error: on a chain whose
 slowest rates are 1e-3 a residual of 1e-10 still allows entries off by
 about 5e-8.  Transient analysis uses uniformization with two-sided
 Poisson truncation and stops early once the iterate is provably
-stationary.
+stationary; a chain certified absorbed by the horizon, but for half the
+error budget, gets its absorption distribution instead, with no step.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ _UNIF_SLACK = 1.02
 # Steps between stationarity tests in the uniformization and power
 # loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
+
+# The absorption certificate of `transient` proves decay at a rate that
+# beats its budget by this power, and iterates at this multiple of it.
+_CERT_RATIO = 1.25
 
 
 @dataclass(frozen=True)
@@ -181,13 +186,14 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
 
 def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Distribution:
-    """State distribution after t minutes, by uniformization.
+    """State distribution after t minutes, by uniformization, or by the
+    absorption distribution where the chain is certified absorbed by t.
 
-    The error budget epsilon is split in two halves.  The Poisson window
-    [lo, hi] drops at most epsilon/4 of mass on each side, whatever
-    Lambda*t: lo is the smallest k with P(N <= k) >= epsilon/4 and hi the
-    smallest with P(N > k) <= epsilon/4, each rounded from a continuous
-    inverse and then checked; the result is renormalized.  The
+    Uniformization splits the error budget epsilon in two halves.  The
+    Poisson window [lo, hi] drops at most epsilon/4 of mass on each side,
+    whatever Lambda*t: lo is the smallest k with P(N <= k) >= epsilon/4
+    and hi the smallest with P(N > k) <= epsilon/4, each rounded from a
+    continuous inverse and then checked; the result is renormalized.  The
     power series then stops early once the iterate is provably
     stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1
     never increases with k, and handing the remaining Poisson mass to
@@ -196,6 +202,12 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
     d_k * (hi - k) <= epsilon.  Together the total-variation error is
     <= epsilon, on reducible chains too; a chain that never settles runs
     the full window.
+
+    Before the first step, once the window is known, `_absorbed` tries to
+    certify that the absorption time T exceeds t with probability at most
+    epsilon/2.  If it can, the result is the absorption distribution, whose
+    shortfall is below epsilon/2 (a point mass when one state absorbs), so
+    the total-variation error is again <= epsilon and no step runs.
     """
     if not 0 <= t < math.inf:
         raise NegativeTime(f"t must be finite and >= 0, got {t}")
@@ -225,9 +237,67 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
     k = np.arange(lo, hi + 1)
     weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
 
-    out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
+    out = _absorbed(c, t, epsilon, hi)
+    if out is None:
+        out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
     out /= out.sum()
     return Distribution(out)
+
+
+def _absorbed(c: Ctmc, t: float, epsilon: float, cap: int) -> np.ndarray | None:
+    """c's absorption distribution, unnormalized, if P(T > t) <= epsilon/2
+    is certified for the absorption time T; otherwise None.
+
+    Every BSCC must be one absorbing state, so that T is finite, and every
+    other state's exit rate E must exceed theta = _CERT_RATIO * rate, where
+    e^(-rate t) = (epsilon/2)^_CERT_RATIO: the decay rate of T is at most
+    the smallest E.  From g = 0 on those states, and g = 1 on the
+    absorbing ones, it iterates g <- R g / (E - theta), R the rates.
+    Once (E - rate) g >= R g holds in every state, up to rounding,
+    e^(rate min(t, T)) g(X) is a supermartingale and g >= 1, so
+    P(T > t) <= g(initial) e^(-rate t), within budget while
+    g(initial) <= (2/epsilon)^(_CERT_RATIO - 1).  The attempt gives up
+    once the bound exceeds epsilon/2 (g only grows), after cap iterations,
+    or if the absorption weights do not come within epsilon/2 of 1 in cap
+    jumps.  It never raises or warns.  An iterate that overflows cannot
+    certify a state that initial reaches, as g(initial) stays finite.
+    """
+    exits = c.exit_rates
+    moving = exits > 0
+    rate = _CERT_RATIO * math.log(2 / epsilon) / t
+    theta = _CERT_RATIO * rate
+    if exits[moving].min() <= theta:
+        return None
+    part = bscc_decomposition(c)
+    if any(len(b) > 1 for b in part.bsccs):
+        return None
+    denom = np.where(moving, exits - theta, 1.0)
+    # g certifies once g_next <= g * (1 + (theta - rate) / (E - theta)) where
+    # E > 0; the slack covers the rounding of a row's sums and of E itself
+    room = np.where(moving, 1.0 + (theta - rate) / denom, np.inf)
+    room /= 1.0 + 16 * np.finfo(float).eps * (np.diff(c.indptr).max() + 4)
+    decay = math.exp(-rate * t)
+    g, nxt = np.where(moving, 0.0, 1.0), np.empty(c.n_states)
+    with np.errstate(over="ignore"):
+        for k in range(1, cap + 1):
+            _step(c.rate_matrix, g, nxt)
+            nxt /= denom
+            nxt[~moving] = 1.0
+            if (k % _STATIONARITY_CHECK == 0 or k == cap) and (nxt <= g * room).all():
+                break  # g, within budget since the last round, certifies
+            if nxt[c.initial] * decay > epsilon / 2:
+                return None
+            g, nxt = nxt, g
+        else:
+            return None
+    cfg = SolverConfig(tolerance=epsilon / 2, max_iterations=cap)
+    try:
+        weights = absorption_probabilities(c, part, cfg)
+    except NonConvergence:
+        return None
+    out = np.zeros(c.n_states)
+    out[[b[0] for b in part.bsccs]] = weights
+    return out
 
 
 def _uniformized_transpose(rates: sp.csr_matrix, exits: np.ndarray) -> tuple[sp.csr_matrix, float]:

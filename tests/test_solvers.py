@@ -1,6 +1,8 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -530,6 +532,86 @@ class TestStationarityStop:
         assert np.array_equal(got.toarray(), want.toarray())
 
 
+def cert_threshold(c, epsilon):
+    """The horizon below which no state's exit rate clears the certificate's
+    iteration rate theta, so the absorbed exit cannot fire."""
+    moving = c.exit_rates[c.exit_rates > 0]
+    return solvers._CERT_RATIO**2 * math.log(2 / epsilon) / moving.min()
+
+
+class TestAbsorbedExit:
+    EPS = 1e-10
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_full_hour_18_attack_cells_take_no_step(self, steps, variant):
+        _, scen = make_attack_variants(default_scenario())[variant]
+        c = lump(build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18]))
+        got = transient(c, 60.0, self.EPS).probs
+        assert steps == []
+        (absorbing,) = np.flatnonzero(c.exit_rates == 0)
+        assert got[absorbing] == 1.0 and got.sum() == 1.0
+        assert label_probability(Distribution(got), c, "blackout") == 1.0
+
+    def test_full_attack_h_hour_4_falls_back_within_the_budget_stop(self, monkeypatch):
+        # unsaturated: P(T > 60 min) is far above 5e-11, so g(initial)
+        # leaves the budget after a few dozen iterations, far below the cap
+        scen = dict(make_attack_variants(default_scenario()))["ATTACK-H"]
+        c = lump(build_grid_ctmc(scen, default_demand_profile().mw_by_hour[4]))
+        assert cert_threshold(c, self.EPS) < 60.0  # every exit rate clears theta
+        calls = []
+        inner = solvers._step
+        monkeypatch.setattr(solvers, "_step", lambda *a: calls.append(1) or inner(*a))
+        assert solvers._absorbed(c, 60.0, self.EPS, 10**6) is None
+        assert 0 < len(calls) < 200
+
+    def test_non_singleton_bscc_falls_back(self, steps):
+        # 0 feeds the closed pair {1, 2}: absorbed in no single state
+        c = new_ctmc(3, [(0, 1, 50.0), (1, 2, 40.0), (2, 1, 30.0)], 0)
+        got = transient(c, 10.0, self.EPS).probs
+        assert len(steps) == 1
+        assert tv(got, transient_oracle(c, 10.0)) <= self.EPS
+
+    def test_exit_fires_past_the_threshold_only(self, steps):
+        c = new_ctmc(4, [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 4.0)], 0)
+        t = cert_threshold(c, self.EPS)
+        transient(c, 0.99 * t, self.EPS)
+        assert len(steps) == 1
+        for horizon in (2 * t, 4 * t):
+            got = transient(c, horizon, self.EPS).probs
+            assert len(steps) == 1
+            assert tv(got, transient_oracle(c, horizon)) <= self.EPS
+
+    def test_overflowing_iterates_do_not_warn(self, steps):
+        # the pair {1, 2}, unreachable from 0, leaks so slowly that g grows
+        # about 1000-fold a step there and overflows; the attempt still
+        # certifies 0's fast absorption, and nothing warns
+        t = 60.0
+        theta = solvers._CERT_RATIO**2 * math.log(2 / self.EPS) / t
+        a = 1.001 * theta
+        c = new_ctmc(4, [(0, 3, 100.0), (1, 2, a), (2, 1, a), (2, 3, 1e-9)], 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transient(c, t, self.EPS).probs
+        assert steps == []
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_absorption_cap_falls_back(self, steps, monkeypatch):
+        # two absorbing states; an absorption solve held to one jump hits
+        # its cap, and uniformization answers instead of NonConvergence
+        c = new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (0, 2, 1.0), (1, 3, 2.0)], 0)
+        t = 4 * cert_threshold(c, self.EPS)
+        inner = solvers.absorption_probabilities
+        monkeypatch.setattr(solvers, "absorption_probabilities",
+                            lambda c, p, cfg: inner(c, p, replace(cfg, max_iterations=1)))
+        got = transient(c, t, self.EPS).probs
+        assert len(steps) == 1
+        assert tv(got, transient_oracle(c, t)) <= self.EPS
+        # unheld, the same chain takes the exit
+        monkeypatch.setattr(solvers, "absorption_probabilities", inner)
+        assert tv(transient(c, t, self.EPS).probs, got) <= self.EPS
+        assert len(steps) == 1
+
+
 class TestLabelProbability:
     def test_single_state_label(self):
         c = new_ctmc(3, [(0, 1, 1.0)], 0, {"tail": [2]})
@@ -811,3 +893,48 @@ def test_lumped_transient_matches_expm_oracle(expanded, t, epsilon):
     for label in ("a", "b"):
         want = exact[chain.label_states(label)].sum()
         assert abs(label_probability(got, q, label) - want) <= epsilon + 1e-12
+
+
+@st.composite
+def absorbing_chains(draw, rate=MILD_RATES):
+    """Random chain of 1-5 states with exits over 1-2 absorbing ones: each
+    state with exits leads to the next, the last into an absorbing one, so
+    every BSCC is one absorbing state."""
+    n_moving = draw(st.integers(min_value=1, max_value=5))
+    n = n_moving + draw(st.integers(min_value=1, max_value=2))
+    last = draw(st.integers(min_value=n_moving, max_value=n - 1))
+    trans = {(s, s + 1 if s + 1 < n_moving else last): draw(rate) for s in range(n_moving)}
+    extras = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n_moving - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            max_size=8,
+        )
+    )
+    for src, dst in extras:
+        if src != dst and (src, dst) not in trans:
+            trans[(src, dst)] = draw(rate)
+    relabel = draw(st.permutations(range(n)))
+    init = relabel[draw(st.integers(min_value=0, max_value=n_moving - 1))]
+    return new_ctmc(n, [(relabel[s], relabel[d], r) for (s, d), r in trans.items()], init)
+
+
+@settings(max_examples=200, deadline=None)
+@given(absorbing_chains(), st.floats(min_value=-1.0, max_value=3.0),
+       st.sampled_from([1e-3, 1e-6, 1e-10]))
+def test_absorbed_exit_matches_expm_oracle(chain, scale, epsilon):
+    # horizons from half the threshold below which the exit cannot fire to
+    # eight times it; where it fires, the chain holds at most epsilon/2
+    # outside the absorbing states and the result is within epsilon
+    t = cert_threshold(chain, epsilon) * 2.0**scale
+    with warnings.catch_warnings(), patch.object(solvers, "_uniformize",
+                                                 wraps=solvers._uniformize) as spy:
+        warnings.simplefilter("error")
+        got = transient(chain, t, epsilon).probs
+    exact = transient_oracle(chain, t)
+    assert tv(got, exact) <= epsilon + 1e-12
+    if not spy.called:
+        assert exact[chain.exit_rates > 0].sum() <= epsilon / 2 + 1e-12
+        assert (got[chain.exit_rates > 0] == 0).all()
