@@ -28,7 +28,7 @@ from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import derive_trial_seed, estimate_label_metrics
-from .solvers import SolverConfig, label_probability, lump, steady_state, transient
+from .solvers import SolverConfig, label_probability, lump, settled_labels, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -209,11 +209,18 @@ def _attempt(fn, *args):
 
 
 def _solve(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float]:
+    """The chain's probability of each reported label.  A transient chain
+    certified settled by the horizon (`settled_labels`) is answered on the
+    chain as built; any other is lumped and uniformized."""
     if plan.mode == "steady":
         dist = steady_state(chain, plan.solver)
     else:
+        t, epsilon = plan.horizon_minutes, plan.solver.tolerance
+        settled = settled_labels(chain, t, epsilon)
+        if settled is not None:
+            return {lab: settled[lab] for lab in REPORT_LABELS}
         chain = lump(chain)
-        dist = transient(chain, plan.horizon_minutes, epsilon=plan.solver.tolerance)
+        dist = transient(chain, t, epsilon=epsilon)
     return {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
 
 

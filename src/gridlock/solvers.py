@@ -12,8 +12,9 @@ Accuracy is that residual, not an absolute error: on a chain whose
 slowest rates are 1e-3 a residual of 1e-10 still allows entries off by
 about 5e-8.  Transient analysis uses uniformization with two-sided
 Poisson truncation and stops early once the iterate is provably
-stationary; a chain certified absorbed by the horizon, but for half the
-error budget, gets its absorption distribution instead, with no step.
+stationary.  `settled_labels` answers a transient cell without it where
+the chain is certified settled by the horizon, but for half the error
+budget: in closed sets of states that keep one label pattern.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.special import gammaln, gdtrib, pdtr, pdtrc, pdtrik, xlogy
 
 from .ctmc import Ctmc, Distribution, _integer
@@ -38,8 +39,8 @@ _UNIF_SLACK = 1.02
 # loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
 
-# The absorption certificate of `transient` proves decay at a rate that
-# beats its budget by this power, and iterates at this multiple of it.
+# The certificate of `settled_labels` proves decay at a rate that beats
+# its budget by this power, and iterates at this multiple of it.
 _CERT_RATIO = 1.25
 
 
@@ -62,7 +63,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BsccPartition:
-    """Bottom strongly connected components and the remaining states, each
+    """Closed sets of states (the bottom strongly connected components, or
+    the settled classes of `settled_labels`) and the remaining states, each
     an ascending int64 array of state indices."""
 
     bsccs: tuple[np.ndarray, ...]
@@ -84,14 +86,15 @@ def bscc_decomposition(c: Ctmc) -> BsccPartition:
 def absorption_probabilities(
     c: Ctmc, p: BsccPartition, cfg: SolverConfig | None = None
 ) -> np.ndarray:
-    """Probability of eventually entering each BSCC, starting from c.initial.
+    """Probability of eventually entering each closed set of p.bsccs (the
+    BSCCs, or the classes of `settled_labels`), starting from c.initial.
 
     Steps a point mass at c.initial through the jump chain R/E of the
-    transient states, with each BSCC merged into one absorbing state
+    other states, with each closed set merged into one absorbing state
     numbered after them.  After j steps the merged states hold the exact
     probability of absorption within j jumps, so the shortfall of their
     sum from 1 bounds the remaining error and drives the stopping rule.
-    With one BSCC the answer is exactly 1 and no step runs.
+    With one closed set the answer is 1 and no step runs.
     """
     cfg = cfg or SolverConfig()
     if len(p.bsccs) == 1:
@@ -103,9 +106,9 @@ def absorption_probabilities(
     merged[trans] = np.arange(n_t)
     for i, b in enumerate(p.bsccs):
         merged[b] = n_t + i
-    # the jump chain R/E of the transient states (E > 0, as a state without
-    # exits is a BSCC of its own) over the merged columns, then one
-    # absorbing row per BSCC; transposed for _step
+    # the jump chain R/E of the other states (E > 0, as a state without
+    # exits is a closed set of its own) over the merged columns, then one
+    # absorbing row per closed set; transposed for _step
     rows = c.rate_matrix[trans]
     jump = sp.csr_matrix((rows.data / np.repeat(c.exit_rates[trans], np.diff(rows.indptr)),
                           merged[rows.indices], rows.indptr), shape=(n_t, n_t + k))
@@ -186,34 +189,20 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
 
 def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Distribution:
-    """State distribution after t minutes, by uniformization, or by the
-    absorption distribution where the chain is certified absorbed by t.
+    """State distribution after t minutes, by uniformization.
 
-    Uniformization splits the error budget epsilon in two halves.  The
-    Poisson window [lo, hi] drops at most epsilon/4 of mass on each side,
-    whatever Lambda*t: lo is the smallest k with P(N <= k) >= epsilon/4
-    and hi the smallest with P(N > k) <= epsilon/4, each rounded from a
-    continuous inverse and then checked; the result is renormalized.  The
-    power series then stops early once the iterate is provably
-    stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1
-    never increases with k, and handing the remaining Poisson mass to
-    x_{k+1} costs at most d_k * (hi - k) / 2 in total variation.  The
-    test runs every _STATIONARITY_CHECK steps and stops once
-    d_k * (hi - k) <= epsilon.  Together the total-variation error is
-    <= epsilon, on reducible chains too; a chain that never settles runs
-    the full window.
-
-    Before the first step, once the window is known, `_absorbed` tries to
-    certify that the absorption time T exceeds t with probability at most
-    epsilon/2.  If it can, the result is the absorption distribution, whose
-    shortfall is below epsilon/2 (a point mass when one state absorbs), so
-    the total-variation error is again <= epsilon and no step runs.
+    The error budget epsilon splits in two halves.  The Poisson window
+    [lo, hi] of `_window` drops at most epsilon/4 of mass on each side; the
+    result is renormalized.  The power series then stops early once the
+    iterate is provably stationary: P is stochastic, so
+    d_k = ||x_{k+1} - x_k||_1 never increases with k, and handing the
+    remaining Poisson mass to x_{k+1} costs at most d_k * (hi - k) / 2 in
+    total variation.  The test runs every _STATIONARITY_CHECK steps and
+    stops once d_k * (hi - k) <= epsilon.  Together the total-variation
+    error is <= epsilon, on reducible chains too; a chain that never
+    settles runs the full window.
     """
-    if not 0 <= t < math.inf:
-        raise NegativeTime(f"t must be finite and >= 0, got {t}")
-    if not 0 < epsilon <= 1e-3:
-        raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
-
+    _check_horizon(t, epsilon)
     pi0 = np.zeros(c.n_states)
     pi0[c.initial] = 1.0
     if t == 0.0 or not c.exit_rates.any():
@@ -221,6 +210,26 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
 
     pt, lam = _uniformized_transpose(c.rate_matrix, c.exit_rates)
     mu = float(lam) * t  # a Python float overflows to inf without a warning
+    lo, hi = _window(mu, t, epsilon)
+    k = np.arange(lo, hi + 1)
+    weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
+    out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
+    out /= out.sum()
+    return Distribution(out)
+
+
+def _check_horizon(t: float, epsilon: float) -> None:
+    if not 0 <= t < math.inf:
+        raise NegativeTime(f"t must be finite and >= 0, got {t}")
+    if not 0 < epsilon <= 1e-3:
+        raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon!r}")
+
+
+def _window(mu: float, t: float, epsilon: float) -> tuple[int, int]:
+    """The Poisson window [lo, hi] for mean mu = Lambda*t: lo is the
+    smallest k with P(N <= k) >= epsilon/4 and hi the smallest with
+    P(N > k) <= epsilon/4, each rounded from a continuous inverse and then
+    checked.  Raises NegativeTime where mu is too large for a finite one."""
     q = epsilon / 4
     lo, hi = pdtrik(q, mu), gdtrib(1.0, q, mu) - 1.0  # P(N > k) = gdtr(1, k + 1, mu)
     if math.isnan(lo) or math.isnan(hi):
@@ -234,55 +243,76 @@ def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Dis
         hi -= 1
     while pdtrc(hi, mu) > q:
         hi += 1
-    k = np.arange(lo, hi + 1)
-    weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
-
-    out = _absorbed(c, t, epsilon, hi)
-    if out is None:
-        out, _ = _uniformize(pt, pi0, weights, lo, epsilon)
-    out /= out.sum()
-    return Distribution(out)
+    return lo, hi
 
 
-def _absorbed(c: Ctmc, t: float, epsilon: float, cap: int) -> np.ndarray | None:
-    """c's absorption distribution, unnormalized, if P(T > t) <= epsilon/2
-    is certified for the absorption time T; otherwise None.
+def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> dict[str, float] | None:
+    """Each label's probability after t minutes, if c is certified settled
+    by t but for epsilon/2 of its mass; otherwise None.
 
-    Every BSCC must be one absorbing state, so that T is finite, and every
-    other state's exit rate E must exceed theta = _CERT_RATIO * rate, where
-    e^(-rate t) = (epsilon/2)^_CERT_RATIO: the decay rate of T is at most
-    the smallest E.  From g = 0 on those states, and g = 1 on the
-    absorbing ones, it iterates g <- R g / (E - theta), R the rates.
-    Once (E - rate) g >= R g holds in every state, up to rounding,
-    e^(rate min(t, T)) g(X) is a supermartingale and g >= 1, so
-    P(T > t) <= g(initial) e^(-rate t), within budget while
-    g(initial) <= (2/epsilon)^(_CERT_RATIO - 1).  The attempt gives up
-    once the bound exceeds epsilon/2 (g only grows), after cap iterations,
-    or if the absorption weights do not come within epsilon/2 of 1 in cap
-    jumps.  It never raises or warns.  An iterate that overflows cannot
-    certify a state that initial reaches, as g(initial) stays finite.
+    A state is settled when it cannot reach a transition between two label
+    patterns (the sets of labels states carry).  The settled states split
+    by pattern into closed classes (`_settled`), and a path that enters one
+    keeps its labels.  The tests run cheapest first:
+    - without such transitions, or at t = 0, c.initial gives its own
+      labels probability 1, with no window;
+    - the exit rate E of every source of such a transition, then of every
+      unsettled state, must exceed theta = _CERT_RATIO * rate, where
+      e^(-rate t) = (epsilon/2)^_CERT_RATIO, as the decay rate of the time
+      T to settle is at most the smallest E;
+    - a settled c.initial again gives its own labels;
+    - every state must reach a settled one, so that T is finite;
+    - t must give a Poisson window (`_window`), whose hi caps the
+      iterations; a longer t is left to `transient`, which raises
+      NegativeTime naming the Lambda*t of the chain it solves.
+    From g = 0 on the unsettled states and g = 1 on the settled ones, the
+    certificate then iterates g <- R g / (E - theta) on the unsettled
+    states, R the rates.  Once (E - rate) g >= R g holds in every unsettled
+    state, up to rounding, e^(rate min(t, T)) g(X) is a supermartingale and
+    g >= 1, so P(T > t) <= g(initial) e^(-rate t), within budget while
+    g(initial) <= (2/epsilon)^(_CERT_RATIO - 1).  The attempt gives up once
+    the bound exceeds epsilon/2 (g only grows), after hi iterations, or if
+    the classes' absorption weights do not come within epsilon/2 of 1 in hi
+    jumps.  A label's probability is then the sum of the normalized weights
+    of the classes in it: epsilon/2 for the mass not yet settled plus
+    epsilon/2 for the weights keeps the total-variation error within
+    epsilon.  Past its argument checks it never raises or warns.  An
+    iterate that overflows cannot certify a state that initial reaches, as
+    g(initial) stays finite.
     """
+    _check_horizon(t, epsilon)
+    sources = _change_sources(c)
+    if t == 0.0 or not sources.any():
+        return _class_labels(c, np.array([c.initial]), np.ones(1))
     exits = c.exit_rates
-    moving = exits > 0
     rate = _CERT_RATIO * math.log(2 / epsilon) / t
     theta = _CERT_RATIO * rate
-    if exits[moving].min() <= theta:
+    if exits[sources].min() <= theta:
         return None
-    part = bscc_decomposition(c)
-    if any(len(b) > 1 for b in part.bsccs):
+    part = _settled(c, sources)
+    unsettled = np.zeros(c.n_states, dtype=bool)
+    unsettled[part.transient_states] = True
+    if not unsettled[c.initial]:
+        return _class_labels(c, np.array([c.initial]), np.ones(1))
+    if exits[unsettled].min() <= theta or not _reaching(c, np.flatnonzero(~unsettled)).all():
         return None
-    denom = np.where(moving, exits - theta, 1.0)
-    # g certifies once g_next <= g * (1 + (theta - rate) / (E - theta)) where
-    # E > 0; the slack covers the rounding of a row's sums and of E itself
-    room = np.where(moving, 1.0 + (theta - rate) / denom, np.inf)
+    try:
+        _, cap = _window(_UNIF_SLACK * float(exits.max()) * t, t, epsilon)
+    except NegativeTime:
+        return None
+    denom = np.where(unsettled, exits - theta, 1.0)
+    # g certifies once g_next <= g * (1 + (theta - rate) / (E - theta)) on
+    # the unsettled states; the slack covers the rounding of a row's sums
+    # and of E itself
+    room = np.where(unsettled, 1.0 + (theta - rate) / denom, np.inf)
     room /= 1.0 + 16 * np.finfo(float).eps * (np.diff(c.indptr).max() + 4)
     decay = math.exp(-rate * t)
-    g, nxt = np.where(moving, 0.0, 1.0), np.empty(c.n_states)
+    g, nxt = np.where(unsettled, 0.0, 1.0), np.empty(c.n_states)
     with np.errstate(over="ignore"):
         for k in range(1, cap + 1):
             _step(c.rate_matrix, g, nxt)
             nxt /= denom
-            nxt[~moving] = 1.0
+            nxt[~unsettled] = 1.0
             if (k % _STATIONARITY_CHECK == 0 or k == cap) and (nxt <= g * room).all():
                 break  # g, within budget since the last round, certifies
             if nxt[c.initial] * decay > epsilon / 2:
@@ -295,9 +325,56 @@ def _absorbed(c: Ctmc, t: float, epsilon: float, cap: int) -> np.ndarray | None:
         weights = absorption_probabilities(c, part, cfg)
     except NonConvergence:
         return None
-    out = np.zeros(c.n_states)
-    out[[b[0] for b in part.bsccs]] = weights
-    return out
+    return _class_labels(c, np.array([b[0] for b in part.bsccs]), weights / weights.sum())
+
+
+def _change_sources(c: Ctmc) -> np.ndarray:
+    """Mask of the states with a rate into a state of another label pattern."""
+    n = c.n_states
+    src = np.repeat(np.arange(n), np.diff(c.indptr))
+    change = np.zeros(len(src), dtype=bool)
+    for states in c.label_arrays.values():
+        member = np.zeros(n, dtype=bool)
+        member[states] = True
+        change |= member[src] != member[c.indices]
+    sources = np.zeros(n, dtype=bool)
+    sources[src[change]] = True
+    return sources
+
+
+def _settled(c: Ctmc, sources: np.ndarray) -> BsccPartition:
+    """The settled states of c, split by label pattern into closed classes
+    ordered by smallest member, and the unsettled states: those that reach
+    one of the sources (`_change_sources`)."""
+    unsettled = _reaching(c, np.flatnonzero(sources))
+    settled, classes = np.flatnonzero(~unsettled), ()
+    if len(settled):
+        pattern = np.zeros(len(settled), dtype=np.int64)
+        for states in c.label_arrays.values():
+            member = np.zeros(c.n_states, dtype=bool)
+            member[states] = True
+            pattern = _split(pattern, member[settled])
+        classes = tuple(settled[pattern == i] for i in range(pattern.max() + 1))
+    return BsccPartition(classes, np.flatnonzero(unsettled))
+
+
+def _reaching(c: Ctmc, targets: np.ndarray) -> np.ndarray:
+    """Mask of the states with a path to one of targets (targets included):
+    a search of the reversed rates from a virtual root n with an edge to
+    each target."""
+    n, rev = c.n_states, c.rate_matrix.tocsc()  # column j lists the states with a rate into j
+    graph = sp.csr_matrix((np.ones(rev.nnz + len(targets)), np.concatenate((rev.indices, targets)),
+                           np.append(rev.indptr, rev.nnz + len(targets))), shape=(n + 1, n + 1))
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[breadth_first_order(graph, n, return_predecessors=False)] = True
+    return hit[:n]
+
+
+def _class_labels(c: Ctmc, members: np.ndarray, weights: np.ndarray) -> dict[str, float]:
+    """Each label's probability: the weights of the classes whose member,
+    one per class, it holds."""
+    return {name: float(weights[np.isin(members, states)].sum())
+            for name, states in c.label_arrays.items()}
 
 
 def _uniformized_transpose(rates: sp.csr_matrix, exits: np.ndarray) -> tuple[sp.csr_matrix, float]:

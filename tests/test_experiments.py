@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import re
@@ -395,19 +396,19 @@ class TestSweep:
             assert f"alpha {-math.expm1(math.log1p(-1e-3) / 12):.3g}" in str(f.error)
 
     def test_transient_gets_the_plan_tolerance(self, monkeypatch):
-        seen = []
-        real = experiments.transient
+        # hour 4's chain is uniformized; hour 12's starts settled
+        seen = {"settled_labels": [], "transient": []}
+        for name, epsilons in seen.items():
+            def spy(chain, t, epsilon=1e-10, real=getattr(experiments, name), epsilons=epsilons):
+                epsilons.append(epsilon)
+                return real(chain, t, epsilon)
 
-        def spy(chain, t, epsilon=1e-10):
-            seen.append(epsilon)
-            return real(chain, t, epsilon)
-
-        monkeypatch.setattr(experiments, "transient", spy)
+            monkeypatch.setattr(experiments, name, spy)
         plan = ExperimentPlan(
             variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
         )
         sweep_rows(plan, tiny_profile())
-        assert seen == [1e-6, 1e-6]
+        assert seen == {"settled_labels": [1e-6, 1e-6], "transient": [1e-6]}
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
@@ -543,31 +544,55 @@ class Lumped(Exception):
 
 
 class TestTransientLumping:
-    """`_solve` lumps every transient chain and no steady one."""
+    """`_solve` lumps every transient chain that `settled_labels` does not
+    certify, and no steady one."""
 
     @staticmethod
     def spy(monkeypatch):
         lumped = []
 
         def record(chain):
-            lumped.append(chain.n_states)
+            lumped.append(experiments._chain_key(chain))
             raise Lumped  # skips the solve; the spy has seen the chain
 
         monkeypatch.setattr(experiments, "lump", record)
         return lumped
 
-    @pytest.mark.parametrize("variants, profile, hours, states", [
-        (make_attack_variants(desk_scenario()), desk_demand_profile(), tuple(range(24)), 1062),
-        (make_attack_variants(default_scenario()), default_demand_profile(), (4, 18), 8190),
+    @pytest.mark.parametrize("variants, profile, hours, certified", [
+        (make_attack_variants(desk_scenario()), desk_demand_profile(), tuple(range(24)),
+         {("ATTACK-N", h) for h in range(2, 6)}
+         | {("NO-ATTACK", h) for h in (*range(8), 11, 13, 14, 15, 21, 22, 23)}),
+        (make_attack_variants(default_scenario()), default_demand_profile(), (4, 18),
+         {("ATTACK-G", 4), ("ATTACK-N", 4), ("ATTACK-G", 18), ("ATTACK-H", 18),
+          ("ATTACK-N", 18)}),
     ], ids=["desk", "full"])
-    def test_every_transient_cell_is_lumped(self, monkeypatch, variants, profile, hours, states):
+    def test_every_transient_cell_is_certified_or_lumped(self, monkeypatch, variants, profile,
+                                                         hours, certified):
         lumped = self.spy(monkeypatch)
+        settled = []
+        real = experiments.settled_labels
+
+        def attempt(chain, t, epsilon):
+            got = real(chain, t, epsilon)
+            settled.append((experiments._chain_key(chain), got is not None))
+            return got
+
+        monkeypatch.setattr(experiments, "settled_labels", attempt)
         rows, failures = run_hourly_sweep(ExperimentPlan(variants=tuple(variants), hours=hours), profile)
-        assert rows == []
-        assert len(failures) == 4 * len(hours)
+        assert {(r.scenario, r.hour) for r in rows} == certified
+        assert len(rows) + len(failures) == 4 * len(hours)
         assert all(isinstance(f.error, Lumped) for f in failures)
-        # cells that share a chain share one solve
-        assert 0 < len(lumped) <= len(failures) and states in lumped
+        # each distinct chain is attempted once, and lumped only if it fails
+        keys = [key for key, _ in settled]
+        assert len(set(keys)) == len(keys)
+        assert sorted(lumped) == sorted(key for key, ok in settled if not ok)
+
+    def test_full_hour_18_attack_cells_are_not_lumped(self, monkeypatch, tmp_path):
+        lumped = log_calls(monkeypatch, tmp_path, "lump")
+        attacks = tuple(make_attack_variants(default_scenario()))[1:]
+        rows = sweep_rows(ExperimentPlan(variants=attacks, hours=(18,)), default_demand_profile())
+        assert lumped() == []
+        assert [(r.p_over_demand, r.p_blackout, r.state_count) for r in rows] == [(1.0, 1.0, 8190)] * 3
 
     def test_steady_cells_are_never_lumped(self, monkeypatch):
         lumped = self.spy(monkeypatch)
@@ -595,9 +620,12 @@ class TestSharedChains:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_transient_for_six_cells(self, monkeypatch, tmp_path, workers):
-        calls = log_calls(monkeypatch, tmp_path, "transient")
+        # the shared chain starts settled: one certificate, no uniformization
+        calls = log_calls(monkeypatch, tmp_path, "settled_labels")
+        uniformized = log_calls(monkeypatch, tmp_path, "transient")
         rows = sweep_rows(shared_chain_plan(), tiny_profile(), max_workers=workers)
         assert len(calls()) == 1
+        assert uniformized() == []
         assert [(r.scenario, r.hour) for r in rows] == [
             (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
         ]
@@ -632,7 +660,8 @@ class TestSharedChains:
         def diverge(*_, **__):
             raise NonConvergence("uniformization diverged")
 
-        monkeypatch.setattr(experiments, "transient", diverge)
+        # the shared chain is answered by its certificate
+        monkeypatch.setattr(experiments, "settled_labels", diverge)
         rows, failures = run_hourly_sweep(shared_chain_plan(), tiny_profile(),
                                           max_workers=workers)
         assert rows == []
@@ -1203,6 +1232,39 @@ class TestCli:
             assert re.fullmatch(r"error: [\w-]+ hour 4: t = [^ ]+ min gives Lambda\*t = \S+, "
                                 r"too large for a finite Poisson window", line), line
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    # sha256 of the CSV and of stderr, as written when every transient cell
+    # was lumped before any certificate ran
+    HORIZON_1E300 = {
+        "desk": ("8e02fb9d51d5d6b81e9c2796206def8e05cd418d9b38da062bb692a2ed41038e",
+                 "8fa4b427fe6053f47678bd967600c837e325393e166e4c6493af36f515d69043"),
+        "full-hour-4": ("7396f1eb02e46d147a1274cc840fe195ca5e72b287b129d7eb9f82ac5e3a7c9b",
+                        "d3d75a635e577c80876cfe56501920ad052fc9144b11ced1388807f798648f34"),
+    }
+
+    @pytest.mark.parametrize("fleet", ["desk", "full-hour-4"])
+    def test_horizon_1e300_fails_and_answers_the_same_cells(self, tmp_path, capsys, fleet):
+        # only cells that start settled answer, each with its own labels;
+        # every other cell fails naming the Lambda*t of its lumped chain
+        if fleet == "desk":
+            scen, dem = tmp_path / "desk.scenario", tmp_path / "desk_demand.csv"
+            scen.write_text(format_scenario(desk_scenario()))
+            dem.write_text(format_demand_csv(desk_demand_profile()))
+            argv = ["--scenario", str(scen), "--demand", str(dem)]
+            answered = ({("ATTACK-N", h) for h in range(2, 6)}
+                        | {("NO-ATTACK", h) for h in (*range(8), 11, 13, 14, 15, 21, 22, 23)})
+        else:
+            argv, answered = ["--hours", "4"], set()
+        out = tmp_path / "out.csv"
+        assert self.run("check", *argv, "--horizon", "1e300", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert {(r["scenario"], int(r["hour"])) for r in rows} == answered
+        assert {tuple(map(float, list(r.values())[3:])) for r in rows} <= {(1.0, 0.0, 0.0, 0.0)}
+        assert len(err.splitlines()) == (96 if fleet == "desk" else 4) - len(answered)
+        assert all("too large for a finite Poisson window" in line for line in err.splitlines())
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), err.encode()))
+        assert digests == self.HORIZON_1E300[fleet]
 
     def test_simulate_output_shape(self, cli_files, capsys):
         scen, dem = cli_files

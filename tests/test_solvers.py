@@ -2,7 +2,6 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -532,84 +531,143 @@ class TestStationarityStop:
         assert np.array_equal(got.toarray(), want.toarray())
 
 
+def settled(c):
+    """c's settled classes and unsettled states."""
+    return solvers._settled(c, solvers._change_sources(c))
+
+
 def cert_threshold(c, epsilon):
-    """The horizon below which no state's exit rate clears the certificate's
-    iteration rate theta, so the absorbed exit cannot fire."""
-    moving = c.exit_rates[c.exit_rates > 0]
-    return solvers._CERT_RATIO**2 * math.log(2 / epsilon) / moving.min()
+    """The horizon below which no unsettled state's exit rate clears the
+    certificate's iteration rate theta, so `settled_labels` cannot fire."""
+    unsettled = c.exit_rates[settled(c).transient_states]
+    return solvers._CERT_RATIO**2 * math.log(2 / epsilon) / unsettled.min()
+
+
+@pytest.fixture
+def spmvs(monkeypatch):
+    """Records each `_step` call: the certificate's iterations and the
+    absorption solve's jumps."""
+    calls = []
+    inner = solvers._step
+    monkeypatch.setattr(solvers, "_step", lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def label_error(got, c, t):
+    """The largest difference of a label's probability from the dense oracle."""
+    exact = transient_oracle(c, t)
+    return max(abs(got[name] - exact[states].sum()) for name, states in c.label_arrays.items())
 
 
 class TestAbsorbedExit:
+    """`settled_labels`, the certificate that a chain has settled by t."""
+
     EPS = 1e-10
 
     @pytest.mark.parametrize("variant", [1, 2, 3])
-    def test_full_hour_18_attack_cells_take_no_step(self, steps, variant):
+    def test_full_hour_18_attack_cells_take_no_step(self, spmvs, variant):
+        # on the chain as built, the 126-state blackout BSCC lies inside
+        # one settled class of 7 434 states, and 32 iterations certify it
         _, scen = make_attack_variants(default_scenario())[variant]
-        c = lump(build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18]))
-        got = transient(c, 60.0, self.EPS).probs
-        assert steps == []
-        (absorbing,) = np.flatnonzero(c.exit_rates == 0)
-        assert got[absorbing] == 1.0 and got.sum() == 1.0
-        assert label_probability(Distribution(got), c, "blackout") == 1.0
+        c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18])
+        got = solvers.settled_labels(c, 60.0, self.EPS)
+        assert len(spmvs) == 32
+        assert got == {"overSupply": 0.0, "equilibrium": 0.0, "overDemand": 1.0, "blackout": 1.0}
+        (blackout,) = settled(c).bsccs
+        (bscc,) = bscc_decomposition(c).bsccs
+        assert len(blackout) == 7434 and np.isin(bscc, blackout).all()
+        assert np.isin(blackout, c.label_states("blackout")).all()
 
-    def test_full_attack_h_hour_4_falls_back_within_the_budget_stop(self, monkeypatch):
+    def test_full_attack_h_hour_4_falls_back_within_the_budget_stop(self, spmvs):
         # unsaturated: P(T > 60 min) is far above 5e-11, so g(initial)
-        # leaves the budget after a few dozen iterations, far below the cap
+        # leaves the budget after a few dozen iterations, far below the
+        # window's hi of 56 753
         scen = dict(make_attack_variants(default_scenario()))["ATTACK-H"]
-        c = lump(build_grid_ctmc(scen, default_demand_profile().mw_by_hour[4]))
+        c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[4])
         assert cert_threshold(c, self.EPS) < 60.0  # every exit rate clears theta
-        calls = []
-        inner = solvers._step
-        monkeypatch.setattr(solvers, "_step", lambda *a: calls.append(1) or inner(*a))
-        assert solvers._absorbed(c, 60.0, self.EPS, 10**6) is None
-        assert 0 < len(calls) < 200
+        assert solvers.settled_labels(c, 60.0, self.EPS) is None
+        assert 0 < len(spmvs) < 200
 
-    def test_non_singleton_bscc_falls_back(self, steps):
-        # 0 feeds the closed pair {1, 2}: absorbed in no single state
-        c = new_ctmc(3, [(0, 1, 50.0), (1, 2, 40.0), (2, 1, 30.0)], 0)
-        got = transient(c, 10.0, self.EPS).probs
-        assert len(steps) == 1
-        assert tv(got, transient_oracle(c, 10.0)) <= self.EPS
+    def test_non_singleton_bscc_falls_back(self, spmvs):
+        # 0 feeds the closed pair {1, 2}: settled while the pair keeps one
+        # label pattern; with a change inside it no state is settled, and
+        # the attempt gives up before iterating
+        rates = [(0, 1, 50.0), (1, 2, 40.0), (2, 1, 30.0)]
+        pure = new_ctmc(3, rates, 0, {"start": [0]})
+        assert solvers.settled_labels(pure, 10.0, self.EPS) == {"start": 0.0}
+        assert label_error({"start": 0.0}, pure, 10.0) <= self.EPS
+        spmvs.clear()
+        mixed = new_ctmc(3, rates, 0, {"start": [0], "one": [1]})
+        assert settled(mixed).bsccs == ()
+        assert solvers.settled_labels(mixed, 10.0, self.EPS) is None
+        assert spmvs == []  # rejected before the first iteration
 
-    def test_exit_fires_past_the_threshold_only(self, steps):
-        c = new_ctmc(4, [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 4.0)], 0)
+    def test_exit_fires_past_the_threshold_only(self, spmvs):
+        c = new_ctmc(4, [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 4.0)], 0,
+                     {"two": [2], "three": [3]})
         t = cert_threshold(c, self.EPS)
-        transient(c, 0.99 * t, self.EPS)
-        assert len(steps) == 1
+        assert solvers.settled_labels(c, 0.99 * t, self.EPS) is None
+        assert spmvs == []
         for horizon in (2 * t, 4 * t):
-            got = transient(c, horizon, self.EPS).probs
-            assert len(steps) == 1
-            assert tv(got, transient_oracle(c, horizon)) <= self.EPS
+            got = solvers.settled_labels(c, horizon, self.EPS)
+            assert label_error(got, c, horizon) <= self.EPS
 
-    def test_overflowing_iterates_do_not_warn(self, steps):
+    def test_overflowing_iterates_do_not_warn(self):
         # the pair {1, 2}, unreachable from 0, leaks so slowly that g grows
         # about 1000-fold a step there and overflows; the attempt still
-        # certifies 0's fast absorption, and nothing warns
+        # certifies 0's fast settling, and nothing warns
         t = 60.0
         theta = solvers._CERT_RATIO**2 * math.log(2 / self.EPS) / t
         a = 1.001 * theta
-        c = new_ctmc(4, [(0, 3, 100.0), (1, 2, a), (2, 1, a), (2, 3, 1e-9)], 0)
+        c = new_ctmc(4, [(0, 3, 100.0), (1, 2, a), (2, 1, a), (2, 3, 1e-9)], 0, {"done": [3]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = transient(c, t, self.EPS).probs
-        assert steps == []
-        assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+            assert solvers.settled_labels(c, t, self.EPS) == {"done": 1.0}
 
-    def test_absorption_cap_falls_back(self, steps, monkeypatch):
-        # two absorbing states; an absorption solve held to one jump hits
-        # its cap, and uniformization answers instead of NonConvergence
-        c = new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (0, 2, 1.0), (1, 3, 2.0)], 0)
+    def test_absorption_cap_falls_back(self, monkeypatch):
+        # two classes; an absorption solve held to one jump hits its cap,
+        # and the attempt gives up instead of raising NonConvergence
+        c = new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (0, 2, 1.0), (1, 3, 2.0)], 0,
+                     {"a": [2], "b": [3]})
         t = 4 * cert_threshold(c, self.EPS)
         inner = solvers.absorption_probabilities
         monkeypatch.setattr(solvers, "absorption_probabilities",
                             lambda c, p, cfg: inner(c, p, replace(cfg, max_iterations=1)))
-        got = transient(c, t, self.EPS).probs
-        assert len(steps) == 1
-        assert tv(got, transient_oracle(c, t)) <= self.EPS
-        # unheld, the same chain takes the exit
+        assert solvers.settled_labels(c, t, self.EPS) is None
+        # unheld, the same chain is certified
         monkeypatch.setattr(solvers, "absorption_probabilities", inner)
-        assert tv(transient(c, t, self.EPS).probs, got) <= self.EPS
-        assert len(steps) == 1
+        assert label_error(solvers.settled_labels(c, t, self.EPS), c, t) <= self.EPS
+
+    def test_a_settled_start_needs_no_window(self, spmvs):
+        # no Lambda*t is too large for a chain that starts settled, nor for
+        # t = 0; an unsettled start past the Poisson window (Lambda*t =
+        # 5.1e12) is left to `transient`, which raises NegativeTime, though
+        # one iteration would certify it
+        def chain(start):
+            return new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (2, 0, 1.0), (3, 0, 1.0)], start,
+                            {"pair": [0, 1], "three": [3]})
+
+        assert solvers.settled_labels(chain(0), 1e300, self.EPS) == {"pair": 1.0, "three": 0.0}
+        assert solvers.settled_labels(chain(3), 0.0, self.EPS) == {"pair": 0.0, "three": 1.0}
+        assert spmvs == []
+        assert solvers.settled_labels(chain(3), 1e12, self.EPS) is None
+        with pytest.raises(NegativeTime, match="too large for a finite Poisson window"):
+            transient(lump(chain(3)), 1e12, self.EPS)
+
+    def test_fast_loop_with_a_slow_exit_falls_back(self):
+        # every exit rate clears theta, but the pair {0, 1} leaves for the
+        # settled state 2 only from 1, once in 28 visits: P(T > 60 min) is
+        # 2.0e-3, and g, which grows while e^(theta T) has no finite mean,
+        # must not certify merely by satisfying E g >= R g
+        c = new_ctmc(3, [(0, 1, 3.0), (1, 0, 25.0), (1, 2, 1.0)], 0, {"done": [2]})
+        assert cert_threshold(c, self.EPS) < 60.0
+        assert transient_oracle(c, 60.0)[:2].sum() > 1e-3
+        assert solvers.settled_labels(c, 60.0, self.EPS) is None
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, t):
+        with pytest.raises(NegativeTime):
+            solvers.settled_labels(new_ctmc(2, [(0, 1, 1.0)], 0), t)
 
 
 class TestLabelProbability:
@@ -896,45 +954,48 @@ def test_lumped_transient_matches_expm_oracle(expanded, t, epsilon):
 
 
 @st.composite
-def absorbing_chains(draw, rate=MILD_RATES):
-    """Random chain of 1-5 states with exits over 1-2 absorbing ones: each
-    state with exits leads to the next, the last into an absorbing one, so
-    every BSCC is one absorbing state."""
-    n_moving = draw(st.integers(min_value=1, max_value=5))
-    n = n_moving + draw(st.integers(min_value=1, max_value=2))
-    last = draw(st.integers(min_value=n_moving, max_value=n - 1))
-    trans = {(s, s + 1 if s + 1 < n_moving else last): draw(rate) for s in range(n_moving)}
-    extras = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n_moving - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ),
-            max_size=8,
-        )
-    )
+def settling_chains(draw, rate=MILD_RATES):
+    """Random chain whose settled classes are closed, label-pure sets of
+    2-3 states (a cycle each, as the built chains' 126-state blackout BSCC
+    is strongly connected), fed by 1-4 other states: each leads to the
+    next, the last into a class, and up to 8 more rates leave them.  Every
+    state carries a random subset of the labels a and b, one per class."""
+    n_moving = draw(st.integers(min_value=1, max_value=4))
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=1, max_size=2))
+    n = n_moving + sum(sizes)
+    patterns = st.sets(st.sampled_from("ab"))
+    trans, labels, first = {}, [draw(patterns) for _ in range(n_moving)], n_moving
+    for size in sizes:
+        members = list(range(first, first + size))
+        first += size
+        trans.update({(s, members[(i + 1) % size]): draw(rate) for i, s in enumerate(members)})
+        labels += [draw(patterns)] * size
+    into = st.integers(min_value=n_moving, max_value=n - 1)
+    trans.update({(s, s + 1 if s + 1 < n_moving else draw(into)): draw(rate)
+                  for s in range(n_moving)})
+    extras = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=n_moving - 1),
+                                     st.integers(min_value=0, max_value=n - 1)), max_size=8))
     for src, dst in extras:
         if src != dst and (src, dst) not in trans:
             trans[(src, dst)] = draw(rate)
     relabel = draw(st.permutations(range(n)))
     init = relabel[draw(st.integers(min_value=0, max_value=n_moving - 1))]
-    return new_ctmc(n, [(relabel[s], relabel[d], r) for (s, d), r in trans.items()], init)
+    return new_ctmc(n, [(relabel[s], relabel[d], r) for (s, d), r in trans.items()], init,
+                    {name: [relabel[s] for s in range(n) if name in labels[s]] for name in "ab"})
 
 
 @settings(max_examples=200, deadline=None)
-@given(absorbing_chains(), st.floats(min_value=-1.0, max_value=3.0),
+@given(settling_chains(), st.floats(min_value=-1.0, max_value=3.0),
        st.sampled_from([1e-3, 1e-6, 1e-10]))
 def test_absorbed_exit_matches_expm_oracle(chain, scale, epsilon):
-    # horizons from half the threshold below which the exit cannot fire to
-    # eight times it; where it fires, the chain holds at most epsilon/2
-    # outside the absorbing states and the result is within epsilon
-    t = cert_threshold(chain, epsilon) * 2.0**scale
-    with warnings.catch_warnings(), patch.object(solvers, "_uniformize",
-                                                 wraps=solvers._uniformize) as spy:
+    # horizons from half the threshold below which the certificate cannot
+    # fire to eight times it; where it fires, the chain holds at most
+    # epsilon/2 outside the settled states and every label is within epsilon
+    unsettled = settled(chain).transient_states
+    t = 2.0**scale * (cert_threshold(chain, epsilon) if len(unsettled) else 1.0)
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = transient(chain, t, epsilon).probs
-    exact = transient_oracle(chain, t)
-    assert tv(got, exact) <= epsilon + 1e-12
-    if not spy.called:
-        assert exact[chain.exit_rates > 0].sum() <= epsilon / 2 + 1e-12
-        assert (got[chain.exit_rates > 0] == 0).all()
+        got = solvers.settled_labels(chain, t, epsilon)
+    if got is not None:
+        assert transient_oracle(chain, t)[unsettled].sum() <= epsilon / 2 + 1e-12
+        assert label_error(got, chain, t) <= epsilon + 1e-12
