@@ -5,9 +5,14 @@ requested mode and reports the four label probabilities.  A chain depends
 on the hour's demand only through each state's dispatch comparisons, so
 cells often build bit-identical chains; each distinct chain is solved
 once and its probabilities are copied to every cell that shares it.
-With a worker pool the output is still deterministic because rows are
-sorted and per-cell simulation seeds derive from the cell's position in
-the plan, not from scheduling.
+Serially, the lumped chains left to uniformize wait in batches of equal
+uniformization rate and are solved a batch at a time (`transients`); a
+worker pool solves each distinct chain in a job of its own, as which
+chains are left to uniformize, and at what rate, is known only once a
+job has certified or lumped its chain, and the long jobs are the large
+chains that would fill a batch alone.  With a pool the output is still
+deterministic because rows are sorted and per-cell simulation seeds
+derive from the cell's position in the plan, not from scheduling.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 from scipy.special import betaincinv
 
-from .ctmc import Ctmc, _integer
+from .ctmc import Ctmc, Distribution, _integer
 from .errors import GridlockError
 from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile, Scenario
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
-from .sim import derive_trial_seed, estimate_label_metrics
-from .solvers import SolverConfig, label_probability, lump, settled_labels, steady_state, transient
+from .sim import LabelEstimates, derive_trial_seed, estimate_label_metrics
+from .solvers import (BATCH_NNZ, SolverConfig, batch_slot, label_probability, lump,
+                      settled_labels, steady_state, transient, transients)
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -208,19 +214,20 @@ def _attempt(fn, *args):
         return e
 
 
-def _solve(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float]:
-    """The chain's probability of each reported label.  A transient chain
-    certified settled by the horizon (`settled_labels`) is answered on the
-    chain as built; any other is lumped and uniformized."""
+def _solve_or_lump(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float] | Ctmc:
+    """The chain's probability of each reported label; or, for a transient
+    chain that `settled_labels` does not certify settled by the horizon,
+    its lumped chain, left to uniformize."""
     if plan.mode == "steady":
-        dist = steady_state(chain, plan.solver)
-    else:
-        t, epsilon = plan.horizon_minutes, plan.solver.tolerance
-        settled = settled_labels(chain, t, epsilon)
-        if settled is not None:
-            return {lab: settled[lab] for lab in REPORT_LABELS}
-        chain = lump(chain)
-        dist = transient(chain, t, epsilon=epsilon)
+        return _labels(steady_state(chain, plan.solver), chain)
+    settled = settled_labels(chain, plan.horizon_minutes, plan.solver.tolerance)
+    if settled is not None:
+        return {lab: settled[lab] for lab in REPORT_LABELS}
+    return lump(chain)
+
+
+def _labels(dist: Distribution, chain: Ctmc) -> dict[str, float]:
+    """The probability dist gives each reported label of chain."""
     return {lab: label_probability(dist, chain, lab) for lab in REPORT_LABELS}
 
 
@@ -231,26 +238,46 @@ def _clopper_pearson(k: int, n: int, alpha: float) -> tuple[float, float]:
     return lo, hi
 
 
+class _Held(NamedTuple):
+    """What a cell keeps of its chain as built until the chain is solved:
+    its size and its simulation estimates (None without a cross-check, or
+    the exception the simulation raised)."""
+
+    index: int
+    name: str
+    hour: int
+    states: int
+    sim: LabelEstimates | Exception | None
+
+
+def _hold(plan: ExperimentPlan, chain: Ctmc, index: int, name: str, hour: int) -> _Held:
+    """The cell at `index` of the plan, with its simulation run on chain."""
+    sim = None
+    if plan.sim_trials is not None:
+        seed = derive_trial_seed(plan.sim_seed, index)
+        sim = _attempt(estimate_label_metrics, chain, REPORT_LABELS, plan.horizon_minutes,
+                       plan.sim_trials, seed)
+    return _Held(index, name, hour, chain.n_states, sim)
+
+
 def _finish_cell(
-    plan: ExperimentPlan, chain: Ctmc, probs: dict[str, float] | Exception,
-    name: str, hour: int, cell_index: int,
+    plan: ExperimentPlan, probs: dict[str, float] | Exception, held: _Held
 ) -> _Outcome:
     """The cell's row from its chain's solved probabilities, after the
-    cell's own simulation cross-check; a failed solve fails the cell."""
+    cell's own simulation cross-check; a failed solve fails the cell, and
+    then a failed simulation."""
     if isinstance(probs, Exception):
         return probs
-    if plan.sim_trials is not None:
-        seed = derive_trial_seed(plan.sim_seed, cell_index)
-        sim = estimate_label_metrics(
-            chain, REPORT_LABELS, plan.horizon_minutes, plan.sim_trials, seed
-        )
+    if isinstance(held.sim, Exception):
+        return held.sim
+    if held.sim is not None:
         tests = len(plan.variants) * len(plan.hours) * len(REPORT_LABELS)
         alpha = -math.expm1(math.log1p(-SIM_FAMILY_ALPHA) / tests)
         # the solver's value is itself known only to within its tolerance,
         # the total-variation bound of the transient solve
         slack = plan.solver.tolerance
-        n = sim.trials
-        for est in sim.estimates:
+        n = held.sim.trials
+        for est in held.sim.estimates:
             k = round(est.point_probability * n)
             lo, hi = _clopper_pearson(k, n, alpha)
             solved = probs[est.label]
@@ -263,36 +290,91 @@ def _finish_cell(
                 )
 
     return ResultRow(
-        hour=hour,
-        scenario=name,
+        hour=held.hour,
+        scenario=held.name,
         mode=plan.mode,
         p_over_supply=probs[OVER_SUPPLY],
         p_equilibrium=probs[EQUILIBRIUM],
         p_over_demand=probs[OVER_DEMAND],
         p_blackout=probs[BLACKOUT],
-        state_count=chain.n_states,
+        state_count=held.states,
     )
 
 
 def _serial_cell(
-    plan: ExperimentPlan, cell: _Cell, cell_index: int,
-    solved: dict[bytes, dict[str, float] | Exception],
-) -> _Outcome:
+    plan: ExperimentPlan, cell: _Cell, index: int,
+    solved: dict[bytes, dict[str, float] | Exception | None],
+    batches: dict[float, list[tuple[bytes, Ctmc]]],
+) -> tuple[bytes, _Held, float | None]:
+    """Build and key one cell and hold what it needs of its chain; try the
+    chain if its key is new, and add a lumped chain left to uniformize to
+    the open batch of its Lambda.  Returns the key, the held cell, and that
+    Lambda if its batch now holds BATCH_NNZ nonzeros.  The chain as built
+    dies with this frame, before the next cell builds."""
     name, scen, hour, base_mw = cell
     chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
     key = _chain_key(chain)
-    if key not in solved:
-        solved[key] = _attempt(_solve, chain, plan)
-    return _finish_cell(plan, chain, solved[key], name, hour, cell_index)
+    held = _hold(plan, chain, index, name, hour)
+    if key in solved:
+        return key, held, None
+    got = _attempt(_solve_or_lump, chain, plan)
+    if not isinstance(got, Ctmc):
+        solved[key] = got
+        return key, held, None
+    solved[key] = None
+    lam = batch_slot(got)[0]
+    batch = batches.setdefault(lam, [])
+    batch.append((key, got))
+    return key, held, lam if sum(batch_slot(c)[1] for _, c in batch) >= BATCH_NNZ else None
+
+
+def _uniformize_one(plan: ExperimentPlan, lumped: Ctmc) -> dict[str, float]:
+    """The labels of one lumped chain, uniformized alone (a pool job)."""
+    return _labels(transient(lumped, plan.horizon_minutes, epsilon=plan.solver.tolerance), lumped)
+
+
+def _uniformize_batch(
+    plan: ExperimentPlan, batch: list[tuple[bytes, Ctmc]]
+) -> list[tuple[bytes, dict[str, float] | Exception]]:
+    """(key, probabilities or exception) of each lumped chain of a batch."""
+    dists = _attempt(transients, [c for _, c in batch], plan.horizon_minutes,
+                     plan.solver.tolerance)
+    if isinstance(dists, Exception):
+        return [(key, dists) for key, _ in batch]
+    return [(key, d if isinstance(d, Exception) else _attempt(_labels, d, c))
+            for (key, c), d in zip(batch, dists)]
 
 
 def _serial_outcomes(plan: ExperimentPlan, cells: list[_Cell]) -> Iterator[tuple[int, _Outcome]]:
-    # cells stream in plan order through this module's globals; only the
-    # probabilities of each distinct chain are kept: a chain dies with its
-    # _serial_cell frame, before the next cell builds
-    solved: dict[bytes, dict[str, float] | Exception] = {}
+    # cells stream in plan order through this module's globals.  A lumped
+    # chain left to uniformize waits in the open batch of its Lambda, which
+    # is uniformized as soon as it holds BATCH_NNZ nonzeros (`transients`),
+    # and the rest at the end; its cells wait with it.  Only these lumped
+    # chains and the probabilities of each distinct chain are kept.
+    solved: dict[bytes, dict[str, float] | Exception | None] = {}  # None: in an open batch
+    waiting: dict[bytes, list[_Held]] = {}
+    batches: dict[float, list[tuple[bytes, Ctmc]]] = {}
+
+    def close(lam):
+        for key, probs in _uniformize_batch(plan, batches.pop(lam)):
+            solved[key] = probs
+            for held in waiting.pop(key):
+                yield held.index, _attempt(_finish_cell, plan, probs, held)
+
     for idx, cell in enumerate(cells):
-        yield idx, _attempt(_serial_cell, plan, cell, idx, solved)
+        got = _attempt(_serial_cell, plan, cell, idx, solved, batches)
+        if isinstance(got, Exception):
+            yield idx, got
+            continue
+        key, held, full = got
+        if solved[key] is None:
+            waiting.setdefault(key, []).append(held)
+        else:
+            yield idx, _attempt(_finish_cell, plan, solved[key], held)
+        if full is not None:
+            yield from close(full)
+    for lam in list(batches):
+        yield from close(lam)
 
 
 def _digest_cell(plan: ExperimentPlan, scen: Scenario, base_mw: float) -> tuple[bytes, float]:
@@ -305,11 +387,14 @@ def _solve_shared(
     plan: ExperimentPlan, scen: Scenario, base_mw: float,
     sharers: list[tuple[int, str, int]],
 ) -> list[_Outcome]:
-    """Rebuild one distinct chain, solve it once and finish each
-    (cell index, variant, hour) that shares it."""
+    """Rebuild one distinct chain, solve it once (a lumped chain on its
+    own, by `transient`) and finish each (cell index, variant, hour) that
+    shares it."""
     chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
-    probs = _attempt(_solve, chain, plan)
-    return [_attempt(_finish_cell, plan, chain, probs, name, hour, idx)
+    probs = _attempt(_solve_or_lump, chain, plan)
+    if isinstance(probs, Ctmc):
+        probs = _attempt(_uniformize_one, plan, probs)
+    return [_attempt(_finish_cell, plan, probs, _hold(plan, chain, idx, name, hour))
             for idx, name, hour in sharers]
 
 

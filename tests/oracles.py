@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own numerics: the matrix
 exponential below is a plain scaling-and-squaring Taylor evaluation on
-dense arrays, good enough for the tiny chains the tests feed it; the grid
-models take their band test from the supply and demand rules written out
-here, not from the builder's.  The one exception is marked: `classify` and
+dense arrays, good enough for the tiny chains the tests feed it on mild
+rates, and `exact_transient_oracle` takes mpmath's at 50 digits, for stiff
+ones; the grid models take their band test from the supply and demand
+rules written out here, not from the builder's.  The one exception is marked: `classify` and
 `enabled_transitions` run the builder's rules on a one-state BFS level so
 that rule-level tests can address them one GridState at a time.
 `GridState` is the state type of the reference builders and the readable
@@ -18,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from gridlock.ctmc import Ctmc, new_ctmc
@@ -68,6 +70,21 @@ def transient_oracle(c: Ctmc, t: float) -> np.ndarray:
     pi0 = np.zeros(c.n_states)
     pi0[c.initial] = 1.0
     return pi0 @ dense_expm(dense_generator(c) * t)
+
+
+def exact_transient_oracle(c: Ctmc, t: float, digits: int = 50) -> np.ndarray:
+    """pi0 @ exp(Q t) by mpmath's expm at `digits` significant digits,
+    rounded to floats.  Unlike `transient_oracle` it keeps the mass of
+    stiff chains over long horizons, where the float Taylor sum and its
+    squarings lose up to about 1e-9."""
+    n = c.n_states
+    with mpmath.workdps(digits):
+        q = mpmath.zeros(n, n)
+        for (src, dst), rate in c.transitions.items():
+            q[src, dst] += mpmath.mpf(rate)
+            q[src, src] -= mpmath.mpf(rate)
+        row = mpmath.expm(q * mpmath.mpf(t))[c.initial, :]
+        return np.array([float(p) for p in row])
 
 
 def _bscc_split(q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridlock import experiments
+from gridlock import experiments, solvers
 from gridlock.errors import (
     InputFileError,
     NonConvergence,
@@ -83,15 +83,14 @@ def sweep_rows(plan, profile, **kw):
 def break_hour_12_attack_rows(monkeypatch):
     """Make ResultRow raise ValueError on the 6-state attack chains of the
     tiny sweep (hour 12).  Forked pool workers inherit the patch."""
-    real = experiments._solve
+    real = experiments._finish_cell
 
-    def skewed(chain, plan):
-        probs = real(chain, plan)
-        if chain.n_states == 6:  # the chain as built; its lumped chain has 1 state
-            probs[OVER_SUPPLY] += 0.5
-        return probs
+    def skewed(plan, probs, held):
+        if held.states == 6:  # the chain as built; its lumped chain has 1 state
+            probs = dict(probs, **{OVER_SUPPLY: probs[OVER_SUPPLY] + 0.5})
+        return real(plan, probs, held)
 
-    monkeypatch.setattr(experiments, "_solve", skewed)
+    monkeypatch.setattr(experiments, "_finish_cell", skewed)
 
 
 class TestMakeAttackVariants:
@@ -374,14 +373,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shifted_solver_value_is_caught(self, monkeypatch, workers):
-        real = experiments._solve
+        real = experiments._finish_cell
 
-        def shifted(chain, plan):
-            probs = real(chain, plan)
+        def shifted(plan, probs, held):
             p = probs[EQUILIBRIUM]
-            return dict(probs, **{EQUILIBRIUM: p + (0.05 if p < 0.5 else -0.05)})
+            return real(plan, dict(probs, **{EQUILIBRIUM: p + (0.05 if p < 0.5 else -0.05)}), held)
 
-        monkeypatch.setattr(experiments, "_solve", shifted)
+        monkeypatch.setattr(experiments, "_finish_cell", shifted)
         plan = ExperimentPlan(variants=tuple(make_attack_variants(tiny_scenario())),
                               hours=(18,), sim_trials=20_000, sim_seed=3)
         rows, failures = run_hourly_sweep(plan, tiny_profile(), max_workers=workers)
@@ -396,8 +394,9 @@ class TestSweep:
             assert f"alpha {-math.expm1(math.log1p(-1e-3) / 12):.3g}" in str(f.error)
 
     def test_transient_gets_the_plan_tolerance(self, monkeypatch):
-        # hour 4's chain is uniformized; hour 12's starts settled
-        seen = {"settled_labels": [], "transient": []}
+        # hour 4's chain is uniformized, in a batch of its own; hour 12's
+        # starts settled
+        seen = {"settled_labels": [], "transients": []}
         for name, epsilons in seen.items():
             def spy(chain, t, epsilon=1e-10, real=getattr(experiments, name), epsilons=epsilons):
                 epsilons.append(epsilon)
@@ -408,7 +407,7 @@ class TestSweep:
             variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
         )
         sweep_rows(plan, tiny_profile())
-        assert seen == {"settled_labels": [1e-6, 1e-6], "transient": [1e-6]}
+        assert seen == {"settled_labels": [1e-6, 1e-6], "transients": [1e-6]}
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
@@ -621,11 +620,12 @@ class TestSharedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_transient_for_six_cells(self, monkeypatch, tmp_path, workers):
         # the shared chain starts settled: one certificate, no uniformization
+        # (the pool uniformizes by transient, the serial sweep by transients)
         calls = log_calls(monkeypatch, tmp_path, "settled_labels")
-        uniformized = log_calls(monkeypatch, tmp_path, "transient")
+        uniformized = [log_calls(monkeypatch, tmp_path, name) for name in ("transient", "transients")]
         rows = sweep_rows(shared_chain_plan(), tiny_profile(), max_workers=workers)
         assert len(calls()) == 1
-        assert uniformized() == []
+        assert [log() for log in uniformized] == [[], []]
         assert [(r.scenario, r.hour) for r in rows] == [
             (v, h) for v in ("ATTACK-C", "ATTACK-W") for h in (12, 13, 14)
         ]
@@ -720,6 +720,51 @@ def test_desk_transient_sweep_matches_golden_bytes(desk_transient_sweep):
     assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
 
 
+def test_desk_transient_sweep_with_two_workers_matches_golden_bytes():
+    plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
+                          horizon_minutes=DESK_HORIZON_MINUTES)
+    rows = sweep_rows(plan, desk_demand_profile(), max_workers=2)
+    assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
+
+
+def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(monkeypatch):
+    # 54 distinct desk chains are left to uniformize, with 6 distinct
+    # Lambdas; a batch is closed as soon as it holds BATCH_NNZ nonzeros,
+    # so only the last batch of each Lambda may hold fewer
+    lumped, batches = [], []
+    real_lump, real_transients = experiments.lump, experiments.transients
+
+    def lump(chain):
+        lumped.append(experiments._chain_key(q := real_lump(chain)))
+        return q
+
+    def transients(chains, t, epsilon):
+        batches.append([(experiments._chain_key(c), solvers.batch_slot(c)) for c in chains])
+        return real_transients(chains, t, epsilon)
+
+    def alone(*_):
+        raise AssertionError("the serial sweep uniformized a chain alone")
+
+    monkeypatch.setattr(experiments, "lump", lump)
+    monkeypatch.setattr(experiments, "transients", transients)
+    monkeypatch.setattr(experiments, "transient", alone)
+    plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
+                          horizon_minutes=DESK_HORIZON_MINUTES)
+    assert len(sweep_rows(plan, desk_demand_profile())) == 96
+    keys = [key for batch in batches for key, _ in batch]
+    assert len(keys) == len(set(keys)) == 54
+    assert sorted(keys) == sorted(lumped)
+    short = Counter()
+    for batch in batches:
+        (lam,) = {lam for _, (lam, _) in batch}
+        sizes = [nnz for _, (_, nnz) in batch]
+        assert sum(sizes[:-1]) < solvers.BATCH_NNZ
+        short[lam] += sum(sizes) < solvers.BATCH_NNZ
+    assert max(short.values()) == 1
+    by_lambda = Counter(lam for batch in batches for _, (lam, _) in batch)
+    assert sorted(by_lambda.values()) == [1, 3, 3, 6, 12, 29]
+
+
 def test_desk_steady_sweep_matches_golden_bytes():
     plan = ExperimentPlan(
         variants=tuple(make_attack_variants(desk_scenario())), mode="steady"
@@ -759,7 +804,7 @@ def test_desk_script_names_every_failed_cell_and_exits_1(tmp_path, monkeypatch, 
     def diverge(*_):
         raise NonConvergence("uniformization diverged")
 
-    monkeypatch.setattr(experiments, "_solve", diverge)
+    monkeypatch.setattr(experiments, "_solve_or_lump", diverge)
     script = Path(__file__).parents[1] / "scripts" / "run_desk_sweep.py"
     main = runpy.run_path(str(script))["main"]
     assert main(["--out-dir", str(tmp_path / "out")]) == 1

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from gridlock.solvers import (
     transient,
 )
 
-from oracles import dense_generator, exact_steady_oracle, steady_oracle, transient_oracle
+from oracles import (
+    dense_generator,
+    exact_steady_oracle,
+    exact_transient_oracle,
+    steady_oracle,
+    transient_oracle,
+)
 
 
 @pytest.fixture
@@ -402,14 +409,14 @@ def full_window_transient(c, t, epsilon=1e-10):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """Records (steps taken, right window edge) of each uniformization."""
+    """Records (steps taken, right window edge) of each uniformized chain."""
     calls = []
     inner = solvers._uniformize
 
-    def spy(pt, x, weights, lo, epsilon):
-        out, k = inner(pt, x, weights, lo, epsilon)
-        calls.append((k, lo + len(weights) - 1))
-        return out, k
+    def spy(pt, x, bounds, weights, lo, epsilon):
+        sums, ks = inner(pt, x, bounds, weights, lo, epsilon)
+        calls.extend((k, lo + len(weights) - 1) for k in ks)
+        return sums, ks
 
     monkeypatch.setattr(solvers, "_uniformize", spy)
     return calls
@@ -417,13 +424,13 @@ def steps(monkeypatch):
 
 @pytest.fixture
 def window(monkeypatch):
-    """Records (lo, weights) of each uniformization."""
+    """Records (lo, weights) of each uniformized batch."""
     calls = []
     inner = solvers._uniformize
 
-    def spy(pt, x, weights, lo, epsilon):
+    def spy(pt, x, bounds, weights, lo, epsilon):
         calls.append((lo, weights))
-        return inner(pt, x, weights, lo, epsilon)
+        return inner(pt, x, bounds, weights, lo, epsilon)
 
     monkeypatch.setattr(solvers, "_uniformize", spy)
     return calls
@@ -480,7 +487,7 @@ class TestStationarityStop:
         hi = lo + len(weights) - 1
         x0 = np.zeros(4)
         x0[0] = 1.0
-        got, got_k = solvers._uniformize(pt, x0, weights, lo, self.EPS)
+        (got,), (got_k,) = solvers._uniformize(pt, x0, np.array([0, 4]), weights, lo, self.EPS)
         assert x0.tolist() == [1.0, 0.0, 0.0, 0.0]
 
         x, want, want_k = x0, np.zeros(4), hi
@@ -554,8 +561,8 @@ def spmvs(monkeypatch):
 
 
 def label_error(got, c, t):
-    """The largest difference of a label's probability from the dense oracle."""
-    exact = transient_oracle(c, t)
+    """The largest difference of a label's probability from the 50-digit oracle."""
+    exact = exact_transient_oracle(c, t)
     return max(abs(got[name] - exact[states].sum()) for name, states in c.label_arrays.items())
 
 
@@ -985,17 +992,119 @@ def settling_chains(draw, rate=MILD_RATES):
 
 
 @settings(max_examples=200, deadline=None)
-@given(settling_chains(), st.floats(min_value=-1.0, max_value=3.0),
-       st.sampled_from([1e-3, 1e-6, 1e-10]))
+@given(st.one_of(settling_chains(), settling_chains(STIFF_RATES)),
+       st.floats(min_value=-1.0, max_value=3.0), st.sampled_from([1e-3, 1e-6, 1e-10]))
 def test_absorbed_exit_matches_expm_oracle(chain, scale, epsilon):
     # horizons from half the threshold below which the certificate cannot
     # fire to eight times it; where it fires, the chain holds at most
-    # epsilon/2 outside the settled states and every label is within epsilon
+    # epsilon/2 outside the settled states and every label is within
+    # epsilon, by the 50-digit oracle, which keeps the mass of stiff chains
     unsettled = settled(chain).transient_states
     t = 2.0**scale * (cert_threshold(chain, epsilon) if len(unsettled) else 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = solvers.settled_labels(chain, t, epsilon)
     if got is not None:
-        assert transient_oracle(chain, t)[unsettled].sum() <= epsilon / 2 + 1e-12
+        assert exact_transient_oracle(chain, t)[unsettled].sum() <= epsilon / 2 + 1e-12
         assert label_error(got, chain, t) <= epsilon + 1e-12
+
+
+def paced(transitions, n, initial=0, labels=None):
+    """An n-state chain plus a pacer, state n, whose one rate, 2 000 a
+    minute into state 0, outruns every other exit rate: chains paced alike
+    have exactly equal Lambda."""
+    return new_ctmc(n + 1, [*transitions, (n, 0, 2000.0)], initial, labels)
+
+
+class TestBatches:
+    """`transients` steps chains of equal Lambda as one block-diagonal batch."""
+
+    EPS = 1e-10
+
+    def test_blocks_stop_on_their_own(self, steps):
+        # one batch: a stiff chain that settles, a slow one that runs the
+        # whole window, a chain without exits; then a group of its own
+        stops = paced([(0, 1, 50.0), (1, 0, 50.0), (1, 2, 1200.0), (2, 0, 20.0)], 3)
+        runs = paced([(0, 1, 0.01), (1, 0, 0.01), (1, 2, 100.0), (2, 1, 100.0)], 3)
+        still = new_ctmc(2, {}, 1)
+        other = new_ctmc(2, [(0, 1, 3.0), (1, 0, 1.0)], 0)
+        chains = [stops, still, runs, other]
+        got = solvers.transients(chains, 2.0, self.EPS)
+        (k_stops, hi), (k_runs, hi_runs), _ = steps
+        assert hi == hi_runs and k_stops < hi / 2 and k_runs == hi
+        for c, g in zip(chains, got):
+            assert np.array_equal(g.probs, transient(c, 2.0, self.EPS).probs)
+        assert got[1].probs.tolist() == [0.0, 1.0]
+
+    def test_a_group_splits_at_the_cap(self, monkeypatch, window):
+        # each P^T has 4 + 3 nonzeros; a cap of 10 closes a batch at the
+        # second chain, so three chains make two batches of one window
+        chains = [paced([(0, 1, r)], 2) for r in (1.0, 2.0, 3.0)]
+        alone = [transient(c, 0.5, self.EPS).probs for c in chains]
+        window.clear()
+        monkeypatch.setattr(solvers, "BATCH_NNZ", 10)
+        got = solvers.transients(chains, 0.5, self.EPS)
+        assert len(window) == 2 and window[0][1] is window[1][1]
+        assert all(np.array_equal(g.probs, a) for g, a in zip(got, alone))
+
+    def test_a_horizon_past_the_window_fails_its_group_only(self):
+        # Lambda*t is 1.02e12 for the fast pair, past any finite window,
+        # and 1.02e6 for the slow chain, which stops after 32 steps
+        fast = [new_ctmc(2, [(0, 1, 1000.0), (1, 0, 1000.0)], 0),
+                new_ctmc(3, [(0, 1, 1000.0), (1, 2, 1.0)], 0)]
+        slow, still, t = new_ctmc(2, [(0, 1, 1e-3)], 0), new_ctmc(2, {}, 1), 1e9
+        got = solvers.transients([fast[0], slow, fast[1], still], t)
+        for c, g in zip(fast, got[::2]):
+            with pytest.raises(NegativeTime) as alone:
+                transient(c, t)
+            assert isinstance(g, NegativeTime) and str(g) == str(alone.value)
+            assert "Lambda*t = 1.02e+12" in str(g)
+        for c, g in zip((slow, still), got[1::2]):
+            assert np.array_equal(g.probs, transient(c, t).probs)
+
+    def test_arguments_are_checked_once_for_all(self, cycle):
+        with pytest.raises(NegativeTime):
+            solvers.transients([cycle, cycle], -1.0)
+        with pytest.raises(ValueError):
+            solvers.transients([cycle], 1.0, 1e-2)
+        assert solvers.transients([], 1.0) == []
+
+
+@st.composite
+def batchable_chains(draw):
+    """1-8 chains of 1-4 states, each with up to 6 log-uniform rates from
+    1e-3 to 1e3 (so some have none) and random labels a and b, two thirds
+    of them `paced` so that groups of equal Lambda are common."""
+    chains = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        n = draw(st.integers(min_value=1, max_value=4))
+        pairs = st.tuples(st.integers(min_value=0, max_value=n - 1),
+                          st.integers(min_value=0, max_value=n - 1))
+        trans = [(i, j, draw(STIFF_RATES)) for i, j in set(draw(st.lists(pairs, max_size=6)))
+                 if i != j]
+        pace = draw(st.sampled_from([None, 1, 2]))
+        if pace is not None:
+            trans.append((n, 0, 2000.0 * pace))
+        size = n + (pace is not None)
+        labels = {name: draw(st.sets(st.integers(min_value=0, max_value=size - 1))) for name in "ab"}
+        chains.append(new_ctmc(size, trans, draw(st.integers(min_value=0, max_value=size - 1)),
+                               labels))
+    return chains
+
+
+@settings(max_examples=40, deadline=None)
+@given(batchable_chains(), st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=400.0)),
+       st.sampled_from([1, 12, 40, solvers.BATCH_NNZ]), st.sampled_from([1e-6, 1e-10]))
+def test_batched_transients_match_each_chain_alone(chains, steps, cap, epsilon):
+    # t gives the fastest chain about `steps` steps; caps of 1, 12 and 40
+    # nonzeros split groups across batches; labels are within epsilon of
+    # the 50-digit oracle
+    lam = max(solvers.batch_slot(c)[0] for c in chains)
+    t = steps / lam if lam else steps
+    with mock.patch.object(solvers, "BATCH_NNZ", cap):
+        got = solvers.transients(chains, t, epsilon)
+    for c, g in zip(chains, got):
+        assert np.array_equal(g.probs, transient(c, t, epsilon).probs)
+        exact = exact_transient_oracle(c, t)
+        for states in c.label_arrays.values():
+            assert abs(g.probs[states].sum() - exact[states].sum()) <= epsilon + 1e-12
