@@ -5,6 +5,9 @@ requested mode and reports the four label probabilities.  A chain depends
 on the hour's demand only through each state's dispatch comparisons, so
 cells often build bit-identical chains; each distinct chain is solved
 once and its probabilities are copied to every cell that shares it.
+A transient chain that is not certified settled by the horizon is lumped,
+each closed set of states that keeps one label pattern collapsed into one
+absorbing state, and left to uniformize.
 Serially, the lumped chains left to uniformize wait in batches of equal
 uniformization rate and are solved a batch at a time (`transients`); a
 worker pool solves each distinct chain in a job of its own, as which
@@ -217,7 +220,8 @@ def _attempt(fn, *args):
 def _solve_or_lump(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float] | Ctmc:
     """The chain's probability of each reported label; or, for a transient
     chain that `settled_labels` does not certify settled by the horizon,
-    its lumped chain, left to uniformize."""
+    its lumped chain (`lump`: each settled class one absorbing state), left
+    to uniformize."""
     if plan.mode == "steady":
         return _labels(steady_state(chain, plan.solver), chain)
     settled = settled_labels(chain, plan.horizon_minutes, plan.solver.tolerance)

@@ -18,10 +18,12 @@ together, their P^T stacked block-diagonally into batches of about
 BATCH_NNZ nonzeros, one SpMV a step for the batch, each chain with its
 own stop test; every result equals the chain's solve alone bit for bit.
 On small chains a step's fixed call costs weigh as much as its SpMV, and
-the 54 uniformized desk chains of a 24-hour sweep share only 6 rates.
+the 54 uniformized desk chains of a 24-hour sweep share only 5 rates.
 `settled_labels` answers a transient cell without uniformization where
 the chain is certified settled by the horizon, but for half the error
-budget: in closed sets of states that keep one label pattern.
+budget: in closed sets of states that keep one label pattern.  Where it
+cannot, `lump` collapses each such set into one absorbing state, and only
+the states outside them are left to step.
 """
 
 from __future__ import annotations
@@ -522,58 +524,29 @@ def _step(pt: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def lump(c: Ctmc) -> Ctmc:
-    """The coarsest ordinary-lumpable quotient of c that keeps its labels
-    (Katoen et al., TACAS 2007): label classes split by each state's rate
-    sums into other blocks, added in ascending order, until none splits.
-    Rounds compare sums by hash, so c comes back unless each state's sums
-    equal those of its block's smallest member, which the quotient takes
-    and which orders the blocks."""
-    n, lengths = c.n_states, np.diff(c.indptr)
-    order = np.lexsort((c.data, np.repeat(np.arange(n), lengths)))  # rates ascend within each row
-    dst, rates = c.indices[order].astype(np.int32 if n * n < 2**31 else np.int64), c.data[order]
-    blocks = np.zeros(n, dtype=dst.dtype)
-    for states in c.label_arrays.values():
-        blocks = _split(blocks, np.bincount(states, minlength=n))
-    while True:
-        state, block, sums = _rate_sums(blocks, lengths, dst, rates)
-        signature = np.zeros(n, dtype=np.uint64)
-        np.add.at(signature, state, _hash(block, sums))
-        split = _split(blocks, signature)
-        if split.max() == blocks.max():
-            break
-        blocks = split
-    rep = np.unique(blocks, return_index=True)[1][blocks]
-    size = np.bincount(state, minlength=n)
-    start = np.cumsum(size) - size
-    at = start[rep[state]] + np.arange(len(state)) - start[state]
-    if (size != size[rep]).any() or (block[at] != block).any() or (sums[at] != sums).any():
+    """c with each settled class (`_settled`) collapsed into one absorbing
+    state.  A path that enters a class keeps its labels, so the quotient
+    gives every label the probability c gives it at every time.  Blocks are
+    numbered by smallest member; an unsettled state keeps its rates, and its
+    rates into one class add in ascending order.  c comes back when no class
+    has two states."""
+    classes = _settled(c, _change_sources(c)).bsccs
+    if all(len(b) == 1 for b in classes):
         return c
-    mine = rep[state] == state
-    return Ctmc(int(blocks.max()) + 1, blocks[state[mine]], block[mine], sums[mine], blocks[c.initial],
+    n = c.n_states
+    rep = np.arange(n)
+    for b in classes:
+        rep[b] = b[0]
+    first = rep == np.arange(n)
+    blocks = (np.cumsum(first) - 1)[rep]
+    src, dst = blocks[np.repeat(np.arange(n), np.diff(c.indptr))], blocks[c.indices]
+    moving = src != dst  # every rate of an unsettled state, none of a class
+    src, dst, rates = src[moving], dst[moving], c.data[moving]
+    order = np.lexsort((rates, dst, src))  # rates ascend within each (state, block) pair
+    src, dst, rates = src[order], dst[order], rates[order]
+    new = np.flatnonzero(np.diff(src * n + dst, prepend=-1))
+    return Ctmc(int(first.sum()), src[new], dst[new], np.add.reduceat(rates, new), blocks[c.initial],
                 {name: blocks[states] for name, states in c.label_arrays.items()})
-
-
-def _rate_sums(blocks, lengths, dst, rates):
-    """(state, other block, rate sum) triples, ascending; the temporaries,
-    as long as the rates, die on return."""
-    n = len(blocks)
-    state, block = np.repeat(np.arange(n, dtype=blocks.dtype), lengths), blocks[dst]
-    other = blocks[state] != block  # a rate into the own block is no transition of the quotient
-    key, r = state[other] * n + block[other], rates[other]
-    order = np.argsort(key, kind="stable")
-    key, r = key[order], r[order]
-    new = np.diff(key, prepend=-1) != 0
-    state, block = np.divmod(key[new], n)
-    return state, block, np.add.reduceat(r, np.flatnonzero(new)) if len(r) else r
-
-
-def _hash(block: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """64-bit hash of each (target block, rate sum) pair: the pair's bits
-    through splitmix64's finalizer, so that sums of hashes seldom collide."""
-    x = (block.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ sums.view(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def _split(blocks: np.ndarray, h: np.ndarray) -> np.ndarray:

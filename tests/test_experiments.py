@@ -727,8 +727,21 @@ def test_desk_transient_sweep_with_two_workers_matches_golden_bytes():
     assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV.read_bytes()
 
 
+# The same sweep at 1 min, where the 54 chains left to uniformize take
+# Lambda*t of about 370 each, as written when lumping refined each chain to
+# its coarsest label-keeping ordinary-lumpable quotient.
+GOLDEN_DESK_CSV_1MIN = Path(__file__).parent / "data" / "desk_transient_sweep_1min.csv"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_desk_transient_sweep_at_1_min_matches_golden_bytes(workers):
+    plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())), horizon_minutes=1.0)
+    rows = sweep_rows(plan, desk_demand_profile(), max_workers=workers)
+    assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV_1MIN.read_bytes()
+
+
 def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(monkeypatch):
-    # 54 distinct desk chains are left to uniformize, with 6 distinct
+    # 54 distinct desk chains are left to uniformize, with 5 distinct
     # Lambdas; a batch is closed as soon as it holds BATCH_NNZ nonzeros,
     # so only the last batch of each Lambda may hold fewer
     lumped, batches = [], []
@@ -762,7 +775,7 @@ def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(m
         short[lam] += sum(sizes) < solvers.BATCH_NNZ
     assert max(short.values()) == 1
     by_lambda = Counter(lam for batch in batches for _, (lam, _) in batch)
-    assert sorted(by_lambda.values()) == [1, 3, 3, 6, 12, 29]
+    assert sorted(by_lambda.values()) == [1, 3, 6, 12, 32]
 
 
 def test_desk_steady_sweep_matches_golden_bytes():
@@ -1278,11 +1291,13 @@ class TestCli:
                                 r"too large for a finite Poisson window", line), line
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    # sha256 of the CSV and of stderr, as written when every transient cell
-    # was lumped before any certificate ran
+    # sha256 of the CSV, as written when every transient cell was lumped
+    # before any certificate ran, and of stderr, as written since lumping
+    # collapses only the settled classes: the desk's three hour-0 attack
+    # chains keep their Lambda as built, 369.24 a minute
     HORIZON_1E300 = {
         "desk": ("8e02fb9d51d5d6b81e9c2796206def8e05cd418d9b38da062bb692a2ed41038e",
-                 "8fa4b427fe6053f47678bd967600c837e325393e166e4c6493af36f515d69043"),
+                 "d97976995a3c17161d13f0b7f0a5c66ff015713deebf44b42c8f425f248216ca"),
         "full-hour-4": ("7396f1eb02e46d147a1274cc840fe195ca5e72b287b129d7eb9f82ac5e3a7c9b",
                         "d3d75a635e577c80876cfe56501920ad052fc9144b11ced1388807f798648f34"),
     }

@@ -700,65 +700,87 @@ class TestLabelProbability:
 
 
 class TestLump:
+    """`lump` collapses each settled class into one absorbing state."""
+
     # states 1 and 2 enter the labelled state 0 at the same rate, state 3
     # at another
     STAR = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 0, 3.0), (2, 0, 3.0), (3, 0, 5.0)]
 
-    def test_merges_states_with_equal_rates_into_each_block(self):
-        c = new_ctmc(4, self.STAR, 3, {"x": [0], "y": [3]})
+    def test_a_closed_label_pure_class_becomes_one_absorbing_state(self):
+        # 1 enters the x-cycle {0, 3} and the y-pair {2, 4}, which 2 leaves
+        # for 4 alone
+        c = new_ctmc(5, [(1, 0, 2.0), (1, 3, 1.0), (0, 3, 5.0), (3, 0, 4.0), (1, 2, 1.5),
+                         (2, 4, 3.0)], 1, {"x": [0, 3], "y": [2, 4]})
         q = lump(c)
-        # blocks {0}, {1, 2}, {3}, numbered by smallest member
-        assert q.n_states == 3 and q.initial == 2
-        assert dict(q.transitions) == {(0, 1): 2.0, (0, 2): 1.0, (1, 0): 3.0, (2, 0): 5.0}
+        # blocks {0, 3}, {1}, {2, 4}, numbered by smallest member
+        assert q.n_states == 3 and q.initial == 1
+        assert dict(q.transitions) == {(1, 0): 3.0, (1, 2): 1.5}
         assert {k: v.tolist() for k, v in q.label_arrays.items()} == {"x": [0], "y": [2]}
 
     def test_rates_add_in_ascending_order(self):
-        # 1 and 2 send 0.1, 0.2 and 0.3 into the block {3, 4, 5} in
+        # 1 and 2 send 0.1, 0.2 and 0.3 into the t-cycle {3, 4, 5} in
         # opposite target order, and their sum depends on the order
-        assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
         rates = [0.1, 0.2, 0.3]
-        c = new_ctmc(6, [(0, 1, 1.0), (0, 2, 1.0), (3, 0, 1.0), (4, 0, 1.0), (5, 0, 1.0)]
+        ascending, descending = (np.add.reduceat(np.array(r), [0])[0] for r in (rates, rates[::-1]))
+        assert ascending != descending
+        c = new_ctmc(6, [(0, 1, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0)]
                      + [(1, 3 + i, r) for i, r in enumerate(rates)]
                      + [(2, 5 - i, r) for i, r in enumerate(rates)], 0, {"x": [0], "t": [3, 4, 5]})
         q = lump(c)
-        assert q.n_states == 3 and q.transitions[(1, 2)] == pytest.approx(0.6)
+        assert q.n_states == 4
+        assert q.transitions[(1, 3)] == q.transitions[(2, 3)] == ascending
+
+    def test_unsettled_states_with_equal_rates_stay_apart(self):
+        # 1 and 2 are ordinary-lumpable, but every state reaches a change
+        # of labels, so none is settled
+        c = new_ctmc(4, self.STAR, 3, {"x": [0]})
+        assert lump(c) is c
 
     def test_a_label_keeps_states_apart(self):
-        assert lump(new_ctmc(4, self.STAR, 0, {"x": [0]})).n_states == 3
-        c = new_ctmc(4, self.STAR, 0, {"x": [0], "y": [2]})
-        assert _chain_key(lump(c)) == _chain_key(c)
-
-    def test_rates_within_a_block_do_not_count(self):
-        # 1 <-> 2 at different rates: no transition of the quotient
-        c = new_ctmc(3, [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 4.0), (2, 1, 7.0), (1, 0, 3.0), (2, 0, 3.0)],
-                     0, {"x": [0]})
-        q = lump(c)
-        assert q.n_states == 2 and dict(q.transitions) == {(0, 1): 3.0, (1, 0): 3.0}
+        # two absorbing states merge only where they carry the same labels
+        arms = [(0, 1, 1.0), (0, 2, 2.0)]
+        q = lump(new_ctmc(3, arms, 0, {"x": [1, 2]}))
+        assert (q.n_states, dict(q.transitions)) == (2, {(0, 1): 3.0})
+        c = new_ctmc(3, arms, 0, {"x": [1, 2], "y": [2]})
+        assert lump(c) is c
 
     def test_a_chain_without_transitions_lumps_by_labels(self):
         q = lump(new_ctmc(4, [], 3, {"x": [1, 2]}))
         assert (q.n_states, q.initial, q.label_arrays["x"].tolist()) == (2, 0, [1])
 
     def test_nothing_to_merge_gives_the_same_chain(self):
-        # blocks numbered by smallest member keep every state's number
         c = build_grid_ctmc(make_attack_variants(default_scenario())[0][1],
                             default_demand_profile().mw_by_hour[18])
-        assert _chain_key(lump(c)) == _chain_key(c)
-
-    def test_a_hash_collision_returns_the_chain(self, monkeypatch):
-        # every signature collides: 1, 2 and 3 share a block, which the
-        # exact check refuses
-        c = new_ctmc(4, self.STAR, 0, {"x": [0]})
-        monkeypatch.setattr(solvers, "_hash", lambda block, sums: np.zeros(len(sums), np.uint64))
         assert lump(c) is c
 
+    # (variant, hour): the chain's size as built and lumped, and the
+    # lumped chain's `_chain_key`, as the coarsest label-keeping
+    # ordinary-lumpable quotient gave them
+    FULL = {
+        ("ATTACK-N", 18): ((8190, 41554), (757, 3850),
+                           "887d6d48d6fc190877b94e4501f1f1efbcba35f5a5fc0c1fba71ca6970c3c403"),
+        ("ATTACK-H", 3): ((21120, 106067), (13561, 68834),
+                          "fb125c0a32cd15d2f932e7266683381de56297f4b3f522dc2ae0777ab04a3ed8"),
+        ("ATTACK-H", 4): ((21072, 105550), (14773, 74866),
+                          "feb5a0fae384ff9a9e2ed4f94c4d526d426361a8f39833239e2f3f3d7bc054f5"),
+    }
+
     def test_full_hour_18_attack_chain(self):
-        scen = make_attack_variants(default_scenario())[1][1]
-        c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18])
+        self.check_full("ATTACK-N", 18)
+
+    @pytest.mark.parametrize("hour", [3, 4])
+    def test_full_attack_h_chains_of_hours_3_and_4(self, hour):
+        self.check_full("ATTACK-H", hour)
+
+    def check_full(self, variant, hour):
+        built, lumped, key = self.FULL[(variant, hour)]
+        scen = dict(make_attack_variants(default_scenario()))[variant]
+        c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[hour])
         q = lump(c)
-        assert (c.n_states, len(c.data)) == (8190, 41554)
-        assert (q.n_states, len(q.data)) == (757, 3850)
-        assert _chain_key(lump(q)) == _chain_key(q)
+        assert (c.n_states, len(c.data)) == built
+        assert (q.n_states, len(q.data)) == lumped
+        assert _chain_key(q).hex() == key
+        assert lump(q) is q
         assert q.exit_rates.max() == c.exit_rates.max()
 
 
@@ -909,7 +931,10 @@ def test_transient_matches_expm_oracle(chain, t, epsilon):
 @settings(max_examples=20, deadline=None)
 @given(irreducible_chains())
 def test_transient_converges_to_steady_state(chain):
-    horizon = 50.0 / chain.exit_rates.min()
+    # the distance to steady state decays as exp(-gap * t), gap the slowest
+    # decay rate of Q; it can be far below the smallest exit rate
+    gap = np.sort(-np.linalg.eigvals(dense_generator(chain)).real)[1]
+    horizon = 50.0 / gap
     late = transient(chain, horizon).probs
     assert np.abs(late - steady_state(chain).probs).max() < 1e-4
 
@@ -949,10 +974,9 @@ def expanded_chains(draw):
 @settings(max_examples=150, deadline=None)
 @given(expanded_chains(), st.floats(min_value=0.0, max_value=2.0), st.sampled_from([1e-6, 1e-10]))
 def test_lumped_transient_matches_expm_oracle(expanded, t, epsilon):
-    n, chain = expanded
+    _, chain = expanded
     q = lump(chain)
-    assert q.n_states <= n
-    assert _chain_key(lump(q)) == _chain_key(q)
+    assert lump(q) is q
     got = transient(q, t, epsilon)
     exact = transient_oracle(chain, t)
     for label in ("a", "b"):
@@ -1007,6 +1031,21 @@ def test_absorbed_exit_matches_expm_oracle(chain, scale, epsilon):
     if got is not None:
         assert exact_transient_oracle(chain, t)[unsettled].sum() <= epsilon / 2 + 1e-12
         assert label_error(got, chain, t) <= epsilon + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(settling_chains(), settling_chains(STIFF_RATES)),
+       st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e), st.sampled_from([1e-6, 1e-10]))
+def test_lumped_stiff_transient_matches_exact_oracle(chain, t, epsilon):
+    # each settled class becomes one state, and every label is within
+    # epsilon of the 50-digit oracle on the chain as built, over horizons
+    # from 1e-3 to 10 minutes against rates from 1e-3 to 1e3
+    q = lump(chain)
+    assert q.n_states == chain.n_states - sum(len(b) - 1 for b in settled(chain).bsccs)
+    assert lump(q) is q
+    got = transient(q, t, epsilon)
+    assert label_error({name: label_probability(got, q, name) for name in q.label_arrays},
+                       chain, t) <= epsilon + 1e-12
 
 
 def paced(transitions, n, initial=0, labels=None):
