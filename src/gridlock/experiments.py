@@ -8,14 +8,14 @@ once and its probabilities are copied to every cell that shares it.
 A transient chain that is not certified settled by the horizon is lumped,
 each closed set of states that keeps one label pattern collapsed into one
 absorbing state, and left to uniformize.
-Serially, the lumped chains left to uniformize wait in batches of equal
-uniformization rate and are solved a batch at a time (`transients`); a
-worker pool solves each distinct chain in a job of its own, as which
-chains are left to uniformize, and at what rate, is known only once a
-job has certified or lumped its chain, and the long jobs are the large
-chains that would fill a batch alone.  With a pool the output is still
-deterministic because rows are sorted and per-cell simulation seeds
-derive from the cell's position in the plan, not from scheduling.
+Serially, the lumped chains left to uniformize go to one `Batches` queue,
+which steps chains of equal uniformization rate together; a worker pool
+solves each distinct chain in a job of its own, as which chains are left
+to uniformize, and at what rate, is known only once a job has certified
+or lumped its chain, and the long jobs are the large chains that would
+fill a batch alone.  With a pool the output is still deterministic
+because rows are sorted and per-cell simulation seeds derive from the
+cell's position in the plan, not from scheduling.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import LabelEstimates, derive_trial_seed, estimate_label_metrics
-from .solvers import (BATCH_NNZ, SolverConfig, batch_slot, label_probability, lump,
-                      settled_labels, steady_state, transient, transients)
+from .solvers import (Batches, SolverConfig, label_probability, lump, settled_labels,
+                      steady_state, transient)
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -221,7 +221,8 @@ def _solve_or_lump(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float] | Ctmc
     """The chain's probability of each reported label; or, for a transient
     chain that `settled_labels` does not certify settled by the horizon,
     its lumped chain (`lump`: each settled class one absorbing state), left
-    to uniformize."""
+    to uniformize: serially in the sweep's `Batches` queue, in a pool job
+    alone by `transient`."""
     if plan.mode == "steady":
         return _labels(steady_state(chain, plan.solver), chain)
     settled = settled_labels(chain, plan.horizon_minutes, plan.solver.tolerance)
@@ -307,29 +308,34 @@ def _finish_cell(
 
 def _serial_cell(
     plan: ExperimentPlan, cell: _Cell, index: int,
-    solved: dict[bytes, dict[str, float] | Exception | None],
-    batches: dict[float, list[tuple[bytes, Ctmc]]],
-) -> tuple[bytes, _Held, float | None]:
+    solved: dict[bytes, dict[str, float] | Exception | None], queue: Batches | None,
+) -> tuple[bytes, _Held, list[tuple[bytes, dict[str, float] | Exception]]]:
     """Build and key one cell and hold what it needs of its chain; try the
-    chain if its key is new, and add a lumped chain left to uniformize to
-    the open batch of its Lambda.  Returns the key, the held cell, and that
-    Lambda if its batch now holds BATCH_NNZ nonzeros.  The chain as built
-    dies with this frame, before the next cell builds."""
+    chain if its key is new, and hand a lumped chain left to uniformize to
+    the queue.  Returns the key, the held cell and what the queue handed
+    back (`_labelled`).  The chain as built is dropped before the queue may
+    step a batch, and what the queue handed back dies with this frame."""
     name, scen, hour, base_mw = cell
     chain = build_grid_ctmc(scen, base_mw, max_states=plan.max_states)
     key = _chain_key(chain)
     held = _hold(plan, chain, index, name, hour)
     if key in solved:
-        return key, held, None
+        return key, held, []
     got = _attempt(_solve_or_lump, chain, plan)
+    del chain
     if not isinstance(got, Ctmc):
         solved[key] = got
-        return key, held, None
+        return key, held, []
+    done = _labelled(queue.add((key, got), got))
     solved[key] = None
-    lam = batch_slot(got)[0]
-    batch = batches.setdefault(lam, [])
-    batch.append((key, got))
-    return key, held, lam if sum(batch_slot(c)[1] for _, c in batch) >= BATCH_NNZ else None
+    return key, held, done
+
+
+def _labelled(done: list) -> list[tuple[bytes, dict[str, float] | Exception]]:
+    """(key, probabilities or exception) of each chain the queue handed
+    back, tagged (key, lumped chain)."""
+    return [(key, d if isinstance(d, Exception) else _attempt(_labels, d, lumped))
+            for (key, lumped), d in done]
 
 
 def _uniformize_one(plan: ExperimentPlan, lumped: Ctmc) -> dict[str, float]:
@@ -337,48 +343,34 @@ def _uniformize_one(plan: ExperimentPlan, lumped: Ctmc) -> dict[str, float]:
     return _labels(transient(lumped, plan.horizon_minutes, epsilon=plan.solver.tolerance), lumped)
 
 
-def _uniformize_batch(
-    plan: ExperimentPlan, batch: list[tuple[bytes, Ctmc]]
-) -> list[tuple[bytes, dict[str, float] | Exception]]:
-    """(key, probabilities or exception) of each lumped chain of a batch."""
-    dists = _attempt(transients, [c for _, c in batch], plan.horizon_minutes,
-                     plan.solver.tolerance)
-    if isinstance(dists, Exception):
-        return [(key, dists) for key, _ in batch]
-    return [(key, d if isinstance(d, Exception) else _attempt(_labels, d, c))
-            for (key, c), d in zip(batch, dists)]
-
-
 def _serial_outcomes(plan: ExperimentPlan, cells: list[_Cell]) -> Iterator[tuple[int, _Outcome]]:
     # cells stream in plan order through this module's globals.  A lumped
-    # chain left to uniformize waits in the open batch of its Lambda, which
-    # is uniformized as soon as it holds BATCH_NNZ nonzeros (`transients`),
-    # and the rest at the end; its cells wait with it.  Only these lumped
+    # chain left to uniformize waits in the queue, and its cells wait with
+    # it until the queue hands its distribution back.  Only these lumped
     # chains and the probabilities of each distinct chain are kept.
-    solved: dict[bytes, dict[str, float] | Exception | None] = {}  # None: in an open batch
+    solved: dict[bytes, dict[str, float] | Exception | None] = {}  # None: in the queue
     waiting: dict[bytes, list[_Held]] = {}
-    batches: dict[float, list[tuple[bytes, Ctmc]]] = {}
+    queue = Batches(plan.horizon_minutes, plan.solver.tolerance) if plan.mode == "transient" else None
 
-    def close(lam):
-        for key, probs in _uniformize_batch(plan, batches.pop(lam)):
+    def finish(done):
+        for key, probs in done:
             solved[key] = probs
             for held in waiting.pop(key):
                 yield held.index, _attempt(_finish_cell, plan, probs, held)
 
     for idx, cell in enumerate(cells):
-        got = _attempt(_serial_cell, plan, cell, idx, solved, batches)
+        got = _attempt(_serial_cell, plan, cell, idx, solved, queue)
         if isinstance(got, Exception):
             yield idx, got
             continue
-        key, held, full = got
+        key, held, done = got
         if solved[key] is None:
             waiting.setdefault(key, []).append(held)
         else:
             yield idx, _attempt(_finish_cell, plan, solved[key], held)
-        if full is not None:
-            yield from close(full)
-    for lam in list(batches):
-        yield from close(lam)
+        yield from finish(done)
+    if queue is not None:
+        yield from finish(_labelled(queue.close()))
 
 
 def _digest_cell(plan: ExperimentPlan, scen: Scenario, base_mw: float) -> tuple[bytes, float]:

@@ -12,13 +12,14 @@ Accuracy is that residual, not an absolute error: on a chain whose
 slowest rates are 1e-3 a residual of 1e-10 still allows entries off by
 about 5e-8.  Transient analysis uses uniformization with two-sided
 Poisson truncation and stops early once the iterate is provably
-stationary.  `transients` solves many chains in one loop: chains of
-exactly equal uniformization rate share one Poisson window and step
+stationary.  `Batches` is the one queue of chains to uniformize: chains
+of exactly equal uniformization rate share one Poisson window and step
 together, their P^T stacked block-diagonally into batches of about
 BATCH_NNZ nonzeros, one SpMV a step for the batch, each chain with its
-own stop test; every result equals the chain's solve alone bit for bit.
-On small chains a step's fixed call costs weigh as much as its SpMV, and
-the 54 uniformized desk chains of a 24-hour sweep share only 5 rates.
+own stop test; every result equals the chain's solve alone bit for bit,
+and `transient` is a queue of one chain.  On small chains a step's fixed
+call costs weigh as much as its SpMV, and the 54 uniformized desk chains
+of a 24-hour sweep share only 5 rates.
 `settled_labels` answers a transient cell without uniformization where
 the chain is certified settled by the horizon, but for half the error
 budget: in closed sets of states that keep one label pattern.  Where it
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,7 @@ _UNIF_SLACK = 1.02
 # loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
 
-# Nonzeros of P^T at which `transients` closes a batch.  A step of one
+# Nonzeros of P^T at which `Batches` steps a batch.  A step of one
 # 3.3k-nonzero desk chain costs 8.7 us, 2.7 ns a nonzero, mostly fixed
 # call costs; stacked chains of equal Lambda cost 1.1 ns a nonzero at 11k,
 # 0.94-0.96 ns at 18k-24k, then more as the batch outgrows the cache:
@@ -208,75 +208,75 @@ def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
 
 def transient(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> Distribution:
-    """State distribution after t minutes, by uniformization: `transients`
-    on c alone.  Raises NegativeTime where Lambda*t is too large for a
+    """State distribution after t minutes, by uniformization: a `Batches`
+    queue of c alone.  Raises NegativeTime where Lambda*t is too large for a
     finite Poisson window."""
-    (got,) = transients([c], t, epsilon)
-    if isinstance(got, NegativeTime):
+    queue = Batches(t, epsilon)
+    ((_, got),) = queue.add(None, c) or queue.close()
+    if isinstance(got, Exception):
         raise got
     return got
 
 
-def transients(
-    chains: Sequence[Ctmc], t: float, epsilon: float = SolverConfig.tolerance
-) -> list[Distribution | NegativeTime]:
-    """Each chain's state distribution after t minutes, by uniformization,
-    bit for bit as if it were solved alone; a chain whose Lambda*t is too
-    large for a finite Poisson window gets the NegativeTime it would raise.
+class Batches:
+    """A queue of chains to uniformize to t minutes, each solved bit for bit
+    as if it were solved alone.
 
-    Chains of exactly equal Lambda (`batch_slot`) share one Poisson window
-    and step in batches, in the order given: their P^T stacked
-    block-diagonally, a batch closed once it holds BATCH_NNZ nonzeros, one
-    SpMV a step for the whole batch.  The error budget epsilon splits in
-    two halves.  The window [lo, hi] of `_window` drops at most epsilon/4
-    of mass on each side; each result is renormalized.  Each block then
-    stops early once its iterate is provably stationary: P is stochastic,
-    so d_k = ||x_{k+1} - x_k||_1 never increases with k, and handing the
-    remaining Poisson mass to x_{k+1} costs at most d_k * (hi - k) / 2 in
-    total variation.  The test runs every _STATIONARITY_CHECK steps on
-    each block's own slice and stops the block once d_k * (hi - k) <=
-    epsilon.  Together the total-variation error is <= epsilon, on
-    reducible chains too; a chain that never settles runs the full
-    window.  At t = 0, or without exits, a chain stays where it starts.
+    `add(tag, c)` puts c in the open batch of its exact Lambda: chains of
+    one Lambda step in batches, in the order added, each batch on one
+    Poisson window, their P^T stacked block-diagonally, one SpMV a step for
+    the whole batch.  Once its batch holds BATCH_NNZ nonzeros, `add` steps
+    it and returns (tag, result) for each chain in it; `close` steps every
+    batch still open.  A result is the chain's Distribution, or what
+    stepping its batch raised, for each chain of that batch only: the
+    NegativeTime of a Lambda*t too large for a finite Poisson window, or
+    any other exception.  At t = 0, or without exits, a chain stays where
+    it starts and comes back from `add` at once.
+
+    The error budget epsilon splits in two halves.  The window [lo, hi] of
+    `_window` drops at most epsilon/4 of mass on each side; each result is
+    renormalized.  Each block then stops early once its iterate is provably
+    stationary: P is stochastic, so d_k = ||x_{k+1} - x_k||_1 never
+    increases with k, and handing the remaining Poisson mass to x_{k+1}
+    costs at most d_k * (hi - k) / 2 in total variation.  The test runs
+    every _STATIONARITY_CHECK steps on each block's own slice and stops the
+    block once d_k * (hi - k) <= epsilon.  Together the total-variation
+    error is <= epsilon, on reducible chains too; a chain that never
+    settles runs the full window.
     """
-    _check_horizon(t, epsilon)
-    out: list[Distribution | NegativeTime | None] = [None] * len(chains)
-    groups: dict[float, list[int]] = {}
-    for i, c in enumerate(chains):
-        if t == 0.0 or not c.exit_rates.any():
+
+    def __init__(self, t: float, epsilon: float = SolverConfig.tolerance):
+        _check_horizon(t, epsilon)
+        self.t, self.epsilon = t, epsilon
+        self._open: dict[float, list[tuple[object, Ctmc]]] = {}
+
+    def add(self, tag: object, c: Ctmc) -> list[tuple[object, Distribution | Exception]]:
+        if self.t == 0.0 or not c.exit_rates.any():
             pi0 = np.zeros(c.n_states)
             pi0[c.initial] = 1.0
-            out[i] = Distribution(pi0)
-        else:
-            groups.setdefault(batch_slot(c)[0], []).append(i)
-    for lam, members in groups.items():
-        mu = lam * t  # a Python float overflows to inf without a warning
+            return [(tag, Distribution(pi0))]
+        lam = _UNIF_SLACK * float(c.exit_rates.max())
+        batch = self._open.setdefault(lam, [])
+        batch.append((tag, c))
+        return self._step(lam) if sum(len(b.data) + b.n_states for _, b in batch) >= BATCH_NNZ else []
+
+    def close(self) -> list[tuple[object, Distribution | Exception]]:
+        return [got for lam in list(self._open) for got in self._step(lam)]
+
+    def _step(self, lam: float) -> list[tuple[object, Distribution | Exception]]:
+        # the window is made here, not kept per Lambda: a queue lives for a
+        # whole sweep, and its open batches would hold one window each
+        batch = self._open.pop(lam)
         try:
-            lo, hi = _window(mu, t, epsilon)
-        except NegativeTime as e:
-            for i in members:
-                out[i] = e
-            continue
-        k = np.arange(lo, hi + 1)
-        weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
-        batch, nnz = [], 0
-        for i in members:
-            batch.append(i)
-            nnz += batch_slot(chains[i])[1]
-            if nnz >= BATCH_NNZ or i == members[-1]:
-                pt, x, bounds = _stack([chains[j] for j in batch])
-                sums, _ = _uniformize(pt, x, bounds, weights, lo, epsilon)
-                for j, s in zip(batch, sums):
-                    out[j] = Distribution(s / s.sum())
-                batch, nnz = [], 0
-    return out
-
-
-def batch_slot(c: Ctmc) -> tuple[float, int]:
-    """(Lambda, nonzeros of P^T) of c, for P = I + Q/Lambda: `transients`
-    batches chains of equal Lambda until a batch holds BATCH_NNZ nonzeros.
-    Lambda is 0 for a chain without exits."""
-    return _UNIF_SLACK * float(c.exit_rates.max()), len(c.data) + c.n_states
+            mu = lam * self.t  # a Python float overflows to inf without a warning
+            lo, hi = _window(mu, self.t, self.epsilon)
+            k = np.arange(lo, hi + 1)
+            weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
+            pt, x, bounds = _stack([c for _, c in batch])
+            sums, _ = _uniformize(pt, x, bounds, weights, lo, self.epsilon)
+            return [(tag, Distribution(s / s.sum())) for (tag, _), s in zip(batch, sums)]
+        except Exception as e:
+            return [(tag, e) for tag, _ in batch]
 
 
 def _check_horizon(t: float, epsilon: float) -> None:
@@ -342,7 +342,8 @@ def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -
     g(initial) stays finite.
     """
     _check_horizon(t, epsilon)
-    sources = _change_sources(c)
+    pattern = _patterns(c)
+    sources = _change_sources(c, pattern)
     if t == 0.0 or not sources.any():
         return _class_labels(c, np.array([c.initial]), np.ones(1))
     exits = c.exit_rates
@@ -350,7 +351,7 @@ def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -
     theta = _CERT_RATIO * rate
     if exits[sources].min() <= theta:
         return None
-    part = _settled(c, sources)
+    part = _settled(c, pattern, sources)
     unsettled = np.zeros(c.n_states, dtype=bool)
     unsettled[part.transient_states] = True
     if not unsettled[c.initial]:
@@ -389,33 +390,35 @@ def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -
     return _class_labels(c, np.array([b[0] for b in part.bsccs]), weights / weights.sum())
 
 
-def _change_sources(c: Ctmc) -> np.ndarray:
-    """Mask of the states with a rate into a state of another label pattern."""
-    n = c.n_states
-    src = np.repeat(np.arange(n), np.diff(c.indptr))
-    change = np.zeros(len(src), dtype=bool)
+def _patterns(c: Ctmc) -> np.ndarray:
+    """Each state's label pattern (the set of labels it carries), numbered
+    by smallest member, in the dtype of c's indices, which halves the
+    edge-length arrays of `_change_sources` on every chain that fits int32."""
+    pattern = np.zeros(c.n_states, dtype=c.indices.dtype)
     for states in c.label_arrays.values():
-        member = np.zeros(n, dtype=bool)
+        member = np.zeros(c.n_states, dtype=bool)
         member[states] = True
-        change |= member[src] != member[c.indices]
-    sources = np.zeros(n, dtype=bool)
-    sources[src[change]] = True
+        pattern = _split(pattern, member)
+    return pattern
+
+
+def _change_sources(c: Ctmc, pattern: np.ndarray) -> np.ndarray:
+    """Mask of the states with a rate into a state of another pattern."""
+    src = np.repeat(np.arange(c.n_states), np.diff(c.indptr))
+    sources = np.zeros(c.n_states, dtype=bool)
+    sources[src[pattern[src] != pattern[c.indices]]] = True
     return sources
 
 
-def _settled(c: Ctmc, sources: np.ndarray) -> BsccPartition:
-    """The settled states of c, split by label pattern into closed classes
+def _settled(c: Ctmc, pattern: np.ndarray, sources: np.ndarray) -> BsccPartition:
+    """The settled states of c, grouped by pattern into closed classes
     ordered by smallest member, and the unsettled states: those that reach
     one of the sources (`_change_sources`)."""
     unsettled = _reaching(c, np.flatnonzero(sources))
     settled, classes = np.flatnonzero(~unsettled), ()
     if len(settled):
-        pattern = np.zeros(len(settled), dtype=np.int64)
-        for states in c.label_arrays.values():
-            member = np.zeros(c.n_states, dtype=bool)
-            member[states] = True
-            pattern = _split(pattern, member[settled])
-        classes = tuple(settled[pattern == i] for i in range(pattern.max() + 1))
+        within = _split(pattern[settled], np.zeros(len(settled), dtype=bool))
+        classes = tuple(settled[within == i] for i in range(within.max() + 1))
     return BsccPartition(classes, np.flatnonzero(unsettled))
 
 
@@ -458,7 +461,7 @@ def _stack(chains: list[Ctmc]) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     copied in with their offsets as soon as it is made, so every row keeps
     its entries in their order and only one block is held twice."""
     bounds = np.cumsum([0] + [c.n_states for c in chains])
-    n, most = int(bounds[-1]), sum(batch_slot(c)[1] for c in chains)
+    n, most = int(bounds[-1]), sum(len(c.data) + c.n_states for c in chains)
     x = np.zeros(n)
     x[bounds[:-1] + [c.initial for c in chains]] = 1.0
     if len(chains) == 1:
@@ -485,7 +488,7 @@ def _uniformize(
 
     Returns each block's unnormalized sum and the number of steps (SpMVs)
     it took.  Each block stops early by the stationarity rule documented
-    on `transients`, tested on its own slice; a stopped block keeps
+    on `Batches`, tested on its own slice; a stopped block keeps
     stepping with the others, unread.
     """
     hi = lo + len(weights) - 1
@@ -530,7 +533,8 @@ def lump(c: Ctmc) -> Ctmc:
     numbered by smallest member; an unsettled state keeps its rates, and its
     rates into one class add in ascending order.  c comes back when no class
     has two states."""
-    classes = _settled(c, _change_sources(c)).bsccs
+    pattern = _patterns(c)
+    classes = _settled(c, pattern, _change_sources(c, pattern)).bsccs
     if all(len(b) == 1 for b in classes):
         return c
     n = c.n_states

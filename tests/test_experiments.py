@@ -396,18 +396,24 @@ class TestSweep:
     def test_transient_gets_the_plan_tolerance(self, monkeypatch):
         # hour 4's chain is uniformized, in a batch of its own; hour 12's
         # starts settled
-        seen = {"settled_labels": [], "transients": []}
-        for name, epsilons in seen.items():
-            def spy(chain, t, epsilon=1e-10, real=getattr(experiments, name), epsilons=epsilons):
-                epsilons.append(epsilon)
-                return real(chain, t, epsilon)
+        seen = {"settled_labels": [], "_uniformize": []}
+        real_settled, real_uniformize = experiments.settled_labels, solvers._uniformize
 
-            monkeypatch.setattr(experiments, name, spy)
+        def settled_labels(chain, t, epsilon=1e-10):
+            seen["settled_labels"].append(epsilon)
+            return real_settled(chain, t, epsilon)
+
+        def uniformize(pt, x, bounds, weights, lo, epsilon):
+            seen["_uniformize"].append(epsilon)
+            return real_uniformize(pt, x, bounds, weights, lo, epsilon)
+
+        monkeypatch.setattr(experiments, "settled_labels", settled_labels)
+        monkeypatch.setattr(solvers, "_uniformize", uniformize)
         plan = ExperimentPlan(
             variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
         )
         sweep_rows(plan, tiny_profile())
-        assert seen == {"settled_labels": [1e-6, 1e-6], "transients": [1e-6]}
+        assert seen == {"settled_labels": [1e-6, 1e-6], "_uniformize": [1e-6]}
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
@@ -487,19 +493,19 @@ def shared_chain_plan(**kw):
     return ExperimentPlan(variants=attacks, hours=(12, 13, 14), **kw)
 
 
-def log_calls(monkeypatch, tmp_path, name, record=lambda *a, **k: ""):
-    """Spy on experiments.<name>: each call, in this process or in a forked
+def log_calls(monkeypatch, tmp_path, name, record=lambda *a, **k: "", module=experiments):
+    """Spy on module.<name>: each call, in this process or in a forked
     pool worker, appends record(*args) as one line to a file.  Returns a
     function that reads the lines back."""
     log = tmp_path / f"{name}.log"
-    real = getattr(experiments, name)
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         with open(log, "a") as f:
             f.write(f"{record(*args, **kwargs)}\n")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return lambda: log.read_text().splitlines() if log.exists() else []
 
 
@@ -620,9 +626,11 @@ class TestSharedChains:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_transient_for_six_cells(self, monkeypatch, tmp_path, workers):
         # the shared chain starts settled: one certificate, no uniformization
-        # (the pool uniformizes by transient, the serial sweep by transients)
+        # (the pool uniformizes by transient, the serial sweep by a Batches
+        # queue; both step in solvers._uniformize)
         calls = log_calls(monkeypatch, tmp_path, "settled_labels")
-        uniformized = [log_calls(monkeypatch, tmp_path, name) for name in ("transient", "transients")]
+        uniformized = [log_calls(monkeypatch, tmp_path, "transient"),
+                       log_calls(monkeypatch, tmp_path, "_uniformize", module=solvers)]
         rows = sweep_rows(shared_chain_plan(), tiny_profile(), max_workers=workers)
         assert len(calls()) == 1
         assert [log() for log in uniformized] == [[], []]
@@ -742,24 +750,26 @@ def test_desk_transient_sweep_at_1_min_matches_golden_bytes(workers):
 
 def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(monkeypatch):
     # 54 distinct desk chains are left to uniformize, with 5 distinct
-    # Lambdas; a batch is closed as soon as it holds BATCH_NNZ nonzeros,
+    # Lambdas; a batch is stepped as soon as it holds BATCH_NNZ nonzeros,
     # so only the last batch of each Lambda may hold fewer
     lumped, batches = [], []
-    real_lump, real_transients = experiments.lump, experiments.transients
+    real_lump, real_stack = experiments.lump, solvers._stack
 
     def lump(chain):
         lumped.append(experiments._chain_key(q := real_lump(chain)))
         return q
 
-    def transients(chains, t, epsilon):
-        batches.append([(experiments._chain_key(c), solvers.batch_slot(c)) for c in chains])
-        return real_transients(chains, t, epsilon)
+    def stack(chains):
+        # each chain's key, Lambda and nonzeros of P^T
+        batches.append([(experiments._chain_key(c), (solvers._UNIF_SLACK * float(c.exit_rates.max()),
+                                                     len(c.data) + c.n_states)) for c in chains])
+        return real_stack(chains)
 
     def alone(*_):
         raise AssertionError("the serial sweep uniformized a chain alone")
 
     monkeypatch.setattr(experiments, "lump", lump)
-    monkeypatch.setattr(experiments, "transients", transients)
+    monkeypatch.setattr(solvers, "_stack", stack)
     monkeypatch.setattr(experiments, "transient", alone)
     plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
                           horizon_minutes=DESK_HORIZON_MINUTES)
@@ -776,6 +786,44 @@ def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(m
     assert max(short.values()) == 1
     by_lambda = Counter(lam for batch in batches for _, (lam, _) in batch)
     assert sorted(by_lambda.values()) == [1, 3, 6, 12, 32]
+
+
+def test_a_batch_that_raises_fails_only_the_cells_waiting_on_it(monkeypatch):
+    # the second batch the serial desk sweep steps raises: exactly the cells
+    # whose lumped chains it holds fail, and every other cell keeps its row
+    plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
+                          horizon_minutes=DESK_HORIZON_MINUTES)
+    profile = desk_demand_profile()
+    reference = sweep_rows(plan, profile)
+    lumped_key, batches = {}, []
+    real_lump, real_stack, real_uniformize = experiments.lump, solvers._stack, solvers._uniformize
+
+    def lump(chain):
+        q = real_lump(chain)
+        lumped_key[experiments._chain_key(chain)] = experiments._chain_key(q)
+        return q
+
+    def stack(chains):
+        batches.append({experiments._chain_key(c) for c in chains})
+        return real_stack(chains)
+
+    def uniformize(*args):
+        if len(batches) == 2:
+            raise RuntimeError("stepping failed")
+        return real_uniformize(*args)
+
+    monkeypatch.setattr(experiments, "lump", lump)
+    monkeypatch.setattr(solvers, "_stack", stack)
+    monkeypatch.setattr(solvers, "_uniformize", uniformize)
+    rows, failures = run_hourly_sweep(plan, profile)
+    assert len(batches) > 2
+    failed = sorted((name, h) for name, scen in plan.variants for h in plan.hours
+                    if lumped_key.get(experiments._chain_key(
+                        build_grid_ctmc(scen, profile.mw_by_hour[h]))) in batches[1])
+    assert failed
+    assert [(f.variant, f.hour) for f in failures] == failed
+    assert all(isinstance(f.error, RuntimeError) for f in failures)
+    assert rows == [r for r in reference if (r.scenario, r.hour) not in failed]
 
 
 def test_desk_steady_sweep_matches_golden_bytes():

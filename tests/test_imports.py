@@ -1,7 +1,7 @@
 """Every module-level import in src/gridlock is used by its module, only
 `solvers` imports private scipy API, importing the CLI leaves out
-`scipy.stats`, and no module reads the `Ctmc.labels` or `Ctmc.transitions`
-view.
+`scipy.stats`, no module reads the `Ctmc.labels` or `Ctmc.transitions`
+view, and only `solvers` names its uniformization batch policy.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -81,3 +81,16 @@ def test_no_module_reads_the_labels_view():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("labels", "transitions")]
     assert not readers, f"reads .labels or .transitions: {readers}"
+
+
+def test_only_solvers_names_the_batch_policy():
+    # which chains step together, and at what rate, is decided in one
+    # place: `solvers.Batches`; a caller hands it chains and nothing else
+    policy = ("BATCH_NNZ", "_UNIF_SLACK")
+    leaks = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "solvers.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id in policy)
+             or (isinstance(node, ast.Attribute) and node.attr in policy)
+             or (isinstance(node, ast.alias) and node.name in policy)]
+    assert not leaks, f"names BATCH_NNZ or _UNIF_SLACK outside solvers: {leaks}"

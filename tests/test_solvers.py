@@ -540,7 +540,8 @@ class TestStationarityStop:
 
 def settled(c):
     """c's settled classes and unsettled states."""
-    return solvers._settled(c, solvers._change_sources(c))
+    pattern = solvers._patterns(c)
+    return solvers._settled(c, pattern, solvers._change_sources(c, pattern))
 
 
 def cert_threshold(c, epsilon):
@@ -1055,8 +1056,16 @@ def paced(transitions, n, initial=0, labels=None):
     return new_ctmc(n + 1, [*transitions, (n, 0, 2000.0)], initial, labels)
 
 
+def batched(chains, t, epsilon=1e-10):
+    """Each chain's result from one `Batches` queue, in the order added."""
+    queue = solvers.Batches(t, epsilon)
+    got = [r for i, c in enumerate(chains) for r in queue.add(i, c)] + queue.close()
+    assert sorted(i for i, _ in got) == list(range(len(chains)))
+    return [r for _, r in sorted(got, key=lambda r: r[0])]
+
+
 class TestBatches:
-    """`transients` steps chains of equal Lambda as one block-diagonal batch."""
+    """`Batches` steps chains of equal Lambda as one block-diagonal batch."""
 
     EPS = 1e-10
 
@@ -1068,7 +1077,7 @@ class TestBatches:
         still = new_ctmc(2, {}, 1)
         other = new_ctmc(2, [(0, 1, 3.0), (1, 0, 1.0)], 0)
         chains = [stops, still, runs, other]
-        got = solvers.transients(chains, 2.0, self.EPS)
+        got = batched(chains, 2.0, self.EPS)
         (k_stops, hi), (k_runs, hi_runs), _ = steps
         assert hi == hi_runs and k_stops < hi / 2 and k_runs == hi
         for c, g in zip(chains, got):
@@ -1082,8 +1091,16 @@ class TestBatches:
         alone = [transient(c, 0.5, self.EPS).probs for c in chains]
         window.clear()
         monkeypatch.setattr(solvers, "BATCH_NNZ", 10)
-        got = solvers.transients(chains, 0.5, self.EPS)
-        assert len(window) == 2 and window[0][1] is window[1][1]
+        queue = solvers.Batches(0.5, self.EPS)
+        assert queue.add(0, chains[0]) == [] and len(window) == 0
+        first = queue.add(1, chains[1])
+        assert [tag for tag, _ in first] == [0, 1] and len(window) == 1
+        assert queue.add(2, chains[2]) == []
+        last = queue.close()
+        assert [tag for tag, _ in last] == [2] and queue.close() == []
+        got = [d for _, d in first + last]
+        assert len(window) == 2 and window[0][0] == window[1][0]
+        assert np.array_equal(window[0][1], window[1][1])
         assert all(np.array_equal(g.probs, a) for g, a in zip(got, alone))
 
     def test_a_horizon_past_the_window_fails_its_group_only(self):
@@ -1092,7 +1109,7 @@ class TestBatches:
         fast = [new_ctmc(2, [(0, 1, 1000.0), (1, 0, 1000.0)], 0),
                 new_ctmc(3, [(0, 1, 1000.0), (1, 2, 1.0)], 0)]
         slow, still, t = new_ctmc(2, [(0, 1, 1e-3)], 0), new_ctmc(2, {}, 1), 1e9
-        got = solvers.transients([fast[0], slow, fast[1], still], t)
+        got = batched([fast[0], slow, fast[1], still], t)
         for c, g in zip(fast, got[::2]):
             with pytest.raises(NegativeTime) as alone:
                 transient(c, t)
@@ -1103,10 +1120,10 @@ class TestBatches:
 
     def test_arguments_are_checked_once_for_all(self, cycle):
         with pytest.raises(NegativeTime):
-            solvers.transients([cycle, cycle], -1.0)
+            batched([cycle, cycle], -1.0)
         with pytest.raises(ValueError):
-            solvers.transients([cycle], 1.0, 1e-2)
-        assert solvers.transients([], 1.0) == []
+            batched([cycle], 1.0, 1e-2)
+        assert batched([], 1.0) == []
 
 
 @st.composite
@@ -1138,10 +1155,10 @@ def test_batched_transients_match_each_chain_alone(chains, steps, cap, epsilon):
     # t gives the fastest chain about `steps` steps; caps of 1, 12 and 40
     # nonzeros split groups across batches; labels are within epsilon of
     # the 50-digit oracle
-    lam = max(solvers.batch_slot(c)[0] for c in chains)
+    lam = max(solvers._UNIF_SLACK * float(c.exit_rates.max()) for c in chains)
     t = steps / lam if lam else steps
     with mock.patch.object(solvers, "BATCH_NNZ", cap):
-        got = solvers.transients(chains, t, epsilon)
+        got = batched(chains, t, epsilon)
     for c, g in zip(chains, got):
         assert np.array_equal(g.probs, transient(c, t, epsilon).probs)
         exact = exact_transient_oracle(c, t)
