@@ -8,9 +8,9 @@ state (none for one component), and each component is solved by power
 iteration on its jump chain with slack, I + D^-1 Q / _UNIF_SLACK for the
 diagonal D of exit rates, so that each state steps on its own time scale;
 the stop test is the exact balance residual of the vector it returns.
-Accuracy is that residual, not an absolute error: on a chain whose
-slowest rates are 1e-3 a residual of 1e-10 still allows entries off by
-about 5e-8.  Transient analysis uses uniformization with two-sided
+Accuracy is that residual, not an absolute error: on a 5-state chain
+whose slowest rates are 1e-3 a residual of 1e-10 still allows entries off
+by 2e-7.  Transient analysis uses uniformization with two-sided
 Poisson truncation and stops early once the iterate is provably
 stationary.  `Batches` is the one queue of chains to uniformize: chains
 of exactly equal uniformization rate share one Poisson window and step

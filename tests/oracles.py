@@ -130,6 +130,24 @@ def steady_oracle(c: Ctmc) -> np.ndarray:
     return pi
 
 
+def residual_condition(c: Ctmc) -> float:
+    """How far a balance residual lets a stationary vector err: the largest
+    column sum of |Q_B#|, the group inverse of a BSCC's generator, over the
+    BSCCs of c.  A vector x on B that sums to 1 with x Q_B = r equals
+    pi_B + r Q_B#, so no entry is off by more than max|r| times this."""
+    q = dense_generator(c)
+    worst = 0.0
+    for b in _bscc_split(q)[0]:
+        q_b = q[np.ix_(b, b)]
+        a = np.vstack([q_b.T, np.ones(len(b))])
+        rhs = np.zeros(len(b) + 1)
+        rhs[-1] = 1.0
+        # Q_B# = (Q_B - 1 pi_B)^-1 + 1 pi_B
+        w = np.outer(np.ones(len(b)), np.linalg.lstsq(a, rhs, rcond=None)[0])
+        worst = max(worst, np.abs(np.linalg.inv(q_b - w) + w).sum(axis=0).max())
+    return float(worst)
+
+
 def _gauss_jordan(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """x with a x = b, exactly, for a nonsingular square a and the columns of b."""
     n = len(a)
