@@ -223,9 +223,9 @@ class Batches:
     as if it were solved alone.
 
     `add(tag, c)` puts c in the open batch of its exact Lambda: chains of
-    one Lambda step in batches, in the order added, each batch on one
-    Poisson window, their P^T stacked block-diagonally, one SpMV a step for
-    the whole batch.  Once its batch holds BATCH_NNZ nonzeros, `add` steps
+    one Lambda step in batches, in the order added, all on one Poisson
+    window, their P^T stacked block-diagonally, one SpMV a step for the
+    whole batch.  Once its batch holds BATCH_NNZ nonzeros, `add` steps
     it and returns (tag, result) for each chain in it; `close` steps every
     batch still open.  A result is the chain's Distribution, or what
     stepping its batch raised, for each chain of that batch only: the
@@ -249,34 +249,37 @@ class Batches:
         _check_horizon(t, epsilon)
         self.t, self.epsilon = t, epsilon
         self._open: dict[float, list[tuple[object, Ctmc]]] = {}
+        self._windows: dict[float, tuple[np.ndarray, int]] = {}  # Lambda: (weights, lo)
 
     def add(self, tag: object, c: Ctmc) -> list[tuple[object, Distribution | Exception]]:
         if self.t == 0.0 or not c.exit_rates.any():
             pi0 = np.zeros(c.n_states)
             pi0[c.initial] = 1.0
             return [(tag, Distribution(pi0))]
-        lam = _UNIF_SLACK * float(c.exit_rates.max())
-        batch = self._open.setdefault(lam, [])
+        batch = self._open.setdefault(lam := _slot(c)[0], [])
         batch.append((tag, c))
-        return self._step(lam) if sum(len(b.data) + b.n_states for _, b in batch) >= BATCH_NNZ else []
+        return self._step(lam) if sum(_slot(b)[1] for _, b in batch) >= BATCH_NNZ else []
 
     def close(self) -> list[tuple[object, Distribution | Exception]]:
         return [got for lam in list(self._open) for got in self._step(lam)]
 
     def _step(self, lam: float) -> list[tuple[object, Distribution | Exception]]:
-        # the window is made here, not kept per Lambda: a queue lives for a
-        # whole sweep, and its open batches would hold one window each
         batch = self._open.pop(lam)
         try:
-            mu = lam * self.t  # a Python float overflows to inf without a warning
-            lo, hi = _window(mu, self.t, self.epsilon)
-            k = np.arange(lo, hi + 1)
-            weights = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)  # the Poisson pmf, as scipy.stats computes it
-            pt, x, bounds = _stack([c for _, c in batch])
-            sums, _ = _uniformize(pt, x, bounds, weights, lo, self.epsilon)
+            if lam not in self._windows:
+                mu = lam * self.t  # a Python float overflows to inf without a warning
+                lo, hi = _window(mu, self.t, self.epsilon)
+                k = np.arange(lo, hi + 1)  # the Poisson pmf over k, as scipy.stats computes it
+                self._windows[lam] = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), lo
+            sums, _ = _uniformize(*_stack([c for _, c in batch]), *self._windows[lam], self.epsilon)
             return [(tag, Distribution(s / s.sum())) for (tag, _), s in zip(batch, sums)]
         except Exception as e:
             return [(tag, e) for tag, _ in batch]
+
+
+def _slot(c: Ctmc) -> tuple[float, int]:
+    """(Lambda, nonzeros of P^T) of c, for P = I + Q/Lambda."""
+    return _UNIF_SLACK * float(c.exit_rates.max()), len(c.data) + c.n_states
 
 
 def _check_horizon(t: float, epsilon: float) -> None:
@@ -461,7 +464,7 @@ def _stack(chains: list[Ctmc]) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     copied in with their offsets as soon as it is made, so every row keeps
     its entries in their order and only one block is held twice."""
     bounds = np.cumsum([0] + [c.n_states for c in chains])
-    n, most = int(bounds[-1]), sum(len(c.data) + c.n_states for c in chains)
+    n, most = int(bounds[-1]), sum(_slot(c)[1] for c in chains)
     x = np.zeros(n)
     x[bounds[:-1] + [c.initial for c in chains]] = 1.0
     if len(chains) == 1:

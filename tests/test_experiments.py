@@ -761,8 +761,7 @@ def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(m
 
     def stack(chains):
         # each chain's key, Lambda and nonzeros of P^T
-        batches.append([(experiments._chain_key(c), (solvers._UNIF_SLACK * float(c.exit_rates.max()),
-                                                     len(c.data) + c.n_states)) for c in chains])
+        batches.append([(experiments._chain_key(c), solvers._slot(c)) for c in chains])
         return real_stack(chains)
 
     def alone(*_):

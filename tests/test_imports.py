@@ -86,11 +86,11 @@ def test_no_module_reads_the_labels_view():
 def test_only_solvers_names_the_batch_policy():
     # which chains step together, and at what rate, is decided in one
     # place: `solvers.Batches`; a caller hands it chains and nothing else
-    policy = ("BATCH_NNZ", "_UNIF_SLACK")
+    policy = ("BATCH_NNZ", "_UNIF_SLACK", "_slot")
     leaks = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "solvers.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if (isinstance(node, ast.Name) and node.id in policy)
              or (isinstance(node, ast.Attribute) and node.attr in policy)
              or (isinstance(node, ast.alias) and node.name in policy)]
-    assert not leaks, f"names BATCH_NNZ or _UNIF_SLACK outside solvers: {leaks}"
+    assert not leaks, f"names the batch policy outside solvers: {leaks}"
