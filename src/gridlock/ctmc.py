@@ -8,7 +8,12 @@ The rates are stored once, as CSR arrays with targets ascending within
 each row, and each label as an ascending int64 array.  Everything else
 (matrices, exit rates, the ``transitions`` mapping) is derived and cached,
 lazily but for the exit rates, which construction checks to be finite.
-`Ctmc(...)` is the one constructor and validates all of its input.
+`Ctmc(...)` is the one constructor and validates all of its input.  It
+copies what it keeps (the rates and targets into CSR order, each label
+into an array of its own) and nothing else of full length: integer
+sources and targets are read in place, other ones cast to int64.  Its
+largest temporaries are the int64 (source, target) key, sorted in place,
+and that sort's order: 16 bytes a rate.
 Instances are immutable (no attribute can be set, the label map and every
 array are read-only) and thread-safe; a pickle holds only the defining
 fields and loads through the constructor.
@@ -43,6 +48,26 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _state_indices(src: np.ndarray, dst: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """src and dst as integer arrays: integer input as it is, other input
+    cast to int64, which must keep every value."""
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here
+        ints = [a if a.dtype.kind in "iu" else a.astype(np.int64) for a in (src, dst)]
+    fractional = np.logical_or.reduce([i != a for i, a in zip(ints, (src, dst)) if i is not a])
+    if fractional.any():
+        i = int(np.argmax(fractional))
+        raise IndexOutOfRange(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) "
+                              "has a state index that is not an integer")
+    return ints[0], ints[1]
+
+
+def _reject(error: type[Exception], what: str, bad: np.ndarray, src, dst, rates) -> None:
+    """Raise error naming the first transition where bad holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
+
+
 class Ctmc:
     """Labeled CTMC from parallel source, target and rate arrays, rates in
     events per minute.  It holds `n_states`, the CSR arrays `indptr`,
@@ -50,6 +75,10 @@ class Ctmc:
 
     Duplicate (source, target) pairs are rejected rather than summed, so
     that model-construction bugs surface instead of silently merging.
+    Index arrays of any integer dtype are read without a copy; float or
+    other index input is cast to int64 and must keep its values.  The
+    chain shares no array with the caller: changing the arrays passed in
+    afterwards does not change it.
     """
 
     def __init__(
@@ -61,28 +90,26 @@ class Ctmc:
         if not (0 <= initial < n_states and initial == int(initial)):
             raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
         initial = int(initial)
-        src_in, dst_in = np.asarray(src), np.asarray(dst)
         rates = np.asarray(rates, dtype=float)
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught here
-            src, dst = src_in.astype(np.int64), dst_in.astype(np.int64)
-        fractional = (src != src_in) | (dst != dst_in)
-        if fractional.any():
-            i = int(np.argmax(fractional))
-            raise IndexOutOfRange(f"transition ({src_in[i]}, {dst_in[i]}, rate {float(rates[i])!r}) "
-                                  "has a state index that is not an integer")
-        key = src * n_states + dst
+        src, dst = _state_indices(np.asarray(src), np.asarray(dst), rates)
+        _reject(IndexOutOfRange, "out of range",
+                (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states), src, dst, rates)
+        _reject(SelfLoop, "a self-loop", src == dst, src, dst, rates)
+        _reject(NonPositiveRate, "not positive and finite",
+                ~(np.isfinite(rates) & (rates > 0)), src, dst, rates)
+        key = np.multiply(src, n_states, dtype=np.int64)
+        np.add(key, dst, out=key, dtype=np.int64)
         order = np.argsort(key, kind="stable")
+        key.sort(kind="stable")  # fast on the nearly sorted input of a build
         duplicate = np.zeros(len(key), dtype=bool)
-        duplicate[order[1:]] = np.diff(key[order]) == 0
-        for error, what, bad in (
-            (IndexOutOfRange, "out of range", (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states)),
-            (SelfLoop, "a self-loop", src == dst),
-            (NonPositiveRate, "not positive and finite", ~(np.isfinite(rates) & (rates > 0))),
-            (DuplicateTransition, "a duplicate", duplicate),
-        ):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise error(f"transition ({src[i]}, {dst[i]}, rate {float(rates[i])!r}) is {what}")
+        duplicate[order[1:]] = key[1:] == key[:-1]
+        del key
+        _reject(DuplicateTransition, "a duplicate", duplicate, src, dst, rates)
+        del duplicate
+        index_dtype = np.int32 if max(n_states, len(order)) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states)))).astype(index_dtype)
+        indices, data = dst[order].astype(index_dtype, copy=False), rates[order]
+        del order
 
         label_arrays = {}
         for name, states in (labels or {}).items():
@@ -99,9 +126,6 @@ class Ctmc:
         if len(bands) == 3 and not (np.bincount(np.concatenate(bands), minlength=n_states) == 1).all():
             raise IndexOutOfRange("overSupply/equilibrium/overDemand must partition the states")
 
-        index_dtype = np.int32 if max(n_states, len(key)) < 2**31 else np.int64
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states)))).astype(index_dtype)
-        indices, data = dst[order].astype(index_dtype), rates[order]
         for a in (indptr, indices, data):
             a.flags.writeable = False
         # straight into the instance dict, past __setattr__, as cached_property does

@@ -157,12 +157,27 @@ def steady_state(c: Ctmc, cfg: SolverConfig | None = None) -> Distribution:
         pi[b] = w * _solve_bscc(c, b, cfg)
     pi /= pi.sum()
 
-    residual = float(np.abs(c.generator_matrix().T @ pi).max())
+    residual = _balance_residual(c, part.bsccs, pi)
     if residual >= cfg.tolerance:
         raise NonConvergence(
             f"steady-state residual {residual:.3e} >= tolerance {cfg.tolerance:.3e}"
         )
     return Distribution(pi)
+
+
+def _balance_residual(c: Ctmc, bsccs: tuple[np.ndarray, ...], pi: np.ndarray) -> float:
+    """max |pi Q| for pi zero off the BSCCs, bit for bit as on the whole Q.
+
+    No rate leaves a BSCC, so off the BSCCs every entry of pi Q sums only
+    zeros, and on one BSCC it sums only that BSCC's rows, in the same
+    order: each entry is read from the BSCC's own block of Q.  An
+    absorbing state's entry is 0.
+    """
+    residual = 0.0
+    for b in (b for b in bsccs if len(b) > 1):
+        block = c.rate_matrix[b][:, b] - sp.diags(c.exit_rates[b])
+        residual = max(residual, float(np.abs(block.T @ pi[b]).max()))
+    return residual
 
 
 def _solve_bscc(c: Ctmc, states: np.ndarray, cfg: SolverConfig) -> np.ndarray:

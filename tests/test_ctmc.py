@@ -388,3 +388,69 @@ def test_injected_defect_raises(n_triples, data):
         expected = NonPositiveRate
     with pytest.raises(expected):
         new_ctmc(n, bad, 0)
+
+
+# the same index values as each array type `Ctmc` accepts, and as lists
+_INDEX_FORMS = {
+    "int32": lambda v: np.array(v, dtype=np.int32),
+    "int64": lambda v: np.array(v, dtype=np.int64),
+    "uint64": lambda v: np.array(v, dtype=np.uint64),
+    "float64": lambda v: np.array(v, dtype=np.float64),
+    "list": list,
+}
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(n, src, dst, rates, label, defect): transition triples as Python
+    lists, with one defect of the drawn kind or none, and one label.  A
+    fractional index carries a float in both columns, so that its list
+    reads as float64 too."""
+    n, triples = draw(transition_lists(min_size=1))
+    defect = draw(st.sampled_from([None, "out of range", "self-loop", "duplicate", "non-positive",
+                                   "fractional"]))
+    pos = draw(st.integers(0, len(triples) - 1))
+    s, d, r = triples[pos]
+    if defect == "out of range":
+        bad = n + draw(st.integers(0, 3))
+        triples[pos] = draw(st.sampled_from([(bad, d, r), (s, bad, r)]))
+    elif defect == "self-loop":
+        triples.insert(draw(st.integers(0, len(triples))), (s, s, 1.0))
+    elif defect == "duplicate":
+        triples.insert(draw(st.integers(0, len(triples))), (s, d, 2.0))
+    elif defect == "non-positive":
+        triples[pos] = (s, d, draw(st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan])))
+    elif defect == "fractional":
+        triples[pos] = (s + 0.5, float(d), r)
+    src, dst, rates = (list(col) for col in zip(*triples))
+    return n, src, dst, rates, draw(st.lists(st.integers(0, n - 1))), defect
+
+
+@settings(max_examples=100)
+@given(constructor_inputs())
+def test_every_index_dtype_builds_the_same_chain(inputs):
+    # integer indices are read in place, others cast: either way the chain
+    # and every error are the same, and the chain owns its arrays
+    n, src, dst, rates, label, defect = inputs
+    outcomes = {}
+    for form, make in _INDEX_FORMS.items():
+        if defect == "fractional" and form in ("int32", "int64", "uint64"):
+            continue  # an integer dtype cannot hold the defect
+        args = [make(src), make(dst), list(rates) if form == "list" else np.array(rates), make(label)]
+        try:
+            c = Ctmc(n, args[0], args[1], args[2], 0, {"x": args[3]})
+        except Exception as e:
+            outcomes[form] = (type(e), str(e))
+            continue
+        key = _chain_key(c)
+        for a in args:  # every element changes
+            a[:] = [-1.0 if a is args[2] else n] * len(a)
+        assert _chain_key(c) == key, form
+        outcomes[form] = None, _csr_bytes(c), c.label_states("x").tobytes()
+    reference = outcomes.pop("list")
+    for form, outcome in outcomes.items():
+        assert outcome == reference, form
+    expected = {None: None, "out of range": IndexOutOfRange, "self-loop": SelfLoop,
+                "duplicate": DuplicateTransition, "non-positive": NonPositiveRate,
+                "fractional": IndexOutOfRange}[defect]
+    assert reference[0] is expected, reference

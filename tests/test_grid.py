@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +343,28 @@ class TestBuild:
     def test_insufficient_capacity_propagates(self, scen):
         with pytest.raises(InsufficientCapacity):
             build_grid_ctmc(scen, 500.0)
+
+    def test_build_and_steady_state_memory(self):
+        # tracemalloc counts numpy's buffers, so the peaks do not depend on
+        # timing; held is what the chain keeps (its CSR and label arrays)
+        scen = dict(make_attack_variants(default_scenario()))["ATTACK-H"]
+        base = default_demand_profile().mw_by_hour[4]
+        steady_state(build_grid_ctmc(scen, base))  # first calls out of the way
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            c = build_grid_ctmc(scen, base)
+            build_peak = tracemalloc.get_traced_memory()[1] - entry
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            steady_state(c)
+            steady_peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (c.indptr, c.indices, c.data, *c.label_arrays.values()))
+        assert (c.n_states, len(c.data)) == (21072, 105550)
+        assert build_peak <= 3 * held, build_peak / held
+        assert steady_peak <= held, steady_peak / held
 
 
 class TestStats:

@@ -231,6 +231,35 @@ class TestSteadyState:
         residual = np.abs(pi.probs @ dense_generator(c)).max()
         assert residual < cfg.tolerance
 
+    def test_residual_check_stays(self, cycle):
+        # a vector that is not stationary fails the final balance check
+        uniform = lambda c, states, cfg: np.full(len(states), 1.0 / len(states))
+        with mock.patch.object(solvers, "_solve_bscc", uniform), \
+                pytest.raises(NonConvergence, match=r"^steady-state residual 5\.000e-01 >= tolerance 1\.000e-10$"):
+            steady_state(cycle)
+
+    def test_residual_reads_only_the_bscc_blocks(self):
+        # off the BSCCs pi is zero and pi Q sums only zeros, so the largest
+        # entry of each BSCC's block gives the whole chain's residual bit
+        # for bit, for the steady vector and for any other on the BSCCs
+        desk, full = desk_demand_profile(), default_demand_profile()
+        cells = [(scen, desk.mw_by_hour[h]) for _, scen in make_attack_variants(desk_scenario())
+                 for h in range(24)]
+        cells += [(scen, full.mw_by_hour[h]) for _, scen in make_attack_variants(default_scenario())
+                  for h in (4, 12, 18)]
+        seen = set()
+        for scen, base in cells:
+            c = build_grid_ctmc(scen, base)
+            if _chain_key(c) in seen:
+                continue
+            seen.add(_chain_key(c))
+            bsccs, q = bscc_decomposition(c).bsccs, c.generator_matrix()
+            pi = steady_state(c).probs
+            skewed = pi * (1.0 + np.arange(c.n_states) % 3)
+            for x in (pi, skewed / skewed.sum()):
+                assert solvers._balance_residual(c, bsccs, x) == np.abs(q.T @ x).max()
+        assert len(seen) == 66  # 56 distinct desk chains, 10 full ones
+
     def test_nonconvergence_raised(self, bipartite):
         # the 2-state cycle's jump chain is stationary from the start, so it
         # would converge; this one's jump chain is not
