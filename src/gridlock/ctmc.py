@@ -90,8 +90,11 @@ class Ctmc:
         if not (0 <= initial < n_states and initial == int(initial)):
             raise IndexOutOfRange(f"initial state {initial!r} is not an integer in [0, {n_states})")
         initial = int(initial)
-        rates = np.asarray(rates, dtype=float)
-        src, dst = _state_indices(np.asarray(src), np.asarray(dst), rates)
+        src, dst, rates = np.asarray(src), np.asarray(dst), np.asarray(rates, dtype=float)
+        if not len(src) == len(dst) == len(rates):
+            raise IndexOutOfRange(f"src, dst and rates have lengths {len(src)}, {len(dst)} and "
+                                  f"{len(rates)}, not one length")
+        src, dst = _state_indices(src, dst, rates)
         _reject(IndexOutOfRange, "out of range",
                 (src < 0) | (src >= n_states) | (dst < 0) | (dst >= n_states), src, dst, rates)
         _reject(SelfLoop, "a self-loop", src == dst, src, dst, rates)

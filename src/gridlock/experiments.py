@@ -5,9 +5,9 @@ requested mode and reports the four label probabilities.  A chain depends
 on the hour's demand only through each state's dispatch comparisons, so
 cells often build bit-identical chains; each distinct chain is solved
 once and its probabilities are copied to every cell that shares it.
-A transient chain that is not certified settled by the horizon is lumped,
-each closed set of states that keeps one label pattern collapsed into one
-absorbing state, and left to uniformize.
+One pass of `settle` over a transient chain either certifies it settled
+by the horizon or lumps it, each closed set of states that keeps one
+label pattern collapsed into one absorbing state, to uniformize.
 Serially, the lumped chains left to uniformize go to one `Batches` queue,
 which steps chains of equal uniformization rate together; a worker pool
 solves each distinct chain in a job of its own, as which chains are left
@@ -36,8 +36,7 @@ from .grid import BLACKOUT, EQUILIBRIUM, OVER_DEMAND, OVER_SUPPLY, DemandProfile
 from .grid import MAX_STATES, build_grid_ctmc
 from .scenario_io import default_demand_profile, default_scenario
 from .sim import LabelEstimates, derive_trial_seed, estimate_label_metrics
-from .solvers import (Batches, SolverConfig, label_probability, lump, settled_labels,
-                      steady_state, transient)
+from .solvers import Batches, SolverConfig, label_probability, settle, steady_state, transient
 
 REPORT_LABELS = (OVER_SUPPLY, EQUILIBRIUM, OVER_DEMAND, BLACKOUT)
 
@@ -219,16 +218,14 @@ def _attempt(fn, *args):
 
 def _solve_or_lump(chain: Ctmc, plan: ExperimentPlan) -> dict[str, float] | Ctmc:
     """The chain's probability of each reported label; or, for a transient
-    chain that `settled_labels` does not certify settled by the horizon,
-    its lumped chain (`lump`: each settled class one absorbing state), left
-    to uniformize: serially in the sweep's `Batches` queue, in a pool job
+    chain that `settle` does not certify settled by the horizon, the lumped
+    chain it returns (each settled class one absorbing state), left to
+    uniformize: serially in the sweep's `Batches` queue, in a pool job
     alone by `transient`."""
     if plan.mode == "steady":
         return _labels(steady_state(chain, plan.solver), chain)
-    settled = settled_labels(chain, plan.horizon_minutes, plan.solver.tolerance)
-    if settled is not None:
-        return {lab: settled[lab] for lab in REPORT_LABELS}
-    return lump(chain)
+    got = settle(chain, plan.horizon_minutes, plan.solver.tolerance)
+    return got if isinstance(got, Ctmc) else {lab: got[lab] for lab in REPORT_LABELS}
 
 
 def _labels(dist: Distribution, chain: Ctmc) -> dict[str, float]:

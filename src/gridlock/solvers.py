@@ -20,11 +20,11 @@ own stop test; every result equals the chain's solve alone bit for bit,
 and `transient` is a queue of one chain.  On small chains a step's fixed
 call costs weigh as much as its SpMV, and the 54 uniformized desk chains
 of a 24-hour sweep share only 5 rates.
-`settled_labels` answers a transient cell without uniformization where
-the chain is certified settled by the horizon, but for half the error
-budget: in closed sets of states that keep one label pattern.  Where it
-cannot, `lump` collapses each such set into one absorbing state, and only
-the states outside them are left to step.
+`settle` answers a transient cell without uniformization where the chain
+is certified settled by the horizon, but for half the error budget: in
+closed sets of states that keep one label pattern.  Where it cannot, it
+collapses each such set into one absorbing state, and only the states
+outside them are left to step.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ _STATIONARITY_CHECK = 32
 # that curve, with less held at once than a 24k cap and no slower.
 BATCH_NNZ = 16_000
 
-# The certificate of `settled_labels` proves decay at a rate that beats
+# The certificate of `settle` proves decay at a rate that beats
 # its budget by this power, and iterates at this multiple of it.
 _CERT_RATIO = 1.25
 
@@ -83,7 +83,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class BsccPartition:
     """Closed sets of states (the bottom strongly connected components, or
-    the settled classes of `settled_labels`) and the remaining states, each
+    the settled classes of `settle`) and the remaining states, each
     an ascending int64 array of state indices."""
 
     bsccs: tuple[np.ndarray, ...]
@@ -93,7 +93,7 @@ class BsccPartition:
 def bscc_decomposition(c: Ctmc) -> BsccPartition:
     """Split states into bottom SCCs (ordered by smallest member) and the rest."""
     n_comp, comp = connected_components(c.rate_matrix, directed=True, connection="strong")
-    src_comp = comp[np.repeat(np.arange(c.n_states), np.diff(c.indptr))]
+    src_comp = comp[_sources(c)]
     is_bottom = np.ones(n_comp, dtype=bool)
     is_bottom[src_comp[src_comp != comp[c.indices]]] = False
 
@@ -106,7 +106,7 @@ def absorption_probabilities(
     c: Ctmc, p: BsccPartition, cfg: SolverConfig | None = None
 ) -> np.ndarray:
     """Probability of eventually entering each closed set of p.bsccs (the
-    BSCCs, or the classes of `settled_labels`), starting from c.initial.
+    BSCCs, or the classes of `settle`), starting from c.initial.
 
     Steps a point mass at c.initial through the jump chain R/E of the
     other states, with each closed set merged into one absorbing state
@@ -325,21 +325,34 @@ def _window(mu: float, t: float, epsilon: float) -> tuple[int, int]:
     return lo, hi
 
 
-def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -> dict[str, float] | None:
+def settle(c: Ctmc, t: float, epsilon: float) -> dict[str, float] | Ctmc:
+    """Each label's probability after t minutes where c is certified
+    settled by t (`_certify`), else c with each settled class collapsed into
+    one absorbing state (`_collapse`); both read one computation of the
+    label patterns, the sources of a change and the classes (`_settled`).
+    Without a change, or at t = 0, c.initial's labels have probability 1."""
+    _check_horizon(t, epsilon)
+    pattern = _patterns(c)
+    sources = _change_sources(c, pattern)
+    if t == 0.0 or not sources.any():
+        return _class_labels(c, np.array([c.initial]), np.ones(1))
+    part = _settled(c, pattern, sources)
+    labels = _certify(c, t, epsilon, part)
+    return _collapse(c, part.bsccs) if labels is None else labels
+
+
+def _certify(c: Ctmc, t: float, epsilon: float, part: BsccPartition) -> dict[str, float] | None:
     """Each label's probability after t minutes, if c is certified settled
     by t but for epsilon/2 of its mass; otherwise None.
 
     A state is settled when it cannot reach a transition between two label
     patterns (the sets of labels states carry).  The settled states split
-    by pattern into closed classes (`_settled`), and a path that enters one
-    keeps its labels.  The tests run cheapest first:
-    - without such transitions, or at t = 0, c.initial gives its own
-      labels probability 1, with no window;
-    - the exit rate E of every source of such a transition, then of every
-      unsettled state, must exceed theta = _CERT_RATIO * rate, where
-      e^(-rate t) = (epsilon/2)^_CERT_RATIO, as the decay rate of the time
-      T to settle is at most the smallest E;
-    - a settled c.initial again gives its own labels;
+    by pattern into the closed classes of `part`, and a path that enters
+    one keeps its labels.  The tests run cheapest first:
+    - a settled c.initial gives its own labels;
+    - the exit rate E of every unsettled state must exceed
+      theta = _CERT_RATIO * rate, where e^(-rate t) = (epsilon/2)^_CERT_RATIO,
+      as the decay rate of the time T to settle is at most the smallest E;
     - every state must reach a settled one, so that T is finite;
     - t must give a Poisson window (`_window`), whose hi caps the
       iterations; a longer t is left to `transient`, which raises
@@ -355,25 +368,16 @@ def settled_labels(c: Ctmc, t: float, epsilon: float = SolverConfig.tolerance) -
     jumps.  A label's probability is then the sum of the normalized weights
     of the classes in it: epsilon/2 for the mass not yet settled plus
     epsilon/2 for the weights keeps the total-variation error within
-    epsilon.  Past its argument checks it never raises or warns.  An
-    iterate that overflows cannot certify a state that initial reaches, as
-    g(initial) stays finite.
+    epsilon.  It never raises or warns.  An iterate that overflows cannot
+    certify a state that initial reaches, as g(initial) stays finite.
     """
-    _check_horizon(t, epsilon)
-    pattern = _patterns(c)
-    sources = _change_sources(c, pattern)
-    if t == 0.0 or not sources.any():
-        return _class_labels(c, np.array([c.initial]), np.ones(1))
-    exits = c.exit_rates
-    rate = _CERT_RATIO * math.log(2 / epsilon) / t
-    theta = _CERT_RATIO * rate
-    if exits[sources].min() <= theta:
-        return None
-    part = _settled(c, pattern, sources)
     unsettled = np.zeros(c.n_states, dtype=bool)
     unsettled[part.transient_states] = True
     if not unsettled[c.initial]:
         return _class_labels(c, np.array([c.initial]), np.ones(1))
+    exits = c.exit_rates
+    rate = _CERT_RATIO * math.log(2 / epsilon) / t
+    theta = _CERT_RATIO * rate
     if exits[unsettled].min() <= theta or not _reaching(c, np.flatnonzero(~unsettled)).all():
         return None
     try:
@@ -420,9 +424,14 @@ def _patterns(c: Ctmc) -> np.ndarray:
     return pattern
 
 
+def _sources(c: Ctmc) -> np.ndarray:
+    """The source state of each rate of c, in the dtype of c's indices."""
+    return np.repeat(np.arange(c.n_states, dtype=c.indices.dtype), np.diff(c.indptr))
+
+
 def _change_sources(c: Ctmc, pattern: np.ndarray) -> np.ndarray:
     """Mask of the states with a rate into a state of another pattern."""
-    src = np.repeat(np.arange(c.n_states), np.diff(c.indptr))
+    src = _sources(c)
     sources = np.zeros(c.n_states, dtype=bool)
     sources[src[pattern[src] != pattern[c.indices]]] = True
     return sources
@@ -544,15 +553,13 @@ def _step(pt: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def lump(c: Ctmc) -> Ctmc:
+def _collapse(c: Ctmc, classes: tuple[np.ndarray, ...]) -> Ctmc:
     """c with each settled class (`_settled`) collapsed into one absorbing
     state.  A path that enters a class keeps its labels, so the quotient
     gives every label the probability c gives it at every time.  Blocks are
     numbered by smallest member; an unsettled state keeps its rates, and its
     rates into one class add in ascending order.  c comes back when no class
     has two states."""
-    pattern = _patterns(c)
-    classes = _settled(c, pattern, _change_sources(c, pattern)).bsccs
     if all(len(b) == 1 for b in classes):
         return c
     n = c.n_states
@@ -561,7 +568,7 @@ def lump(c: Ctmc) -> Ctmc:
         rep[b] = b[0]
     first = rep == np.arange(n)
     blocks = (np.cumsum(first) - 1)[rep]
-    src, dst = blocks[np.repeat(np.arange(n), np.diff(c.indptr))], blocks[c.indices]
+    src, dst = blocks[_sources(c)], blocks[c.indices]
     moving = src != dst  # every rate of an unsettled state, none of a class
     src, dst, rates = src[moving], dst[moving], c.data[moving]
     order = np.lexsort((rates, dst, src))  # rates ascend within each (state, block) pair

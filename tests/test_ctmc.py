@@ -106,6 +106,17 @@ class TestConstruction:
         with pytest.raises(DuplicateTransition):
             new_ctmc(2, [(0, 1, 1.0), (0, 1, 2.0)], 0)
 
+    @pytest.mark.parametrize("src,dst,rates", [
+        ([0], [1], [1.0, 2.0]), ([0, 1], [1, 0], [1.0]), ([0, 0], [0], [-1.0, 2.0]),
+    ], ids=["extra-rate", "missing-rate", "before-other-checks"])
+    def test_rejects_arrays_of_unequal_length(self, src, dst, rates):
+        # unchecked, an extra rate is dropped silently and a missing one
+        # fails as a bare numpy IndexError; the length check comes before
+        # the range, self-loop and rate checks
+        lengths = f"{len(src)}, {len(dst)} and {len(rates)}"
+        with pytest.raises(IndexOutOfRange, match=f"src, dst and rates have lengths {lengths}"):
+            Ctmc(2, src, dst, rates, 0)
+
     def test_rejects_label_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             new_ctmc(2, [(0, 1, 1.0)], 0, {"bad": [7]})

@@ -396,24 +396,24 @@ class TestSweep:
     def test_transient_gets_the_plan_tolerance(self, monkeypatch):
         # hour 4's chain is uniformized, in a batch of its own; hour 12's
         # starts settled
-        seen = {"settled_labels": [], "_uniformize": []}
-        real_settled, real_uniformize = experiments.settled_labels, solvers._uniformize
+        seen = {"settle": [], "_uniformize": []}
+        real_settle, real_uniformize = experiments.settle, solvers._uniformize
 
-        def settled_labels(chain, t, epsilon=1e-10):
-            seen["settled_labels"].append(epsilon)
-            return real_settled(chain, t, epsilon)
+        def settle(chain, t, epsilon):
+            seen["settle"].append(epsilon)
+            return real_settle(chain, t, epsilon)
 
         def uniformize(pt, x, bounds, weights, lo, epsilon):
             seen["_uniformize"].append(epsilon)
             return real_uniformize(pt, x, bounds, weights, lo, epsilon)
 
-        monkeypatch.setattr(experiments, "settled_labels", settled_labels)
+        monkeypatch.setattr(experiments, "settle", settle)
         monkeypatch.setattr(solvers, "_uniformize", uniformize)
         plan = ExperimentPlan(
             variants=(("X", tiny_scenario()),), hours=(4, 12), solver=SolverConfig(tolerance=1e-6)
         )
         sweep_rows(plan, tiny_profile())
-        assert seen == {"settled_labels": [1e-6, 1e-6], "_uniformize": [1e-6]}
+        assert seen == {"settle": [1e-6, 1e-6], "_uniformize": [1e-6]}
 
     def test_worker_pool_matches_serial(self):
         plan = ExperimentPlan(
@@ -549,18 +549,18 @@ class Lumped(Exception):
 
 
 class TestTransientLumping:
-    """`_solve` lumps every transient chain that `settled_labels` does not
+    """`settle` lumps every transient chain that its certificate does not
     certify, and no steady one."""
 
     @staticmethod
     def spy(monkeypatch):
         lumped = []
 
-        def record(chain):
+        def record(chain, classes):
             lumped.append(experiments._chain_key(chain))
             raise Lumped  # skips the solve; the spy has seen the chain
 
-        monkeypatch.setattr(experiments, "lump", record)
+        monkeypatch.setattr(solvers, "_collapse", record)
         return lumped
 
     @pytest.mark.parametrize("variants, profile, hours, certified", [
@@ -575,14 +575,18 @@ class TestTransientLumping:
                                                          hours, certified):
         lumped = self.spy(monkeypatch)
         settled = []
-        real = experiments.settled_labels
+        real = experiments.settle
 
         def attempt(chain, t, epsilon):
-            got = real(chain, t, epsilon)
-            settled.append((experiments._chain_key(chain), got is not None))
+            try:
+                got = real(chain, t, epsilon)
+            except Lumped:
+                settled.append((experiments._chain_key(chain), False))
+                raise
+            settled.append((experiments._chain_key(chain), True))
             return got
 
-        monkeypatch.setattr(experiments, "settled_labels", attempt)
+        monkeypatch.setattr(experiments, "settle", attempt)
         rows, failures = run_hourly_sweep(ExperimentPlan(variants=tuple(variants), hours=hours), profile)
         assert {(r.scenario, r.hour) for r in rows} == certified
         assert len(rows) + len(failures) == 4 * len(hours)
@@ -593,7 +597,7 @@ class TestTransientLumping:
         assert sorted(lumped) == sorted(key for key, ok in settled if not ok)
 
     def test_full_hour_18_attack_cells_are_not_lumped(self, monkeypatch, tmp_path):
-        lumped = log_calls(monkeypatch, tmp_path, "lump")
+        lumped = log_calls(monkeypatch, tmp_path, "_collapse", module=solvers)
         attacks = tuple(make_attack_variants(default_scenario()))[1:]
         rows = sweep_rows(ExperimentPlan(variants=attacks, hours=(18,)), default_demand_profile())
         assert lumped() == []
@@ -604,6 +608,31 @@ class TestTransientLumping:
         plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())), mode="steady")
         assert len(sweep_rows(plan, desk_demand_profile())) == 96
         assert lumped == []
+
+
+def test_desk_sweep_settles_each_distinct_chain_in_one_pass(monkeypatch):
+    # the 56 distinct chains of the 24-hour desk sweep each take one
+    # `settle`, which finds the label patterns once and the settled
+    # classes at most once, for its certificate and its collapse alike
+    calls = []
+    for name in ("settle", "_patterns", "_settled"):
+        module = experiments if name == "settle" else solvers
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
+                          horizon_minutes=DESK_HORIZON_MINUTES)
+    assert len(sweep_rows(plan, desk_demand_profile())) == 96
+    assert calls.count("settle") == calls.count("_patterns") == 56
+    # the 2 chains without a change of labels need no classes
+    assert calls.count("_settled") == 54
+    passes = []
+    for name in calls:
+        if name == "settle":
+            passes.append([])
+        else:
+            passes[-1].append(name)
+    assert all(p in (["_patterns"], ["_patterns", "_settled"]) for p in passes)
 
 
 class TestSharedChains:
@@ -628,7 +657,7 @@ class TestSharedChains:
         # the shared chain starts settled: one certificate, no uniformization
         # (the pool uniformizes by transient, the serial sweep by a Batches
         # queue; both step in solvers._uniformize)
-        calls = log_calls(monkeypatch, tmp_path, "settled_labels")
+        calls = log_calls(monkeypatch, tmp_path, "settle")
         uniformized = [log_calls(monkeypatch, tmp_path, "transient"),
                        log_calls(monkeypatch, tmp_path, "_uniformize", module=solvers)]
         rows = sweep_rows(shared_chain_plan(), tiny_profile(), max_workers=workers)
@@ -669,7 +698,7 @@ class TestSharedChains:
             raise NonConvergence("uniformization diverged")
 
         # the shared chain is answered by its certificate
-        monkeypatch.setattr(experiments, "settled_labels", diverge)
+        monkeypatch.setattr(experiments, "settle", diverge)
         rows, failures = run_hourly_sweep(shared_chain_plan(), tiny_profile(),
                                           max_workers=workers)
         assert rows == []
@@ -753,10 +782,11 @@ def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(m
     # Lambdas; a batch is stepped as soon as it holds BATCH_NNZ nonzeros,
     # so only the last batch of each Lambda may hold fewer
     lumped, batches = [], []
-    real_lump, real_stack = experiments.lump, solvers._stack
+    real_settle, real_stack = experiments.settle, solvers._stack
 
-    def lump(chain):
-        lumped.append(experiments._chain_key(q := real_lump(chain)))
+    def settle(chain, t, epsilon):
+        if isinstance(q := real_settle(chain, t, epsilon), Ctmc):
+            lumped.append(experiments._chain_key(q))
         return q
 
     def stack(chains):
@@ -767,7 +797,7 @@ def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(m
     def alone(*_):
         raise AssertionError("the serial sweep uniformized a chain alone")
 
-    monkeypatch.setattr(experiments, "lump", lump)
+    monkeypatch.setattr(experiments, "settle", settle)
     monkeypatch.setattr(solvers, "_stack", stack)
     monkeypatch.setattr(experiments, "transient", alone)
     plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
@@ -795,11 +825,11 @@ def test_a_batch_that_raises_fails_only_the_cells_waiting_on_it(monkeypatch):
     profile = desk_demand_profile()
     reference = sweep_rows(plan, profile)
     lumped_key, batches = {}, []
-    real_lump, real_stack, real_uniformize = experiments.lump, solvers._stack, solvers._uniformize
+    real_settle, real_stack, real_uniformize = experiments.settle, solvers._stack, solvers._uniformize
 
-    def lump(chain):
-        q = real_lump(chain)
-        lumped_key[experiments._chain_key(chain)] = experiments._chain_key(q)
+    def settle(chain, t, epsilon):
+        if isinstance(q := real_settle(chain, t, epsilon), Ctmc):
+            lumped_key[experiments._chain_key(chain)] = experiments._chain_key(q)
         return q
 
     def stack(chains):
@@ -811,7 +841,7 @@ def test_a_batch_that_raises_fails_only_the_cells_waiting_on_it(monkeypatch):
             raise RuntimeError("stepping failed")
         return real_uniformize(*args)
 
-    monkeypatch.setattr(experiments, "lump", lump)
+    monkeypatch.setattr(experiments, "settle", settle)
     monkeypatch.setattr(solvers, "_stack", stack)
     monkeypatch.setattr(solvers, "_uniformize", uniformize)
     rows, failures = run_hourly_sweep(plan, profile)

@@ -1,7 +1,8 @@
 """Every module-level import in src/gridlock is used by its module, only
 `solvers` imports private scipy API, importing the CLI leaves out
 `scipy.stats`, no module reads the `Ctmc.labels` or `Ctmc.transitions`
-view, and only `solvers` names its uniformization batch policy.
+view, and only `solvers` names its uniformization batch policy or its
+settling internals.
 
 A name bound by an import at the top level of a module counts as used when
 the module's code refers to it.  `__init__` re-exports its imports and
@@ -83,14 +84,27 @@ def test_no_module_reads_the_labels_view():
     assert not readers, f"reads .labels or .transitions: {readers}"
 
 
+def _named_outside_solvers(names):
+    """file:line of each name, attribute or import of one of names in a
+    module other than solvers.py."""
+    return [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "solvers.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name in names)]
+
+
 def test_only_solvers_names_the_batch_policy():
     # which chains step together, and at what rate, is decided in one
     # place: `solvers.Batches`; a caller hands it chains and nothing else
-    policy = ("BATCH_NNZ", "_UNIF_SLACK", "_slot")
-    leaks = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "solvers.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             if (isinstance(node, ast.Name) and node.id in policy)
-             or (isinstance(node, ast.Attribute) and node.attr in policy)
-             or (isinstance(node, ast.alias) and node.name in policy)]
+    leaks = _named_outside_solvers(("BATCH_NNZ", "_UNIF_SLACK", "_slot"))
     assert not leaks, f"names the batch policy outside solvers: {leaks}"
+
+
+def test_only_solvers_names_the_settling_internals():
+    # whether a transient chain is certified settled or collapsed is
+    # decided in one place, `solvers.settle`; a caller hands it a chain
+    leaks = _named_outside_solvers(("_patterns", "_change_sources", "_settled", "_certify",
+                                    "_collapse"))
+    assert not leaks, f"names the settling internals outside solvers: {leaks}"

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.special import pdtr, pdtrc
 from scipy.stats import poisson
 
-from gridlock import NegativeTime, NonConvergence, UnknownLabel, new_ctmc
+from gridlock import Ctmc, NegativeTime, NonConvergence, UnknownLabel, new_ctmc
 from gridlock import solvers
 from gridlock.ctmc import Distribution
 from gridlock.experiments import (
@@ -32,7 +32,6 @@ from gridlock.solvers import (
     absorption_probabilities,
     bscc_decomposition,
     label_probability,
-    lump,
     steady_state,
     transient,
 )
@@ -574,9 +573,14 @@ def settled(c):
     return solvers._settled(c, pattern, solvers._change_sources(c, pattern))
 
 
+def lump(c):
+    """c with each settled class collapsed into one absorbing state."""
+    return solvers._collapse(c, settled(c).bsccs)
+
+
 def cert_threshold(c, epsilon):
     """The horizon below which no unsettled state's exit rate clears the
-    certificate's iteration rate theta, so `settled_labels` cannot fire."""
+    certificate's iteration rate theta, so `settle` cannot certify."""
     unsettled = c.exit_rates[settled(c).transient_states]
     return solvers._CERT_RATIO**2 * math.log(2 / epsilon) / unsettled.min()
 
@@ -598,7 +602,8 @@ def label_error(got, c, t):
 
 
 class TestAbsorbedExit:
-    """`settled_labels`, the certificate that a chain has settled by t."""
+    """`settle`, the certificate that a chain has settled by t, and the
+    lumped chain where it fails."""
 
     EPS = 1e-10
 
@@ -608,7 +613,7 @@ class TestAbsorbedExit:
         # one settled class of 7 434 states, and 32 iterations certify it
         _, scen = make_attack_variants(default_scenario())[variant]
         c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[18])
-        got = solvers.settled_labels(c, 60.0, self.EPS)
+        got = solvers.settle(c, 60.0, self.EPS)
         assert len(spmvs) == 32
         assert got == {"overSupply": 0.0, "equilibrium": 0.0, "overDemand": 1.0, "blackout": 1.0}
         (blackout,) = settled(c).bsccs
@@ -623,7 +628,7 @@ class TestAbsorbedExit:
         scen = dict(make_attack_variants(default_scenario()))["ATTACK-H"]
         c = build_grid_ctmc(scen, default_demand_profile().mw_by_hour[4])
         assert cert_threshold(c, self.EPS) < 60.0  # every exit rate clears theta
-        assert solvers.settled_labels(c, 60.0, self.EPS) is None
+        assert isinstance(solvers.settle(c, 60.0, self.EPS), Ctmc)
         assert 0 < len(spmvs) < 200
 
     def test_non_singleton_bscc_falls_back(self, spmvs):
@@ -632,22 +637,22 @@ class TestAbsorbedExit:
         # the attempt gives up before iterating
         rates = [(0, 1, 50.0), (1, 2, 40.0), (2, 1, 30.0)]
         pure = new_ctmc(3, rates, 0, {"start": [0]})
-        assert solvers.settled_labels(pure, 10.0, self.EPS) == {"start": 0.0}
+        assert solvers.settle(pure, 10.0, self.EPS) == {"start": 0.0}
         assert label_error({"start": 0.0}, pure, 10.0) <= self.EPS
         spmvs.clear()
         mixed = new_ctmc(3, rates, 0, {"start": [0], "one": [1]})
         assert settled(mixed).bsccs == ()
-        assert solvers.settled_labels(mixed, 10.0, self.EPS) is None
+        assert isinstance(solvers.settle(mixed, 10.0, self.EPS), Ctmc)
         assert spmvs == []  # rejected before the first iteration
 
     def test_exit_fires_past_the_threshold_only(self, spmvs):
         c = new_ctmc(4, [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 4.0)], 0,
                      {"two": [2], "three": [3]})
         t = cert_threshold(c, self.EPS)
-        assert solvers.settled_labels(c, 0.99 * t, self.EPS) is None
+        assert isinstance(solvers.settle(c, 0.99 * t, self.EPS), Ctmc)
         assert spmvs == []
         for horizon in (2 * t, 4 * t):
-            got = solvers.settled_labels(c, horizon, self.EPS)
+            got = solvers.settle(c, horizon, self.EPS)
             assert label_error(got, c, horizon) <= self.EPS
 
     def test_overflowing_iterates_do_not_warn(self):
@@ -660,7 +665,7 @@ class TestAbsorbedExit:
         c = new_ctmc(4, [(0, 3, 100.0), (1, 2, a), (2, 1, a), (2, 3, 1e-9)], 0, {"done": [3]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert solvers.settled_labels(c, t, self.EPS) == {"done": 1.0}
+            assert solvers.settle(c, t, self.EPS) == {"done": 1.0}
 
     def test_absorption_cap_falls_back(self, monkeypatch):
         # two classes; an absorption solve held to one jump hits its cap,
@@ -671,10 +676,10 @@ class TestAbsorbedExit:
         inner = solvers.absorption_probabilities
         monkeypatch.setattr(solvers, "absorption_probabilities",
                             lambda c, p, cfg: inner(c, p, replace(cfg, max_iterations=1)))
-        assert solvers.settled_labels(c, t, self.EPS) is None
+        assert isinstance(solvers.settle(c, t, self.EPS), Ctmc)
         # unheld, the same chain is certified
         monkeypatch.setattr(solvers, "absorption_probabilities", inner)
-        assert label_error(solvers.settled_labels(c, t, self.EPS), c, t) <= self.EPS
+        assert label_error(solvers.settle(c, t, self.EPS), c, t) <= self.EPS
 
     def test_a_settled_start_needs_no_window(self, spmvs):
         # no Lambda*t is too large for a chain that starts settled, nor for
@@ -685,12 +690,15 @@ class TestAbsorbedExit:
             return new_ctmc(4, [(0, 1, 5.0), (1, 0, 5.0), (2, 0, 1.0), (3, 0, 1.0)], start,
                             {"pair": [0, 1], "three": [3]})
 
-        assert solvers.settled_labels(chain(0), 1e300, self.EPS) == {"pair": 1.0, "three": 0.0}
-        assert solvers.settled_labels(chain(3), 0.0, self.EPS) == {"pair": 0.0, "three": 1.0}
+        assert solvers.settle(chain(0), 1e300, self.EPS) == {"pair": 1.0, "three": 0.0}
+        assert solvers.settle(chain(3), 0.0, self.EPS) == {"pair": 0.0, "three": 1.0}
+        # nor any exit rate: the unsettled 2 and 3 leave at rate 1, below
+        # theta = 3.7 at 10 min
+        assert solvers.settle(chain(0), 10.0, self.EPS) == {"pair": 1.0, "three": 0.0}
         assert spmvs == []
-        assert solvers.settled_labels(chain(3), 1e12, self.EPS) is None
+        assert isinstance(solvers.settle(chain(3), 1e12, self.EPS), Ctmc)
         with pytest.raises(NegativeTime, match="too large for a finite Poisson window"):
-            transient(lump(chain(3)), 1e12, self.EPS)
+            transient(solvers.settle(chain(3), 1e12, self.EPS), 1e12, self.EPS)
 
     def test_fast_loop_with_a_slow_exit_falls_back(self):
         # every exit rate clears theta, but the pair {0, 1} leaves for the
@@ -700,12 +708,12 @@ class TestAbsorbedExit:
         c = new_ctmc(3, [(0, 1, 3.0), (1, 0, 25.0), (1, 2, 1.0)], 0, {"done": [2]})
         assert cert_threshold(c, self.EPS) < 60.0
         assert transient_oracle(c, 60.0)[:2].sum() > 1e-3
-        assert solvers.settled_labels(c, 60.0, self.EPS) is None
+        assert isinstance(solvers.settle(c, 60.0, self.EPS), Ctmc)
 
     @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, t):
         with pytest.raises(NegativeTime):
-            solvers.settled_labels(new_ctmc(2, [(0, 1, 1.0)], 0), t)
+            solvers.settle(new_ctmc(2, [(0, 1, 1.0)], 0), t, self.EPS)
 
 
 class TestLabelProbability:
@@ -731,7 +739,7 @@ class TestLabelProbability:
 
 
 class TestLump:
-    """`lump` collapses each settled class into one absorbing state."""
+    """`_collapse` merges each settled class into one absorbing state."""
 
     # states 1 and 2 enter the labelled state 0 at the same rate, state 3
     # at another
@@ -1064,8 +1072,11 @@ def test_absorbed_exit_matches_expm_oracle(chain, scale, epsilon):
     t = 2.0**scale * (cert_threshold(chain, epsilon) if len(unsettled) else 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solvers.settled_labels(chain, t, epsilon)
-    if got is not None:
+        got = solvers.settle(chain, t, epsilon)
+    if isinstance(got, Ctmc):
+        # where it does not fire, the chain comes back lumped
+        assert _chain_key(got) == _chain_key(lump(chain))
+    else:
         assert exact_transient_oracle(chain, t)[unsettled].sum() <= epsilon / 2 + 1e-12
         assert label_error(got, chain, t) <= epsilon + 1e-12
 
