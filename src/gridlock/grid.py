@@ -225,22 +225,26 @@ def _rules(s: Scenario, base_mw: float):
     caps = np.array([g.capacity_mw for g in s.classes])[:, None]
     on = np.array([s.class_index(name) for name in s.controller.priority])
     off, recover = on[::-1], [k for k, g in enumerate(s.classes) if g.t_recover is not None]
-    # the per-class rules, one row per class: turn-on in priority order,
-    # turn-off in reverse priority order, trips, then recovery; each row's
-    # code delta, mean time and the row of its condition in `when` (short,
-    # short with the botnet on, always, spare and the class's guard)
-    delta = np.concatenate((stride_s[on], -stride_s[off], stride_o - stride_s, -stride_o[recover]))
-    t_move = np.array([[s.classes[k].t_start for k in on] + [s.classes[k].t_stop for k in off]
-                       + [g.t_trip for g in s.classes] + [s.classes[k].t_recover for k in recover]]).T
-    when_row = np.array([0] * len(on) + list(range(3, 3 + len(off))) + [1] * len(counts) + [2] * len(recover))
     d, botnet = s.demand, s.botnet
-    # by j: each level's first demand move (to normal, to low, to normal),
-    # normal to high, the botnet toggle; and the effective demand, the
-    # hourly mean shifted by the level plus the botnet spike when on
-    head_valid = np.array([np.full(6, True), np.arange(6) // 2 == 1, np.full(6, botnet.enabled)])
-    head_delta = np.array([[2, 2, -2, -2, -2, -2], [2] * 6, [1, -1] * 3])
-    head_rate = np.array([np.repeat([1.0 / d.t_low_to_normal, 1.0 / d.t_normal_to_low, 1.0 / d.t_high_to_normal], 2),
-                          np.full(6, 1.0 / d.t_normal_to_high), [1.0 / botnet.t_off_to_on, 1.0 / botnet.t_on_to_off] * 3])
+    # the rules, one row each: each level's first demand move (to normal,
+    # to low, to normal), normal to high, the botnet toggle if enabled, then
+    # turn-on in priority order, turn-off in reverse priority order, trips
+    # and recovery; each row's code delta and mean time by j (its rate is
+    # its units, 1 in the first rows, over that time) and the row of its
+    # condition in `when` (always, normal, short, short with the botnet on,
+    # then spare and each turned-off class's guard)
+    head = 2 + botnet.enabled
+    delta = np.concatenate(([[2, 2, -2, -2, -2, -2], [2] * 6, [1, -1] * 3][:head], np.repeat(
+        np.concatenate((stride_s[on], -stride_s[off], stride_o - stride_s, -stride_o[recover])), 6, axis=1)))
+    t_move = np.array([np.repeat([d.t_low_to_normal, d.t_normal_to_low, d.t_high_to_normal], 2),
+                       [d.t_normal_to_high] * 6, [botnet.t_off_to_on, botnet.t_on_to_off] * 3][:head]
+                      + [[t] * 6 for t in [s.classes[k].t_start for k in on] + [s.classes[k].t_stop for k in off]
+                         + [g.t_trip for g in s.classes] + [s.classes[k].t_recover for k in recover]], float)
+    when_row = np.array([0, 1, 0][:head] + [2] * len(on) + list(range(4, 4 + len(off)))
+                        + [3] * len(counts) + [0] * len(recover))
+    turn = slice(head, head + 2 * len(on))
+    # by j, the effective demand: the hourly mean shifted by the level plus
+    # the botnet spike when on
     means = [base_mw * (1.0 + f * d.delta_fraction) for f in (-1.0, 0.0, 1.0)]
     demand = np.array([[mw, mw + botnet.spike_fraction * base_mw] for mw in means]).ravel()
     width, caps_off = s.controller.tolerance * demand, caps[off]
@@ -253,19 +257,20 @@ def _rules(s: Scenario, base_mw: float):
         dem = demand[j]
         band = np.where(abs(sup - dem) <= width[j], 1, np.where(sup < dem, 2, 0))
         short, spare = band == 2, band == 0
-        units = np.concatenate(((count - serving - offline)[on], serving[off], serving, offline[recover]))
+        units = np.concatenate((np.ones((head, len(x)), x.dtype), (count - serving - offline)[on],
+                                serving[off], serving, offline[recover]))
         # short: the first class in priority with a unit available starts
         # one, and under attack pressure every serving class trips; spare:
         # the last class in priority whose shutdown keeps supply at or
         # above demand stops one
-        when = np.concatenate(((short, short & (j % 2 == 1), j >= 0), spare & (sup - caps_off >= dem)))
+        when = np.concatenate(((j >= 0, j // 2 == 1, short, short & (j % 2 == 1)),
+                               spare & (sup - caps_off >= dem)))
         ok = (units > 0) & when[when_row]
-        ok[: 2 * len(on)] &= np.cumsum(ok[: 2 * len(on)], axis=0) == 1
-        valid = np.concatenate((head_valid[:, j], ok))
-        child = np.concatenate((x + head_delta[:, j], x + delta))
-        rate = np.concatenate((head_rate[:, j], units / t_move))
-        parent, rule = np.nonzero(valid.T)
-        return band, short & (offline > 0).any(0), parent, child[rule, parent], rate[rule, parent]
+        ok[turn] &= np.cumsum(ok[turn], axis=0) == 1
+        parent, rule = np.nonzero(ok.T)
+        jp = j[parent]
+        return (band, short & (offline > 0).any(0), parent, x[parent] + delta[rule, jp],
+                units[rule, parent] / t_move[rule, jp])
 
     return start, expand
 
@@ -273,13 +278,19 @@ def _rules(s: Scenario, base_mw: float):
 def _table_numbering(size: int, start: np.ndarray):
     """number(child, n) -> (indices, fresh) over a dense table of every
     code in [0, size): the state index of each child, and its new codes in
-    order of first appearance, numbered from n."""
+    order of first appearance, numbered from n.  A level takes linear time
+    and no sort: its unvisited children take their first position in the
+    table, and those found at their own position are the new codes."""
     table = np.full(size, -1, np.int32)  # -1 while unvisited
     table[start] = 0
 
     def number(child, n):
         new = child[table[child] < 0]
-        fresh = new[np.sort(np.unique(new, return_index=True)[1])]
+        # stamp each new code with its first position in new, in one pass
+        positions = np.arange(len(new), dtype=np.int32)
+        table[new] = len(new)
+        np.minimum.at(table, new, positions)
+        fresh = new[table[new] == positions]
         table[fresh] = np.arange(n, n + len(fresh), dtype=np.int32)
         return table[child], fresh
 
@@ -324,7 +335,9 @@ def build_grid_ctmc(
     one BFS level of state codes at a time (`_rules`).
 
     New codes take the next index in (parent, rule) order, which is FIFO
-    discovery order, so two builds of the same inputs are identical.
+    discovery order, so two builds of the same inputs are identical.  A
+    level forms children and rates only for its enabled moves, and the
+    table numbers it in linear time.
     State 0 is the start state, whose code is `initial_state`.  Labels:
     the classification partition plus "blackout" for overDemand states
     with at least one unit offline.
@@ -332,8 +345,8 @@ def build_grid_ctmc(
     Each level's source and target indices are int32 unless `max_states`
     reaches 2**31.  The level arrays are dropped once joined, and `Ctmc`
     reads the joined ones in place: on full ATTACK-H at hour 4 (21 072
-    states, 105 550 rates) the build peaks at 2.7 times the 1.59 MiB that
-    the chain's CSR and label arrays hold.
+    states, 105 550 rates) the build peaks at 2.7 times (4.24 MiB) the
+    1.59 MiB that the chain's CSR and label arrays hold.
     """
     max_states = _integer("max_states", max_states)
     if max_states < 1:

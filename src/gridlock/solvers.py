@@ -93,7 +93,7 @@ class BsccPartition:
 def bscc_decomposition(c: Ctmc) -> BsccPartition:
     """Split states into bottom SCCs (ordered by smallest member) and the rest."""
     n_comp, comp = connected_components(c.rate_matrix, directed=True, connection="strong")
-    src_comp = comp[_sources(c)]
+    src_comp = np.repeat(comp, np.diff(c.indptr))
     is_bottom = np.ones(n_comp, dtype=bool)
     is_bottom[src_comp[src_comp != comp[c.indices]]] = False
 
@@ -424,14 +424,9 @@ def _patterns(c: Ctmc) -> np.ndarray:
     return pattern
 
 
-def _sources(c: Ctmc) -> np.ndarray:
-    """The source state of each rate of c, in the dtype of c's indices."""
-    return np.repeat(np.arange(c.n_states, dtype=c.indices.dtype), np.diff(c.indptr))
-
-
 def _change_sources(c: Ctmc, pattern: np.ndarray) -> np.ndarray:
     """Mask of the states with a rate into a state of another pattern."""
-    src = _sources(c)
+    src = np.repeat(np.arange(c.n_states), np.diff(c.indptr))  # intp: no cast when it indexes
     sources = np.zeros(c.n_states, dtype=bool)
     sources[src[pattern[src] != pattern[c.indices]]] = True
     return sources
@@ -568,7 +563,7 @@ def _collapse(c: Ctmc, classes: tuple[np.ndarray, ...]) -> Ctmc:
         rep[b] = b[0]
     first = rep == np.arange(n)
     blocks = (np.cumsum(first) - 1)[rep]
-    src, dst = blocks[_sources(c)], blocks[c.indices]
+    src, dst = np.repeat(blocks, np.diff(c.indptr)), blocks[c.indices]
     moving = src != dst  # every rate of an unsettled state, none of a class
     src, dst, rates = src[moving], dst[moving], c.data[moving]
     order = np.lexsort((rates, dst, src))  # rates ascend within each (state, block) pair

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridlock import InsufficientCapacity, StateSpaceLimitExceeded, grid
@@ -625,7 +625,59 @@ def test_table_bound_includes_the_whole_code_space(monkeypatch, spare, path):
     assert build_grid_ctmc(*_cell("full", "NO-ATTACK", 18)).n_states == 6
 
 
-@pytest.mark.parametrize("value", [math.nan, 2.5, 100.0, True, "100"], ids=["nan", "2.5", "100.0", "True", "text"])
+def test_sweep_chains_match_pinned_digest():
+    # sha256 over the `_chain_key` of all 192 cells of the 24-hour sweeps:
+    # the full fleet, then the desk; variants in `make_attack_variants`
+    # order, hours 0-23 within each
+    h = hashlib.sha256()
+    for scen, profile in ((default_scenario(), default_demand_profile()),
+                          (desk_scenario(), desk_demand_profile())):
+        for _, variant in make_attack_variants(scen):
+            for mw in profile.mw_by_hour:
+                h.update(_chain_key(build_grid_ctmc(variant, mw)))
+    assert h.hexdigest() == "42a4bf79b832c45d3d966b6f35d7e10baaedcc067cc2141806369e005bb5c338"
+
+
+def _first_appearance_numbering(size, start):
+    """The numbering `_table_numbering` must give: each level's unvisited
+    children, numbered by first appearance through `np.unique`."""
+    table = np.full(size, -1, np.int32)
+    table[start] = 0
+
+    def number(child, n):
+        new = child[table[child] < 0]
+        fresh = new[np.sort(np.unique(new, return_index=True)[1])]
+        table[fresh] = np.arange(n, n + len(fresh), dtype=np.int32)
+        return table[child], fresh
+
+    return number
+
+
+@st.composite
+def code_levels(draw):
+    """A code space size, a start code and BFS levels of child codes: with
+    repeats, codes of earlier levels and empty levels."""
+    size = draw(st.integers(1, 40))
+    codes = st.integers(0, size - 1)
+    return size, draw(codes), draw(st.lists(st.lists(codes, max_size=30), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_levels())
+@example((6, 0, [[3, 1, 3, 1], [], [1, 0, 5, 2, 5, 4], []]))
+def test_table_numbering_numbers_by_first_appearance(case):
+    size, start, levels = case
+    start = np.array([start])
+    number, reference, n = grid._table_numbering(size, start), _first_appearance_numbering(size, start), 1
+    for level in levels:
+        child = np.array(level, np.int64)
+        (index, fresh), (want_index, want_fresh) = number(child, n), reference(child, n)
+        assert index.dtype == want_index.dtype and fresh.dtype == want_fresh.dtype
+        assert index.tolist() == want_index.tolist() and fresh.tolist() == want_fresh.tolist()
+        n += len(fresh)
+
+
+@pytest.mark.parametrize("value",[math.nan, 2.5, 100.0, True, "100"], ids=["nan", "2.5", "100.0", "True", "text"])
 def test_max_states_must_be_an_integer(value):
     # NaN used to switch the cap off, and 2.5 or True to read as a cap
     scen, base = _cell("desk", "ATTACK-H", 18)
