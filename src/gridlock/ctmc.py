@@ -12,8 +12,8 @@ lazily but for the exit rates, which construction checks to be finite.
 copies what it keeps (the rates and targets into CSR order, each label
 into an array of its own) and nothing else of full length: integer
 sources and targets are read in place, other ones cast to int64.  Its
-largest temporaries are the int64 (source, target) key, sorted in place,
-and that sort's order: 16 bytes a rate.
+largest temporaries are the int64 (source, target) key and its stable
+argsort order: 16 bytes a rate.  Duplicates are found in the CSR order.
 Instances are immutable (no attribute can be set, the label map and every
 array are read-only) and thread-safe; a pickle holds only the defining
 fields and loads through the constructor.
@@ -103,15 +103,20 @@ class Ctmc:
         key = np.multiply(src, n_states, dtype=np.int64)
         np.add(key, dst, out=key, dtype=np.int64)
         order = np.argsort(key, kind="stable")
-        key.sort(kind="stable")  # fast on the nearly sorted input of a build
-        duplicate = np.zeros(len(key), dtype=bool)
-        duplicate[order[1:]] = key[1:] == key[:-1]
         del key
-        _reject(DuplicateTransition, "a duplicate", duplicate, src, dst, rates)
-        del duplicate
         index_dtype = np.int32 if max(n_states, len(order)) < 2**31 else np.int64
         indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n_states)))).astype(index_dtype)
-        indices, data = dst[order].astype(index_dtype, copy=False), rates[order]
+        indices = dst[order].astype(index_dtype, copy=False)
+        # a duplicate repeats the target before it within its row
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[1:] = indices[1:] == indices[:-1]
+        repeat[indptr[:-1][np.diff(indptr) > 0]] = False  # the first entry of each row
+        duplicate = np.zeros(len(order), dtype=bool)
+        duplicate[order] = repeat
+        del repeat
+        _reject(DuplicateTransition, "a duplicate", duplicate, src, dst, rates)
+        del duplicate
+        data = rates[order]
         del order
 
         label_arrays = {}

@@ -330,7 +330,8 @@ def _serial_cell(
 
 def _labelled(done: list) -> list[tuple[bytes, dict[str, float] | Exception]]:
     """(key, probabilities or exception) of each chain the queue handed
-    back, tagged (key, lumped chain)."""
+    back, tagged (key, lumped chain): each distribution is read with the
+    labels of its own lumped chain, also where it rode another's block."""
     return [(key, d if isinstance(d, Exception) else _attempt(_labels, d, lumped))
             for (key, lumped), d in done]
 

@@ -16,10 +16,12 @@ stationary.  `Batches` is the one queue of chains to uniformize: chains
 of exactly equal uniformization rate share one Poisson window and step
 together, their P^T stacked block-diagonally into batches of about
 BATCH_NNZ nonzeros, one SpMV a step for the batch, each chain with its
-own stop test; every result equals the chain's solve alone bit for bit,
-and `transient` is a queue of one chain.  On small chains a step's fixed
-call costs weigh as much as its SpMV, and the 54 uniformized desk chains
-of a 24-hour sweep share only 5 rates.
+own stop test; a chain that steps alike with one waiting in its batch,
+differing only in labels, rides that chain's block instead of stacking
+its own.  Every result equals the chain's solve alone bit for bit, and
+`transient` is a queue of one chain.  On small chains a step's fixed call
+costs weigh as much as its SpMV: the 54 uniformized desk chains of a
+24-hour sweep share only 5 rates, and 7 of them ride, so 47 are stacked.
 `settle` answers a transient cell without uniformization where the chain
 is certified settled by the horizon, but for half the error budget: in
 closed sets of states that keep one label pattern.  Where it cannot, it
@@ -49,13 +51,15 @@ _UNIF_SLACK = 1.02
 # loops; a test costs about one SpMV's worth of vector work.
 _STATIONARITY_CHECK = 32
 
-# Nonzeros of P^T at which `Batches` steps a batch.  A step of one
-# 3.3k-nonzero desk chain costs 8.7 us, 2.7 ns a nonzero, mostly fixed
-# call costs; stacked chains of equal Lambda cost 1.1 ns a nonzero at 11k,
-# 0.94-0.96 ns at 18k-24k, then more as the batch outgrows the cache:
-# 1.1 ns at 31k, 1.4 ns at 39k and 2.0 ns at 89k (Xeon, 2 shared cores).
-# Closed at 16k, a desk batch holds 16k-20k nonzeros, at the bottom of
-# that curve, with less held at once than a 24k cap and no slower.
+# Stacked nonzeros of P^T at which `Batches` steps a batch, the working
+# set of its SpMV (a chain that rides another's block stacks none).  A
+# step of one 3.3k-nonzero desk chain costs 8.7 us, 2.7 ns a nonzero,
+# mostly fixed call costs; stacked chains of equal Lambda cost 1.1 ns a
+# nonzero at 11k, 0.94-0.96 ns at 18k-24k, then more as the batch
+# outgrows the cache: 1.1 ns at 31k, 1.4 ns at 39k and 2.0 ns at 89k
+# (Xeon, 2 shared cores).  Closed at 16k, a desk batch holds 16k-20k
+# nonzeros, at the bottom of that curve, with less held at once than a
+# 24k cap and no slower.
 BATCH_NNZ = 16_000
 
 # The certificate of `settle` proves decay at a rate that beats
@@ -240,13 +244,17 @@ class Batches:
     `add(tag, c)` puts c in the open batch of its exact Lambda: chains of
     one Lambda step in batches, in the order added, all on one Poisson
     window, their P^T stacked block-diagonally, one SpMV a step for the
-    whole batch.  Once its batch holds BATCH_NNZ nonzeros, `add` steps
-    it and returns (tag, result) for each chain in it; `close` steps every
-    batch still open.  A result is the chain's Distribution, or what
-    stepping its batch raised, for each chain of that batch only: the
-    NegativeTime of a Lambda*t too large for a finite Poisson window, or
-    any other exception.  At t = 0, or without exits, a chain stays where
-    it starts and comes back from `add` at once.
+    whole batch.  A chain with the n_states, initial and CSR arrays of a
+    chain already in the open batch rides that chain's block: it stacks
+    nothing and adds nothing toward the cap, and its tag gets the block's
+    Distribution, whose states are numbered alike.  Once its batch holds
+    BATCH_NNZ stacked nonzeros, `add` steps it and returns (tag, result)
+    for each chain in it; `close` steps every batch still open.  A result
+    is the chain's Distribution, or what stepping its batch raised, for
+    each chain of that batch only, riders too: the NegativeTime of a
+    Lambda*t too large for a finite Poisson window, or any other
+    exception.  At t = 0, or without exits, a chain stays where it starts
+    and comes back from `add` at once.
 
     The error budget epsilon splits in two halves.  The window [lo, hi] of
     `_window` drops at most epsilon/4 of mass on each side; each result is
@@ -263,7 +271,7 @@ class Batches:
     def __init__(self, t: float, epsilon: float = SolverConfig.tolerance):
         _check_horizon(t, epsilon)
         self.t, self.epsilon = t, epsilon
-        self._open: dict[float, list[tuple[object, Ctmc]]] = {}
+        self._open: dict[float, list[tuple[list, Ctmc]]] = {}  # Lambda: [(tags, chain)]
         self._windows: dict[float, tuple[np.ndarray, int]] = {}  # Lambda: (weights, lo)
 
     def add(self, tag: object, c: Ctmc) -> list[tuple[object, Distribution | Exception]]:
@@ -272,7 +280,11 @@ class Batches:
             pi0[c.initial] = 1.0
             return [(tag, Distribution(pi0))]
         batch = self._open.setdefault(lam := _slot(c)[0], [])
-        batch.append((tag, c))
+        twin = next((tags for tags, b in batch if _same_steps(b, c)), None)
+        if twin is not None:
+            twin.append(tag)
+            return []
+        batch.append(([tag], c))
         return self._step(lam) if sum(_slot(b)[1] for _, b in batch) >= BATCH_NNZ else []
 
     def close(self) -> list[tuple[object, Distribution | Exception]]:
@@ -287,14 +299,21 @@ class Batches:
                 k = np.arange(lo, hi + 1)  # the Poisson pmf over k, as scipy.stats computes it
                 self._windows[lam] = np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), lo
             sums, _ = _uniformize(*_stack([c for _, c in batch]), *self._windows[lam], self.epsilon)
-            return [(tag, Distribution(s / s.sum())) for (tag, _), s in zip(batch, sums)]
+            dists = [Distribution(s / s.sum()) for s in sums]
+            return [(tag, d) for (tags, _), d in zip(batch, dists) for tag in tags]
         except Exception as e:
-            return [(tag, e) for tag, _ in batch]
+            return [(tag, e) for tags, _ in batch for tag in tags]
 
 
 def _slot(c: Ctmc) -> tuple[float, int]:
     """(Lambda, nonzeros of P^T) of c, for P = I + Q/Lambda."""
     return _UNIF_SLACK * float(c.exit_rates.max()), len(c.data) + c.n_states
+
+
+def _same_steps(a: Ctmc, b: Ctmc) -> bool:
+    """Whether a and b step alike: equal size, start state and CSR arrays."""
+    return a.n_states == b.n_states and a.initial == b.initial and all(
+        np.array_equal(x, y) for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
 
 
 def _check_horizon(t: float, epsilon: float) -> None:
@@ -515,6 +534,7 @@ def _uniformize(
     """
     hi = lo + len(weights) - 1
     n_blocks = len(bounds) - 1
+    shape, indptr, indices, data = pt.shape, pt.indptr, pt.indices, pt.data
     sums: list[np.ndarray | None] = [None] * n_blocks
     steps = [hi] * n_blocks
     out = np.zeros_like(x)
@@ -523,7 +543,8 @@ def _uniformize(
     for k in range(hi):
         if k >= lo:
             out += np.multiply(weights[k - lo], x, out=tmp)
-        _step(pt, x, x_next)
+        x_next.fill(0.0)
+        csr_matvec(*shape, indptr, indices, data, x, x_next)  # _step, without its call costs
         if (k + 1) % _STATIONARITY_CHECK == 0:
             np.abs(np.subtract(x_next, x, out=tmp), out=tmp)
             for b in tuple(running):

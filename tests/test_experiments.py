@@ -777,80 +777,108 @@ def test_desk_transient_sweep_at_1_min_matches_golden_bytes(workers):
     assert write_results_csv(rows).encode() == GOLDEN_DESK_CSV_1MIN.read_bytes()
 
 
-def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(monkeypatch):
-    # 54 distinct desk chains are left to uniformize, with 5 distinct
-    # Lambdas; a batch is stepped as soon as it holds BATCH_NNZ nonzeros,
-    # so only the last batch of each Lambda may hold fewer
-    lumped, batches = [], []
+def steps_alike(a, b):
+    """Whether chains a and b step alike: equal size, start state and CSR arrays."""
+    return a.n_states == b.n_states and a.initial == b.initial and all(
+        np.array_equal(x, y) for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+
+
+def spy_on_batches(monkeypatch):
+    """Records each lumped chain by key, and each batch the queue steps as
+    [(key, (Lambda, nonzeros of P^T), chain)] of the chains it stacks."""
+    lumped, batches = {}, []
     real_settle, real_stack = experiments.settle, solvers._stack
 
     def settle(chain, t, epsilon):
         if isinstance(q := real_settle(chain, t, epsilon), Ctmc):
-            lumped.append(experiments._chain_key(q))
+            lumped[experiments._chain_key(q)] = q
         return q
 
     def stack(chains):
-        # each chain's key, Lambda and nonzeros of P^T
-        batches.append([(experiments._chain_key(c), solvers._slot(c)) for c in chains])
+        batches.append([(experiments._chain_key(c), solvers._slot(c), c) for c in chains])
         return real_stack(chains)
+
+    monkeypatch.setattr(experiments, "settle", settle)
+    monkeypatch.setattr(solvers, "_stack", stack)
+    return lumped, batches
+
+
+def test_desk_sweep_uniformizes_each_lumped_chain_once_in_equal_lambda_batches(monkeypatch):
+    # 54 distinct desk chains are left to uniformize, with 5 distinct
+    # Lambdas; 7 of them differ from the chain queued just before them only
+    # in labels and ride its block, so 47 are stacked.  A batch is stepped
+    # as soon as it holds BATCH_NNZ nonzeros, so only the last batch of
+    # each Lambda may hold fewer
+    lumped, batches = spy_on_batches(monkeypatch)
+    handed = []  # the lumped chains each stepped batch hands back
+    real_step = solvers.Batches._step
+
+    def step(self, lam):
+        got = real_step(self, lam)
+        handed.append([q for (_, q), _ in got])
+        return got
 
     def alone(*_):
         raise AssertionError("the serial sweep uniformized a chain alone")
 
-    monkeypatch.setattr(experiments, "settle", settle)
-    monkeypatch.setattr(solvers, "_stack", stack)
+    monkeypatch.setattr(solvers.Batches, "_step", step)
     monkeypatch.setattr(experiments, "transient", alone)
     plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
                           horizon_minutes=DESK_HORIZON_MINUTES)
     assert len(sweep_rows(plan, desk_demand_profile())) == 96
-    keys = [key for batch in batches for key, _ in batch]
-    assert len(keys) == len(set(keys)) == 54
-    assert sorted(keys) == sorted(lumped)
+    keys = [key for batch in batches for key, _, _ in batch]
+    assert len(keys) == len(set(keys)) == 47
+    assert len(lumped) == 54 and set(keys) <= set(lumped)
+    assert sorted(experiments._chain_key(q) for got in handed for q in got) == sorted(lumped)
+    for batch, got in zip(batches, handed, strict=True):
+        stacked = [c for _, _, c in batch]
+        assert all(any(q is c or steps_alike(q, c) for c in stacked) for q in got)
     short = Counter()
     for batch in batches:
-        (lam,) = {lam for _, (lam, _) in batch}
-        sizes = [nnz for _, (_, nnz) in batch]
+        (lam,) = {lam for _, (lam, _), _ in batch}
+        sizes = [nnz for _, (_, nnz), _ in batch]
         assert sum(sizes[:-1]) < solvers.BATCH_NNZ
         short[lam] += sum(sizes) < solvers.BATCH_NNZ
     assert max(short.values()) == 1
-    by_lambda = Counter(lam for batch in batches for _, (lam, _) in batch)
-    assert sorted(by_lambda.values()) == [1, 3, 6, 12, 32]
+    by_lambda = Counter(lam for batch in batches for _, (lam, _), _ in batch)
+    assert sorted(by_lambda.values()) == [1, 2, 3, 10, 31]
 
 
 def test_a_batch_that_raises_fails_only_the_cells_waiting_on_it(monkeypatch):
-    # the second batch the serial desk sweep steps raises: exactly the cells
-    # whose lumped chains it holds fail, and every other cell keeps its row
+    # the first batch the serial desk sweep steps raises: exactly the cells
+    # whose lumped chains it stacks, or that ride one of them, fail, and
+    # every other cell keeps its row
     plan = ExperimentPlan(variants=tuple(make_attack_variants(desk_scenario())),
                           horizon_minutes=DESK_HORIZON_MINUTES)
     profile = desk_demand_profile()
     reference = sweep_rows(plan, profile)
-    lumped_key, batches = {}, []
-    real_settle, real_stack, real_uniformize = experiments.settle, solvers._stack, solvers._uniformize
-
-    def settle(chain, t, epsilon):
-        if isinstance(q := real_settle(chain, t, epsilon), Ctmc):
-            lumped_key[experiments._chain_key(chain)] = experiments._chain_key(q)
-        return q
-
-    def stack(chains):
-        batches.append({experiments._chain_key(c) for c in chains})
-        return real_stack(chains)
+    lumped, batches = spy_on_batches(monkeypatch)
+    real_uniformize = solvers._uniformize
 
     def uniformize(*args):
-        if len(batches) == 2:
+        if len(batches) == 1:
             raise RuntimeError("stepping failed")
         return real_uniformize(*args)
 
-    monkeypatch.setattr(experiments, "settle", settle)
-    monkeypatch.setattr(solvers, "_stack", stack)
     monkeypatch.setattr(solvers, "_uniformize", uniformize)
     rows, failures = run_hourly_sweep(plan, profile)
-    assert len(batches) > 2
-    failed = sorted((name, h) for name, scen in plan.variants for h in plan.hours
-                    if lumped_key.get(experiments._chain_key(
-                        build_grid_ctmc(scen, profile.mw_by_hour[h]))) in batches[1])
-    assert failed
-    assert [(f.variant, f.hour) for f in failures] == failed
+    assert len(batches) > 1
+    stacked = {key: c for key, _, c in batches[0]}
+    ever_stacked = {key for batch in batches for key, _, _ in batch}
+    riders = {key for key, q in lumped.items()
+              if key not in ever_stacked and any(steps_alike(q, c) for c in stacked.values())}
+    failed, rider_cells = [], []
+    for name, scen in plan.variants:
+        for h in plan.hours:
+            q = solvers.settle(build_grid_ctmc(scen, profile.mw_by_hour[h]),
+                               DESK_HORIZON_MINUTES, plan.solver.tolerance)
+            key = experiments._chain_key(q) if isinstance(q, Ctmc) else None
+            if key in stacked or key in riders:
+                failed.append((name, h))
+            if key in riders:
+                rider_cells.append((name, h))
+    assert rider_cells
+    assert [(f.variant, f.hour) for f in failures] == sorted(failed)
     assert all(isinstance(f.error, RuntimeError) for f in failures)
     assert rows == [r for r in reference if (r.scenario, r.hour) not in failed]
 

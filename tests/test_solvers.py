@@ -1164,6 +1164,35 @@ class TestBatches:
         for c, g in zip((slow, still), got[1::2]):
             assert np.array_equal(g.probs, transient(c, t).probs)
 
+    def test_chains_that_differ_only_in_labels_share_a_block(self, monkeypatch):
+        # twin relabels first and rides its block; moved has the same rates
+        # but another start state, and other differs in one rate on the
+        # same pairs, so each of those stacks a block of its own
+        rates = [(0, 1, 50.0), (1, 0, 5.0), (1, 2, 30.0)]
+        first = paced(rates, 3, labels={"a": [0]})
+        twin = paced(rates, 3, labels={"a": [1, 2], "b": [3]})
+        moved = paced(rates, 3, initial=1, labels={"a": [0]})
+        other = paced(rates[:2] + [(1, 2, 31.0)], 3, labels={"a": [0]})
+        stacked, real_stack = [], solvers._stack
+        monkeypatch.setattr(solvers, "_stack", lambda chains: stacked.append(chains) or real_stack(chains))
+        chains = [other, first, twin, moved]
+        got = batched(chains, 0.5, self.EPS)
+        assert stacked == [[other, first, moved]]
+        assert got[2] is got[1]
+        for c, g in zip(chains, got):
+            assert np.array_equal(g.probs, transient(c, 0.5, self.EPS).probs)
+
+    def test_a_batch_that_fails_fails_its_riders(self):
+        # Lambda*t is 1.02e12, past any finite window: the chain and the
+        # relabelled copy that rides its block get the NegativeTime of the
+        # chain alone
+        rates = [(0, 1, 1000.0), (1, 0, 1000.0)]
+        chains = [new_ctmc(2, rates, 0, {"a": [0]}), new_ctmc(2, rates, 0, {"a": [1]})]
+        with pytest.raises(NegativeTime) as alone:
+            transient(chains[0], 1e9)
+        got = batched(chains, 1e9)
+        assert all(isinstance(g, NegativeTime) and str(g) == str(alone.value) for g in got)
+
     def test_arguments_are_checked_once_for_all(self, cycle):
         with pytest.raises(NegativeTime):
             batched([cycle, cycle], -1.0)
@@ -1176,9 +1205,20 @@ class TestBatches:
 def batchable_chains(draw):
     """1-8 chains of 1-4 states, each with up to 6 log-uniform rates from
     1e-3 to 1e3 (so some have none) and random labels a and b, two thirds
-    of them `paced` so that groups of equal Lambda are common."""
+    of them `paced` so that groups of equal Lambda are common; about a
+    quarter after the first are a relabelled copy of a chain drawn before,
+    which rides its block while that waits in an open batch."""
+
+    def labels(size):
+        return {name: draw(st.sets(st.integers(min_value=0, max_value=size - 1))) for name in "ab"}
+
     chains = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        if chains and draw(st.integers(min_value=0, max_value=3)) == 0:
+            c = draw(st.sampled_from(chains))
+            chains.append(new_ctmc(c.n_states, [(*pair, r) for pair, r in c.transitions.items()],
+                                   c.initial, labels(c.n_states)))
+            continue
         n = draw(st.integers(min_value=1, max_value=4))
         pairs = st.tuples(st.integers(min_value=0, max_value=n - 1),
                           st.integers(min_value=0, max_value=n - 1))
@@ -1188,9 +1228,8 @@ def batchable_chains(draw):
         if pace is not None:
             trans.append((n, 0, 2000.0 * pace))
         size = n + (pace is not None)
-        labels = {name: draw(st.sets(st.integers(min_value=0, max_value=size - 1))) for name in "ab"}
         chains.append(new_ctmc(size, trans, draw(st.integers(min_value=0, max_value=size - 1)),
-                               labels))
+                               labels(size)))
     return chains
 
 
